@@ -1,17 +1,19 @@
 """Least-squares parameter estimation.
 
 Linear models get the closed-form orthogonal-decomposition solution; nonlinear
-models get a damped Gauss-Newton (Levenberg-Marquardt) iteration with box
-projection, ordering-constraint rejection, parameter masks, and Latin-hypercube
-multi-start.  The objective throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
+models get scipy's bounded trust-region reflective solver (Branch, Coleman & Li
+1999) over the free parameters of a mask, with Latin-hypercube multi-start.
+Every fit ends with one of four reasons (see :func:`fit`).  The objective
+throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.stats import qmc
 
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
@@ -74,9 +76,6 @@ class FitOptions:
     gradient_tol: float = 1e-8
     step_tol: float = 1e-10
     max_iterations: int = 500
-    damping_init_scale: float = 1e-3
-    damping_up: float = 2.0
-    damping_down: float = 1.0 / 3.0
     jacobian_method: str = "auto"
 
 
@@ -132,11 +131,6 @@ def linear_least_squares(X, y) -> EstimateResult:
     )
 
 
-def _stacked_residual(model: Model, dataset: Dataset, theta) -> np.ndarray:
-    f = evaluate(model, dataset.design, theta)
-    return (dataset.observations - f[:, None]).ravel()
-
-
 def fit(
     model: Model,
     dataset: Dataset,
@@ -144,95 +138,91 @@ def fit(
     mask: ParameterMask | None = None,
     options: FitOptions | None = None,
 ) -> EstimateResult:
-    """Levenberg-Marquardt minimisation of S(theta) over the free parameters.
+    """Minimise S(theta) over the free parameters with scipy's ``trf`` solver.
 
-    Steps are projected onto the box; steps violating ordering constraints are
-    rejected (treated like an unsuccessful trial, raising the damping).  An
-    evaluation failure mid-run returns the best point so far with
-    ``converged=False`` and the failure message attached.
+    One ``least_squares(method="trf")`` call on the free sub-vector: box
+    bounds, residuals f(theta) - y stacked over replicates, and the model's
+    own sensitivity route as the Jacobian.  ``gradient_tol``, ``step_tol`` and
+    ``max_iterations`` are its ``gtol``, ``xtol`` and ``max_nfev``; ``ftol`` is
+    off.  ``iterations`` is its ``njev``: one Jacobian per iteration, the
+    start's included.  Status 1 is ``small-gradient`` (trf scales the gradient
+    by the distance to the bound it points at, so optima on a bound end here),
+    status 2-4 ``small-step``, or ``boundary`` with a bound active, and status
+    0 ``max-iter`` with ``converged=False``.
+
+    The solver cannot express ordering constraints: it runs over the box,
+    evaluating without the ordering check, and if it ends outside them the
+    best admissible point it visited is returned, not converged, as
+    ``boundary``.  An evaluation failure mid-run returns the best admissible
+    point so far, not converged, as ``max-iter`` with the message in
+    ``failure``; one at the first evaluation is raised.
     """
     opts = options or FitOptions()
     space = model.space
     start = space.require(start)
-    p = start.size
-    mask = mask or ParameterMask.none(p)
+    mask = mask or ParameterMask.none(start.size)
     theta = mask.pin(start)
     if not space.contains(theta):
         raise OutOfBoundsError("mask pins parameters outside the admissible set")
     free = mask.free_indices
-    reps = dataset.design.replicates
-    n_obs = dataset.n_observations
+    design = dataset.design
+    y = dataset.observations.ravel()
+    box = replace(model, space=replace(space, orderings=()))
+    best_theta, best_objective = None, np.inf
+    jacobians = 0
 
-    def result(theta, objective, converged, iterations, reason, failure=None):
-        k = free.size
-        sigma2 = 2.0 * objective / (n_obs - k) if n_obs > k else float("nan")
+    def at(x) -> np.ndarray:
+        point = theta.copy()
+        point[free] = x
+        return point
+
+    def residuals(x) -> np.ndarray:
+        nonlocal best_theta, best_objective
+        point = at(x)
+        r = np.repeat(evaluate(model, design, point, check_bounds=False), design.replicates) - y
+        objective = 0.5 * float(r @ r)
+        if objective < best_objective and space.contains(point):
+            best_theta, best_objective = point, objective
+        return r
+
+    def jacobian(x) -> np.ndarray:
+        nonlocal jacobians
+        jacobians += 1
+        V = sensitivity_matrix(box, design, at(x), method=opts.jacobian_method).values
+        return np.repeat(V, design.replicates, axis=0)[:, free]
+
+    def result(theta, objective, converged, reason, failure=None):
+        sigma2 = 2.0 * objective / (y.size - free.size) if y.size > free.size else float("nan")
         return EstimateResult(
             theta=theta.copy(), objective=float(objective), sigma2=float(sigma2),
-            converged=converged, iterations=iterations, start=start.copy(),
+            converged=converged, iterations=jacobians, start=start.copy(),
             reason=reason, failure=failure,
         )
 
-    residual = _stacked_residual(model, dataset, theta)
-    objective = 0.5 * float(residual @ residual)
     if free.size == 0:
-        return result(theta, objective, True, 0, SMALL_GRADIENT)
-
-    damping = None
-    for iteration in range(1, opts.max_iterations + 1):
-        try:
-            V = sensitivity_matrix(model, dataset.design, theta, method=opts.jacobian_method).values
-        except EvaluationError as exc:
-            return result(theta, objective, False, iteration - 1, MAX_ITER, failure=str(exc))
-        J = np.repeat(V, reps, axis=0)[:, free]
-        g = J.T @ residual                      # descent direction; grad S = -g
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm < opts.gradient_tol * (1.0 + abs(objective)):
-            return result(theta, objective, True, iteration - 1, SMALL_GRADIENT)
-        JtJ = J.T @ J
-        if damping is None:
-            peak = float(np.max(np.diag(JtJ)))
-            damping = opts.damping_init_scale * (peak if peak > 0 else 1.0)
-
-        accepted = False
-        while True:
-            try:
-                delta = np.linalg.solve(JtJ + damping * np.eye(free.size), g)
-            except np.linalg.LinAlgError:
-                damping *= opts.damping_up
-                continue
-            trial = theta.copy()
-            trial[free] += delta
-            trial = space.clip(trial)
-            trial = mask.pin(trial)
-            step = float(np.max(np.abs(trial - theta)))
-            relative_step = step / (1.0 + float(np.max(np.abs(theta))))
-            if relative_step < opts.step_tol:
-                reason = _termination_at(theta, free, gnorm, objective, space, opts)
-                return result(theta, objective, True, iteration, reason)
-            if space.contains(trial):
-                try:
-                    trial_residual = _stacked_residual(model, dataset, trial)
-                except EvaluationError as exc:
-                    return result(theta, objective, False, iteration, MAX_ITER, failure=str(exc))
-                trial_objective = 0.5 * float(trial_residual @ trial_residual)
-                if trial_objective < objective:
-                    theta, residual, objective = trial, trial_residual, trial_objective
-                    damping *= opts.damping_down
-                    accepted = True
-                    break
-            damping *= opts.damping_up
-        if not accepted:  # pragma: no cover - loop exits only via accept/return
-            break
-    return result(theta, objective, False, opts.max_iterations, MAX_ITER)
-
-
-def _termination_at(theta, free, gnorm, objective, space, opts) -> str:
-    at_bound = np.any(
-        (theta[free] <= space.lower[free]) | (theta[free] >= space.upper[free])
-    )
-    if at_bound and gnorm >= opts.gradient_tol * (1.0 + abs(objective)):
-        return BOUNDARY
-    return SMALL_STEP
+        residuals(theta[free])
+        return result(best_theta, best_objective, True, SMALL_GRADIENT)
+    try:
+        sol = least_squares(
+            residuals, theta[free], jac=jacobian, method="trf",
+            bounds=(space.lower[free], space.upper[free]),
+            gtol=opts.gradient_tol, xtol=opts.step_tol, ftol=None, max_nfev=opts.max_iterations,
+        )
+    except EvaluationError as exc:
+        if best_theta is None:
+            raise
+        return result(best_theta, best_objective, False, MAX_ITER, failure=str(exc))
+    theta_hat = at(sol.x)
+    if not space.contains(theta_hat):
+        if best_theta is None:  # the start, nudged off a bound, already broke an ordering
+            residuals(theta[free])
+        return result(best_theta, best_objective, False, BOUNDARY)
+    objective = 0.5 * float(sol.fun @ sol.fun)
+    if sol.status == 0:
+        return result(theta_hat, objective, False, MAX_ITER)
+    if sol.status == 1:
+        return result(theta_hat, objective, True, SMALL_GRADIENT)
+    return result(theta_hat, objective, True, BOUNDARY if np.any(sol.active_mask) else SMALL_STEP)
 
 
 def latin_hypercube_starts(

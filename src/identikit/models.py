@@ -101,10 +101,6 @@ class ParameterSpace:
             )
         return theta
 
-    def clip(self, theta) -> np.ndarray:
-        """Project onto the box.  Ordering constraints are not repaired."""
-        return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
-
     def sample(self, rng: np.random.Generator, size: int, max_tries: int = 10_000) -> np.ndarray:
         """Uniform draws from the box, rejecting ordering violations."""
         out = np.empty((size, self.dimension))
@@ -295,6 +291,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """Read :func:`save_dataset` output, rejecting rows that do not fit the design.
+
+    Each row gives a design time exactly and a replicate in 0..replicates-1, once;
+    any other row raises :class:`ValueError` naming its line and field.
+    """
     path = Path(path)
     meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
     design = Design(
@@ -303,15 +304,22 @@ def load_dataset(path: str | Path) -> Dataset:
         int(meta["replicates"]),
     )
     obs = np.full((design.size, design.replicates), np.nan)
-    times = design.time_points
+    rows = {t: i for i, t in enumerate(design.time_points.tolist())}
     with path.open() as fh:
         header = fh.readline().strip()
         if header != "time,replicate,value":
             raise ValueError(f"unexpected dataset header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             t_str, r_str, v_str = line.strip().split(",")
-            i = int(np.argmin(np.abs(times - float(t_str))))
-            obs[i, int(r_str)] = float(v_str)
+            where = f"{path} line {lineno}, field"
+            i, r = rows.get(float(t_str)), int(r_str)
+            if i is None:
+                raise ValueError(f"{where} time: {t_str} is not a design time")
+            if not 0 <= r < design.replicates:
+                raise ValueError(f"{where} replicate: {r_str} is outside 0..{design.replicates - 1}")
+            if not np.isnan(obs[i, r]):
+                raise ValueError(f"{where} (time, replicate): ({t_str}, {r_str}) appears twice")
+            obs[i, r] = float(v_str)
     if not np.all(np.isfinite(obs)):
         raise ValueError("dataset file is missing observations")
     theta = meta.get("theta_true")

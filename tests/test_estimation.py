@@ -1,4 +1,6 @@
-"""Closed-form and Levenberg-Marquardt least squares, masks, multi-start."""
+"""Closed-form and trust-region least squares, masks, multi-start."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +129,76 @@ class TestFit:
         data = ik.generate_data(model, design, [1.0, 2.0], seed=6)
         res = ik.fit(model, data, [0.0, 0.0])
         assert res.sigma2 == pytest.approx(2 * res.objective / (design.size - 2))
+
+
+def objective_at(model, data, theta):
+    residual = data.observations[:, 0] - ik.evaluate(model, data.design, theta, check_bounds=False)
+    return 0.5 * float(residual @ residual)
+
+
+def ramp_problem():
+    """f(t) = theta * t on [0, 10], non-finite above theta = 2; data from theta = 5."""
+
+    def f(times, theta):
+        return times * theta[0] if theta[0] <= 2.0 else np.full_like(times, np.nan)
+
+    model = ik.Model(
+        name="ramp", space=ik.ParameterSpace(np.array([0.0]), np.array([10.0])),
+        evaluator=lambda t, th: float(f(np.array([t]), th)[0]),
+        evaluate_times=f, jacobian=lambda times, theta: times[:, None],
+    )
+    design = ik.Design(np.linspace(1.0, 4.0, 4), 0.1)
+    return model, ik.Dataset(design, (5.0 * design.time_points)[:, None])
+
+
+class TestFitTermination:
+    def test_exhausted_budget_is_max_iter(self):
+        X, model, design = make_linear()
+        data = ik.Dataset(design, (X @ [20.0, 1.0])[:, None])
+        res = ik.fit(model, data, [0.0, 0.0], options=ik.FitOptions(max_iterations=3))
+        assert not res.converged and res.reason == "max-iter"
+        assert res.iterations <= 3
+
+    def test_iterations_count_jacobians(self, monkeypatch):
+        from identikit import estimation
+
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.1)
+        data = ik.generate_data(model, design, [2.0, 1.0], seed=3)
+        calls = []
+        monkeypatch.setattr(
+            estimation, "sensitivity_matrix",
+            lambda *a, **k: calls.append(1) or ik.sensitivity_matrix(*a, **k),
+        )
+        res = estimation.fit(model, data, [3.0, 0.5])
+        assert res.iterations == len(calls) > 1
+
+    # the second start sits on a bound; the solver nudges both coefficients to 1e-10,
+    # which already breaks the ordering, so the start is the only admissible point
+    @pytest.mark.parametrize("start", [[2.0, 0.0], [1e-11, 0.0]])
+    def test_optimum_past_an_ordering_returns_best_admissible_point(self, start):
+        X, model, design = make_linear()
+        space = ik.ParameterSpace(np.zeros(2), np.full(2, 10.0), orderings=((0, 1),))
+        ordered = replace(model, space=space)
+        data = ik.Dataset(design, (X @ [1.0, 3.0])[:, None])
+        res = ik.fit(ordered, data, start)
+        assert not res.converged and res.reason == "boundary"
+        assert space.contains(res.theta)
+        assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
+        assert res.objective <= objective_at(model, data, start)
+
+    def test_evaluation_failure_returns_best_point_so_far(self):
+        model, data = ramp_problem()
+        res = ik.fit(model, data, [0.5])
+        assert not res.converged and res.reason == "max-iter"
+        assert "non-finite" in res.failure
+        assert 0.5 < res.theta[0] <= 2.0
+        assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
+
+    def test_evaluation_failure_at_the_start_is_raised(self):
+        model, data = ramp_problem()
+        with pytest.raises(ik.EvaluationError):
+            ik.fit(model, data, [3.0])
 
 
 class TestMultiStart:

@@ -1,5 +1,7 @@
 """Model abstractions, designs, noisy data generation, and the registry."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,24 @@ class TestDatasetIO:
         # the recorded parameter and seed regenerate the observations exactly
         regen = ik.generate_data(model, back.design, back.theta_true, back.seed)
         assert np.array_equal(regen.observations, back.observations)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("0.75,0,1.0", "time"),               # off-design, formerly snapped to 0.5
+            ("0.5,1,1.0", "(time, replicate)"),   # duplicate, formerly overwrote line 3
+            ("0.5,-1,1.0", "replicate"),          # formerly wrote into the last column
+            ("0.5,2,1.0", "replicate"),           # formerly a bare IndexError
+        ],
+    )
+    def test_malformed_row_rejected_with_line_and_field(self, tmp_path, row, field):
+        design = ik.Design(np.array([0.5, 1.0]), 0.2, replicates=2)
+        ds = ik.Dataset(design, np.ones((2, 2)))
+        path = tmp_path / "dataset.csv"
+        ik.save_dataset(ds, path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 6, field {field}:")):
+            ik.load_dataset(path)
 
     def test_shape_validation(self):
         design = ik.Design(np.array([1.0, 2.0]), 0.1, replicates=2)

@@ -123,7 +123,7 @@ class TestProfileParameter:
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.1)
         data = ik.generate_data(model, design, [2.0, 1.0], seed=2)
-        fit = best_fit(model, data)
+        fit = best_fit(model, data, seed=7)
         curve = ik.profile_parameter(model, data, fit, 0, points=21)
         assert np.min(np.abs(curve.grid - fit.theta[0])) < 1e-9
         assert abs(np.max(curve.values) - curve.loglik_hat) < 1e-6

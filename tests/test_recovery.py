@@ -20,7 +20,7 @@ class TestRecoverOnce:
     def test_biexponential_swap_rescued_by_symmetry_flag(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 1e-10)
-        trial = ik.recover_once(model, design, [2.0, 1.0], seed=0, n_starts=4)
+        trial = ik.recover_once(model, design, [2.0, 1.0], seed=3, n_starts=4)
         # this seed lands on the swapped optimum
         np.testing.assert_allclose(trial.theta_hat, [1.0, 2.0], atol=1e-6)
         assert not trial.success
