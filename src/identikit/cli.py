@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import Diagnostic, RunConfig, build_config, load_raw, validate_config
 from .estimation import estimates_csv, multi_start_fit
-from .fim import IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
+from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
 from .profile import profile_parameter
 from .recovery import global_recovery
@@ -105,14 +105,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path, threads
         theta = config.fim.theta if config.fim.theta is not None else best.theta
         report = fim_report(model, design, theta, rank_tolerance=config.fim.rank_tolerance)
         block = {"theta": np.asarray(theta, dtype=float).tolist(), **report.to_dict()}
-        block["scores"] = {
-            "D": float(np.prod(report.eigenvalues)),
-            "A": _finite_or_none(
-                float(np.sum(1.0 / report.eigenvalues))
-                if report.classification == IDENTIFIABLE else float("inf")
-            ),
-            "E": float(report.eigenvalues[-1]),
-        }
+        block["scores"] = {c: _finite_or_none(report.score(c)) for c in DESIGN_CRITERIA}
         if report.classification == IDENTIFIABLE:
             ellipsoid = confidence_ellipsoid(report, theta, config.fim.level)
             block["ellipsoid"] = {

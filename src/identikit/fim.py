@@ -22,6 +22,8 @@ DEFAULT_RANK_TOL = 1e-10
 IDENTIFIABLE = "identifiable"
 RANK_DEFICIENT = "rank-deficient"
 
+DESIGN_CRITERIA = ("D", "A", "E")
+
 
 class RankDeficientFimWarning(UserWarning):
     """A query on a rank-deficient information matrix used the pseudo-inverse."""
@@ -64,6 +66,20 @@ class FimReport:
     @property
     def dimension(self) -> int:
         return self.fim.shape[0]
+
+    def score(self, criterion: str) -> float:
+        """Design score of this matrix; see :func:`design_score`."""
+        if criterion not in DESIGN_CRITERIA:
+            raise ValueError(f"criterion must be one of {DESIGN_CRITERIA}")
+        if criterion == "D":
+            # eigenvalue product == determinant for the symmetrized matrix, and
+            # it scales exactly under replicate doubling
+            return float(np.prod(self.eigenvalues))
+        if criterion == "E":
+            return float(self.eigenvalues[-1])
+        if self.classification != IDENTIFIABLE:
+            return float("inf")
+        return float(np.sum(1.0 / self.eigenvalues))
 
     def to_dict(self) -> dict:
         payload = {
@@ -258,9 +274,6 @@ def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoi
     )
 
 
-DESIGN_CRITERIA = ("D", "A", "E")
-
-
 def design_score(
     model: Model,
     design: Design,
@@ -274,15 +287,4 @@ def design_score(
     D: det(I), larger is better.  A: trace(I^-1), lower is better (infinite on
     a rank-deficient matrix).  E: smallest eigenvalue, larger is better.
     """
-    if criterion not in DESIGN_CRITERIA:
-        raise ValueError(f"criterion must be one of {DESIGN_CRITERIA}")
-    report = fim_report(model, design, theta, sigma=sigma, method=method)
-    if criterion == "D":
-        # eigenvalue product == determinant for the symmetrized matrix, and it
-        # scales exactly under replicate doubling
-        return float(np.prod(report.eigenvalues))
-    if criterion == "E":
-        return float(report.eigenvalues[-1])
-    if report.classification != IDENTIFIABLE:
-        return float("inf")
-    return float(np.sum(1.0 / report.eigenvalues))
+    return fim_report(model, design, theta, sigma=sigma, method=method).score(criterion)

@@ -1,10 +1,11 @@
 """Deterministic time-series models, designs, and synthetic-data generation.
 
-A model is a deterministic evaluator f(t, theta) over a box-shaped (optionally
-order-constrained) parameter space.  A design fixes the observation times, the
-noise level, and the replicate count; observations are the model output plus
-independent additive Gaussian noise.  A small registry of built-in models with
-known identifiability status is provided for testing and benchmarking.
+A model is a deterministic callable f(times, thetas), batched over parameter
+vectors, on a box-shaped (optionally order-constrained) parameter space.  A
+design fixes the observation times, the noise level, and the replicate count;
+observations are the model output plus independent additive Gaussian noise.
+A small registry of built-in models with known identifiability status is
+provided for testing and benchmarking.
 """
 
 from __future__ import annotations
@@ -174,16 +175,16 @@ class OdeSystem:
 class Model:
     """Deterministic scalar-output model over a parameter space.
 
-    ``evaluator`` maps a single (t, theta) pair to a float; ``evaluate_times``
-    is an optional vectorized override used by :func:`evaluate`.  Models with
-    several outputs are represented by stacking outputs into an extended
-    design, one row per (time, output) pair.
+    ``f(times, thetas)`` maps n times and an (m, p) stack of parameter vectors
+    to the (m, n) outputs; a parameter vector that cannot be evaluated gets
+    non-finite outputs in its row.  Models with several outputs are
+    represented by stacking outputs into an extended design, one row per
+    (time, output) pair.
     """
 
     name: str
     space: ParameterSpace
-    evaluator: Callable[[float, np.ndarray], float]
-    evaluate_times: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     ode: OdeSystem | None = None
     identifiability: str | None = None
@@ -200,8 +201,18 @@ class Model:
         return self.align_symmetry(theta_ref, np.asarray(theta, dtype=float))
 
 
+def evaluate_batch(model: Model, design: Design, thetas) -> np.ndarray:
+    """Outputs (m, n) for the m rows of ``thetas``, without bounds or finiteness
+    checks; raises :class:`EvaluationError` if the model returns another shape."""
+    thetas = np.asarray(thetas, dtype=float)
+    values = np.asarray(model.f(design.time_points, thetas), dtype=float)
+    if values.shape != (thetas.shape[0], design.size):
+        raise EvaluationError(f"model {model.name} returned shape {values.shape}")
+    return values
+
+
 def evaluate(model: Model, design: Design, theta, *, check_bounds: bool = True) -> np.ndarray:
-    """Model outputs at the design times.
+    """Model outputs at the design times for one parameter vector.
 
     Raises :class:`OutOfBoundsError` for theta outside the admissible set and
     :class:`EvaluationError` if any output is non-finite.
@@ -209,15 +220,9 @@ def evaluate(model: Model, design: Design, theta, *, check_bounds: bool = True) 
     theta = np.asarray(theta, dtype=float)
     if check_bounds:
         model.space.require(theta)
-    times = design.time_points
-    if model.evaluate_times is not None:
-        values = np.asarray(model.evaluate_times(times, theta), dtype=float)
-    else:
-        values = np.array([model.evaluator(t, theta) for t in times], dtype=float)
-    if values.shape != times.shape:
-        raise EvaluationError(f"model {model.name} returned shape {values.shape}")
+    values = evaluate_batch(model, design, theta.reshape(1, -1))[0]
     if not np.all(np.isfinite(values)):
-        bad = times[~np.isfinite(values)]
+        bad = design.time_points[~np.isfinite(values)]
         raise EvaluationError(f"model {model.name} non-finite at t={bad.tolist()}")
     return values
 
@@ -357,17 +362,17 @@ def linear_model(design_matrix=None, bounds: tuple[float, float] = (-10.0, 10.0)
     space = ParameterSpace(np.full(p, lo), np.full(p, hi),
                            names=tuple(f"coef{i + 1}" for i in range(p)))
 
-    def _rows(times, theta):
+    def _rows(times, thetas):
         idx = np.asarray(np.rint(times), dtype=int)
         if np.any(idx < 0) or np.any(idx >= n):
             raise EvaluationError(f"linear model defined for t in 0..{n - 1}")
-        return X[idx] @ theta
+        # row by row: a matrix product rounds differently for each batch size
+        return np.array([X[idx] @ theta for theta in thetas]).reshape(len(thetas), len(idx))
 
     return Model(
         name="linear",
         space=space,
-        evaluator=lambda t, theta: float(_rows(np.array([t]), theta)[0]),
-        evaluate_times=_rows,
+        f=_rows,
         jacobian=lambda times, theta: X[np.asarray(np.rint(times), dtype=int)],
         identifiability=GLOBALLY_IDENTIFIABLE if np.linalg.matrix_rank(X) == p else STRUCTURALLY_UNIDENTIFIABLE,
     )
@@ -393,9 +398,6 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
         names=("rate1", "rate2"),
     )
 
-    def _f(times, theta):
-        return np.exp(-theta[0] * times) + np.exp(-theta[1] * times)
-
     def _jac(times, theta):
         return np.column_stack([-times * np.exp(-theta[0] * times),
                                 -times * np.exp(-theta[1] * times)])
@@ -403,8 +405,7 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
     return Model(
         name="biexponential",
         space=space,
-        evaluator=lambda t, theta: float(np.exp(-theta[0] * t) + np.exp(-theta[1] * t)),
-        evaluate_times=_f,
+        f=lambda times, thetas: np.exp(-thetas[:, :1] * times) + np.exp(-thetas[:, 1:] * times),
         jacobian=_jac,
         identifiability=GLOBALLY_IDENTIFIABLE if ordered else LOCALLY_NOT_GLOBALLY,
         align_symmetry=None if ordered else _swap_align,
@@ -436,9 +437,6 @@ def redundant_exponential_model(
         names=("amplitude", "rate", "offset"),
     )
 
-    def _f(times, theta):
-        return theta[0] * np.exp(theta[1] * times + theta[2])
-
     def _jac(times, theta):
         e = np.exp(theta[1] * times + theta[2])
         return np.column_stack([e, theta[0] * times * e, theta[0] * e])
@@ -446,8 +444,7 @@ def redundant_exponential_model(
     return Model(
         name="redundant-exponential",
         space=space,
-        evaluator=lambda t, theta: float(theta[0] * np.exp(theta[1] * t + theta[2])),
-        evaluate_times=_f,
+        f=lambda times, thetas: thetas[:, :1] * np.exp(thetas[:, 1:2] * times + thetas[:, 2:]),
         jacobian=_jac,
         identifiability=STRUCTURALLY_UNIDENTIFIABLE,
         align_symmetry=_scaling_align,
@@ -462,14 +459,10 @@ def reciprocal_model(bounds: tuple[float, float] = (0.01, 1000.0)) -> Model:
     """
     space = ParameterSpace(np.array([bounds[0]]), np.array([bounds[1]]), names=("theta",))
 
-    def _f(times, theta):
-        return np.full_like(np.asarray(times, dtype=float), 1.0 + 1.0 / theta[0])
-
     return Model(
         name="reciprocal",
         space=space,
-        evaluator=lambda t, theta: float(1.0 + 1.0 / theta[0]),
-        evaluate_times=_f,
+        f=lambda times, thetas: np.repeat(1.0 + 1.0 / thetas, len(times), axis=1),
         jacobian=lambda times, theta: np.full((len(times), 1), -1.0 / theta[0] ** 2),
         identifiability=GLOBALLY_IDENTIFIABLE,
     )
@@ -510,23 +503,26 @@ def logistic_model(
         method="DOP853",
     )
 
-    def _solve(times, theta):
-        times = np.asarray(times, dtype=float)
-        if times[-1] == 0.0:
-            return np.full_like(times, theta[2])
-        sol = solve_ivp(
-            ode.rhs, (0.0, times[-1]), ode.initial(theta), t_eval=times,
-            args=(theta,), method=ode.method, rtol=ode.rtol, atol=ode.atol,
-        )
-        if not sol.success:
-            raise EvaluationError(f"logistic integration failed: {sol.message}")
-        return sol.y[0]
+    def _f(times, thetas):
+        # one integration per parameter vector: a stacked state would share one
+        # adaptive step and move the outputs in their last digits
+        out = np.full((len(thetas), len(times)), np.nan)  # rows of failed integrations stay NaN
+        for row, theta in zip(out, thetas):
+            if times[-1] == 0.0:
+                row[:] = theta[2]
+                continue
+            sol = solve_ivp(
+                ode.rhs, (0.0, times[-1]), ode.initial(theta), t_eval=times,
+                args=(theta,), method=ode.method, rtol=ode.rtol, atol=ode.atol,
+            )
+            if sol.success:
+                row[:] = sol.y[0]
+        return out
 
     return Model(
         name="logistic",
         space=space,
-        evaluator=lambda t, theta: float(_solve(np.array([0.0, t]) if t > 0 else np.array([0.0]), theta)[-1]),
-        evaluate_times=_solve,
+        f=_f,
         ode=ode,
         identifiability=GLOBALLY_IDENTIFIABLE,
     )

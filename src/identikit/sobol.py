@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Design, EvaluationError, Model, ParameterSpace, evaluate
+from .models import Design, EvaluationError, Model, ParameterSpace, evaluate_batch
 
 UNIFORM = "uniform"
 LOG_UNIFORM = "log-uniform"
 
 MIN_SAMPLES = 1 << 10
 MAX_RESAMPLE_ROUNDS = 100
+BOOTSTRAP_BLOCK = 32  # rounds of resample counts held at once: 1 MB at n = 4096
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,40 @@ def _pick_freeze_estimates(fA, fB, fAB):
     return first, total, var_t
 
 
+def _pick_freeze_outputs(model: Model, design: Design, A: np.ndarray, B: np.ndarray):
+    """Blocks fA, fB, fAB^(1..p), shape (p + 2, m, n_times), from one model call,
+    and a mask of the rows whose outputs are all finite."""
+    m, p = A.shape
+    cross = np.where(np.eye(p, dtype=bool)[:, None, :], B, A)  # cross[i] is A_B^(i)
+    values = evaluate_batch(model, design, np.concatenate([A, B, cross.reshape(-1, p)]))
+    values = values.reshape(p + 2, m, design.size)
+    return values, np.all(np.isfinite(values), axis=(0, 2))
+
+
+def _bootstrap_se(f: np.ndarray, rounds: int, rng: np.random.Generator):
+    """Bootstrap standard errors of the aggregate first- and total-order indices
+    from the blocks ``f`` of :func:`_pick_freeze_outputs`, which it centres in place."""
+    p, n = f.shape[0] - 2, f.shape[1]
+    f -= 0.5 * (np.mean(f[0], axis=0) + np.mean(f[1], axis=0))
+    diff = f[2:] - f[0]
+    products = np.concatenate([f[1] * diff, diff * diff / 2.0, f[:1] * f[:1]])
+    boot = np.empty((rounds, 2 * p))
+    counts = np.empty((BOOTSTRAP_BLOCK, n))
+    for start in range(0, rounds, BOOTSTRAP_BLOCK):
+        w = counts[: min(BOOTSTRAP_BLOCK, rounds - start)]
+        for row in w:
+            row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        means, moments = np.matmul(w, f) / n, np.matmul(w, products) / n
+        var_t = (moments[-1] - means[0] ** 2) * (n / (n - 1))
+        # the round's own centre, relative to the full-sample one, in the first-order numerator
+        moments[:p] -= 0.5 * (means[0] + means[1]) * (means[2:] - means[0])
+        num = np.sum(np.where(var_t > 0, moments[:-1], 0.0), axis=2)
+        weight_sum = np.sum(var_t, axis=1)
+        boot[start : start + len(w)] = np.divide(num, weight_sum, out=np.zeros_like(num),
+                                                 where=weight_sum > 0).T
+    return np.split(np.std(boot, axis=0, ddof=1), 2)
+
+
 def _aggregate(per_time, var_t):
     weight_sum = float(np.sum(var_t))
     if weight_sum <= 0:
@@ -146,11 +181,18 @@ def sobol_indices(
 ) -> SobolReport:
     """Monte-Carlo Sobol indices of the noiseless output under the prior.
 
-    ``n_samples`` must be a power of two of at least 2^10.  Sample points
-    where the model fails to evaluate are redrawn from the prior (the count is
-    reported).  The whole computation, bootstrap included, is deterministic in
-    ``seed``; accumulation uses numpy's pairwise summation so results do not
-    depend on threading.
+    ``n_samples`` must be a power of two of at least 2^10.  The n (p + 2) rows
+    of A, B and A_B^(i) are evaluated in one model call.  Points with any
+    non-finite output are redrawn from the prior (A row, then B row, in index
+    order; the count is reported) and evaluated again in one call per round.
+
+    The bootstrap draws each round's n resample indices as the per-round
+    estimator would, but turns them into resample counts: with the outputs
+    centred once on the full-sample centre, every resampled mean is then a
+    count-weighted mean, and one matrix product gives the means of
+    BOOTSTRAP_BLOCK rounds.  This matches re-estimating on each resample up
+    to rounding (about 1e-14 relative).  Everything, bootstrap included, is
+    deterministic in ``seed``.
     """
     if aggregation != "variance-weighted":
         raise ValueError("only variance-weighted aggregation is supported")
@@ -161,66 +203,35 @@ def sobol_indices(
         raise ValueError("prior support must be contained in the parameter box")
 
     p = prior.dimension
-    n_times = design.size
     ss = np.random.SeedSequence(seed)
     rng_samples, rng_boot = (np.random.default_rng(c) for c in ss.spawn(2))
 
     A = prior.sample(n, rng_samples)
     B = prior.sample(n, rng_samples)
-    fA = np.empty((n, n_times))
-    fB = np.empty((n, n_times))
-    fAB = np.empty((p, n, n_times))
-
-    def try_row(k) -> bool:
-        try:
-            fa = evaluate(model, design, A[k], check_bounds=False)
-            fb = evaluate(model, design, B[k], check_bounds=False)
-            crosses = []
-            for i in range(p):
-                cross = A[k].copy()
-                cross[i] = B[k, i]
-                crosses.append(evaluate(model, design, cross, check_bounds=False))
-        except EvaluationError:
-            return False
-        fA[k], fB[k] = fa, fb
-        for i in range(p):
-            fAB[i, k] = crosses[i]
-        return True
-
-    pending = [k for k in range(n) if not try_row(k)]
+    f, ok = _pick_freeze_outputs(model, design, A, B)
+    pending = np.flatnonzero(~ok)
     resampled = 0
     rounds = 0
-    while pending:
+    while pending.size:
         rounds += 1
         if rounds > MAX_RESAMPLE_ROUNDS:
-            raise EvaluationError(f"{len(pending)} sample points keep failing to evaluate")
-        still = []
+            raise EvaluationError(f"{pending.size} sample points keep failing to evaluate")
         for k in pending:
             A[k] = prior.sample(1, rng_samples)[0]
             B[k] = prior.sample(1, rng_samples)[0]
-            resampled += 1
-            if not try_row(k):
-                still.append(k)
-        pending = still
+        resampled += pending.size
+        f[:, pending], ok = _pick_freeze_outputs(model, design, A[pending], B[pending])
+        pending = pending[~ok]
 
-    per_first, per_total, var_t = _pick_freeze_estimates(fA, fB, fAB)
+    per_first, per_total, var_t = _pick_freeze_estimates(f[0], f[1], f[2:])
     variance_total = float(np.sum(var_t))
     degenerate = variance_total <= 0
     first = _aggregate(per_first, var_t)
     total = _aggregate(per_total, var_t)
 
-    first_se = np.zeros(p)
-    total_se = np.zeros(p)
+    first_se, total_se = np.zeros(p), np.zeros(p)
     if bootstrap > 0 and not degenerate:
-        boot_first = np.empty((bootstrap, p))
-        boot_total = np.empty((bootstrap, p))
-        for b in range(bootstrap):
-            idx = rng_boot.integers(0, n, size=n)
-            bf, bt, bv = _pick_freeze_estimates(fA[idx], fB[idx], fAB[:, idx])
-            boot_first[b] = _aggregate(bf, bv)
-            boot_total[b] = _aggregate(bt, bv)
-        first_se = np.std(boot_first, axis=0, ddof=1)
-        total_se = np.std(boot_total, axis=0, ddof=1)
+        first_se, total_se = _bootstrap_se(f, bootstrap, rng_boot)
 
     return SobolReport(
         first=first, total=total, first_se=first_se, total_se=total_se,

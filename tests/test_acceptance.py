@@ -137,8 +137,7 @@ def test_5_sobol_oracle_equivalence():
             space = ik.ParameterSpace(np.asarray(lower, float), np.asarray(upper, float))
             return ik.Model(
                 name=name, space=space,
-                evaluator=lambda t, th: float(fn(th)),
-                evaluate_times=lambda times, th: np.full(len(times), fn(th), dtype=float),
+                f=lambda times, ths: np.zeros((len(ths), len(times))) + np.reshape(fn(ths.T), (-1, 1)),
             )
 
         additive = toy("additive", lambda th: th[0] + th[1], [0, 0], [1, 1])

@@ -139,13 +139,12 @@ def objective_at(model, data, theta):
 def ramp_problem():
     """f(t) = theta * t on [0, 10], non-finite above theta = 2; data from theta = 5."""
 
-    def f(times, theta):
-        return times * theta[0] if theta[0] <= 2.0 else np.full_like(times, np.nan)
+    def f(times, thetas):
+        return np.where(thetas <= 2.0, times * thetas, np.nan)
 
     model = ik.Model(
         name="ramp", space=ik.ParameterSpace(np.array([0.0]), np.array([10.0])),
-        evaluator=lambda t, th: float(f(np.array([t]), th)[0]),
-        evaluate_times=f, jacobian=lambda times, theta: times[:, None],
+        f=f, jacobian=lambda times, theta: times[:, None],
     )
     design = ik.Design(np.linspace(1.0, 4.0, 4), 0.1)
     return model, ik.Dataset(design, (5.0 * design.time_points)[:, None])

@@ -79,8 +79,7 @@ class TestEvaluate:
         space = ik.ParameterSpace(np.array([0.0]), np.array([10.0]))
         model = ik.Model(
             name="exploding", space=space,
-            evaluator=lambda t, th: float("inf") if th[0] > 5 else 1.0,
-            evaluate_times=lambda times, th: np.where(th[0] > 5, np.inf, 1.0) * np.ones(len(times)),
+            f=lambda times, ths: np.where(ths[:, :1] > 5, np.inf, 1.0) * np.ones(len(times)),
         )
         design = ik.Design(np.array([1.0]), 0.1)
         assert ik.evaluate(model, design, [1.0])[0] == 1.0

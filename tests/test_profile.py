@@ -171,16 +171,10 @@ class TestProfileParameter:
         # sweep on that side and flags it
         space = ik.ParameterSpace(np.array([0.1, 0.1]), np.array([10.0, 10.0]))
 
-        def fn(times, th):
-            if th[0] > 5.0:
-                return np.full(len(times), np.inf)
-            return th[0] + th[1] * times
+        def fn(times, ths):
+            return np.where(ths[:, :1] > 5.0, np.inf, ths[:, :1] + ths[:, 1:] * times)
 
-        model = ik.Model(
-            name="partial", space=space,
-            evaluator=lambda t, th: float(fn(np.array([t]), th)[0]),
-            evaluate_times=fn,
-        )
+        model = ik.Model(name="partial", space=space, f=fn)
         design = ik.Design(np.linspace(0.0, 2.0, 5), 0.1)
         data = ik.generate_data(model, design, [1.0, 2.0], seed=0)
         fit = ik.fit(model, data, [0.5, 1.0])

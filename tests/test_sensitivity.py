@@ -17,6 +17,26 @@ def interior_points(space, count, seed, inset=0.05):
     return pts
 
 
+def fd_columns_reference(model, design, theta):
+    """The finite-difference Jacobian column by column, one evaluation per point."""
+    theta = np.asarray(theta, dtype=float)
+    h = ik.sensitivity.default_step(theta)
+    cols, one_sided, base = [], [], None
+    for j in range(theta.size):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h[j]
+        dn[j] -= h[j]
+        up_ok, dn_ok = model.space.contains(up), model.space.contains(dn)
+        if up_ok and dn_ok:
+            cols.append((ik.evaluate(model, design, up) - ik.evaluate(model, design, dn)) / (2 * h[j]))
+        else:
+            base = ik.evaluate(model, design, theta) if base is None else base
+            side, sign = (up, 1.0) if up_ok else (dn, -1.0)
+            cols.append(sign * (ik.evaluate(model, design, side) - base) / h[j])
+            one_sided.append(j)
+    return np.column_stack(cols), tuple(one_sided)
+
+
 class TestFdJacobian:
     def test_reciprocal_derivative(self):
         model = ik.get_model("reciprocal")
@@ -57,6 +77,26 @@ class TestFdJacobian:
         assert fd.one_sided == (0,)
         analytic = ik.sensitivity_matrix(model, design, [0.01, 5.0], method="analytic")
         assert ik.relative_difference(fd.values, analytic.values) < 1e-4
+
+    @pytest.mark.parametrize("model", ik.builtin_registry() + [ik.biexponential_model(ordered=True)],
+                             ids=lambda m: f"{m.name}-{len(m.space.orderings)}")
+    def test_batched_columns_match_column_by_column(self, model):
+        # interior points, box corners (every column one-sided), the boundary
+        # case above, and a point just inside an ordering
+        times = np.arange(4.0) if model.name == "linear" else np.array([0.5, 1.0, 2.0, 3.0])
+        design = ik.Design(times, 0.1)
+        lo, hi = model.space.lower, model.space.upper
+        mixed = np.where(np.arange(lo.size) == 0, lo, hi)
+        points = interior_points(model.space, 3, seed=1) + [lo, hi, mixed]
+        if model.name == "biexponential":
+            points += [np.array([0.01, 5.0]), np.array([1.0 + 1e-7, 1.0])]
+        for theta in points:
+            if not model.space.contains(theta):
+                continue
+            fd = ik.fd_jacobian(model, design, theta)
+            values, one_sided = fd_columns_reference(model, design, theta)
+            assert np.array_equal(fd.values, values), theta
+            assert fd.one_sided == one_sided, theta
 
     def test_central_difference_error_is_second_order(self):
         # halving h cuts the error ~4x while truncation dominates round-off

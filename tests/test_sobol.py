@@ -13,8 +13,7 @@ def algebraic_model(name, fn, lower, upper):
     return Model(
         name=name,
         space=space,
-        evaluator=lambda t, th: float(fn(th)),
-        evaluate_times=lambda times, th: np.full(len(times), fn(th), dtype=float),
+        f=lambda times, ths: np.zeros((len(ths), len(times))) + np.reshape(fn(ths.T), (-1, 1)),
     )
 
 
@@ -137,17 +136,12 @@ class TestSobolIndices:
     def test_failed_points_resampled_and_counted(self):
         # evaluation failures in part of the prior range are redrawn, not
         # propagated; the report logs how many redraws happened
-        def fn(times, th):
-            if th[0] > 0.9:
-                return np.full(len(times), np.nan)
-            return np.full(len(times), th[0] + th[1])
+        def fn(times, ths):
+            rows = np.where(ths[:, :1] > 0.9, np.nan, ths[:, :1] + ths[:, 1:])
+            return rows * np.ones(len(times))
 
         space = ParameterSpace(np.zeros(2), np.ones(2))
-        model = Model(
-            "patchy", space,
-            evaluator=lambda t, th: float(fn(np.array([t]), th)[0]),
-            evaluate_times=fn,
-        )
+        model = Model("patchy", space, f=fn)
         report = sobol_indices(model, ONE_TIME, Prior.uniform_box(space), 2**10, seed=0)
         assert report.resampled > 0
         assert np.all(np.isfinite(report.first))
