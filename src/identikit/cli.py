@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .config import Diagnostic, RunConfig, build_config, load_raw, validate_config
+from .config import ConfigError, Diagnostic, RunConfig, build_config, load_raw
 from .estimation import estimates_csv, multi_start_fit
 from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
@@ -64,7 +63,7 @@ def _estimate_payload(result) -> dict:
     }
 
 
-def run_analyses(config: RunConfig, selection: list[str], out_dir: Path, threads: int = 1) -> dict:
+def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict:
     """Execute the selected analyses and write their report files."""
     model = config.model
     design = config.design
@@ -91,7 +90,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path, threads
     if needs_fit:
         if dataset is None:
             raise ValueError("fit requested but no data section is configured")
-        fits = multi_start_fit(model, dataset, config.fit.starts, config.seed, threads=threads)
+        fits = multi_start_fit(model, dataset, config.fit.starts, config.seed)
         best = next((r for r in fits if r.converged), fits[0])
         header, rows = estimates_csv(fits, names)
         write_csv(out_dir / "fit.csv", header, rows)
@@ -128,22 +127,14 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path, threads
     if "profile" in selection and config.profile is not None:
         psec = config.profile
         indices = psec.parameters if psec.parameters is not None else list(range(model.space.dimension))
-
-        def one_profile(i):
-            return profile_parameter(
+        block = {}
+        for i in indices:
+            curve = profile_parameter(
                 model, dataset, best, i,
                 grid=psec.grid, points=psec.points, span_sd=psec.span_sd,
                 level=psec.level, flatness_tol=psec.flatness_tol,
                 multistart=psec.multistart, seed=config.seed,
             )
-
-        if threads > 1 and len(indices) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                curves = list(pool.map(one_profile, indices))
-        else:
-            curves = [one_profile(i) for i in indices]
-        block = {}
-        for curve in curves:
             write_csv(
                 out_dir / f"profile_{curve.index}.csv",
                 ["theta_i", "profile_loglik", "converged"],
@@ -190,7 +181,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path, threads
         rsec = config.recover
         report = global_recovery(
             model, design, rsec.k_trials, prior=rsec.prior, seed=config.seed,
-            n_starts=rsec.n_starts, tolerance=rsec.tolerance, threads=threads,
+            n_starts=rsec.n_starts, tolerance=rsec.tolerance,
         )
         write_csv(out_dir / "recovery.csv", report.csv_header(names), report.csv_rows())
         results["recovery"] = {
@@ -236,39 +227,35 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", required=True, help="run configuration (JSON)")
         sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument("--threads", type=int, default=1, help="worker cap; results are thread-count invariant")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="accepted and ignored: analyses run serially, so results and work do not depend on it")
         sub.add_argument("--seed", type=int, default=None, help="override the configured seed")
     args = parser.parse_args(argv)
 
     raw, diags = load_raw(args.config)
+    config = None
     if raw is not None:
-        diags = validate_config(raw)
-    if raw is not None and not diags:
-        if args.subcommand == "all":
-            if not any(raw.get(s) is not None for s in
-                       ("fim", "design_score", "profile", "sobol", "recover")):
-                diags.append(Diagnostic("config", "no analysis sections present"))
-        else:
-            section = _section_name(args.subcommand)
-            if raw.get(section) is None:
-                diags.append(Diagnostic(section, "section missing for requested analysis"))
+        if args.seed is not None:
+            raw = {**raw, "seed": args.seed}
+        try:
+            config = build_config(raw)
+        except ConfigError as exc:
+            diags = exc.diagnostics
+    if config is not None:
+        present = config.sections_present()
+        selection = present if args.subcommand == "all" else [_section_name(args.subcommand)]
+        if not selection:
+            diags.append(Diagnostic("config", "no analysis sections present"))
+        diags.extend(Diagnostic(s, "section missing for requested analysis") for s in selection if s not in present)
     if diags:
         for d in diags:
             print(f"config error - {d}", file=sys.stderr)
         return 2
 
-    config = build_config(raw)
-    if args.seed is not None:
-        config.seed = args.seed
-        config.raw = {**config.raw, "seed": args.seed}
-    selection = (
-        config.sections_present() if args.subcommand == "all" else [_section_name(args.subcommand)]
-    )
-
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        results = run_analyses(config, selection, out_dir, threads=args.threads)
+        results = run_analyses(config, selection, out_dir)
         summary = {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "seed": config.seed,

@@ -2,13 +2,19 @@
 
 Sections mirror the analysis modules: ``model``, ``design``, ``data``, then
 ``fit``, ``fim``, ``design_score``, ``profile``, ``sobol``, ``recover``.
-``validate_config`` returns diagnostics that name the offending field;
-``build_config`` constructs the typed configuration from a validated document.
+:func:`build_config` is the one reader of the document.  It reads each field
+once, checks it, then converts it; a field left out takes the default of its
+section dataclass, and an optional section given as ``null`` counts as left
+out.  Numbers must be finite, booleans are not numbers, and a key that names
+no field is an error.  Every bad field becomes a :class:`Diagnostic` that
+names it, and all of them are raised together as a :class:`ConfigError`.
+:func:`validate_config` returns those diagnostics instead of raising.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +36,14 @@ class Diagnostic:
 
     def __str__(self):
         return f"{self.field}: {self.message}"
+
+
+class ConfigError(ValueError):
+    """A configuration document that cannot run; ``diagnostics`` names every bad field."""
+
+    def __init__(self, diagnostics: list[Diagnostic]):
+        super().__init__("; ".join(str(d) for d in diagnostics))
+        self.diagnostics = diagnostics
 
 
 @dataclass
@@ -115,283 +129,249 @@ def load_raw(path: str | Path) -> tuple[dict | None, list[Diagnostic]]:
     return raw, []
 
 
+# Field rules: each takes the raw JSON value and returns the converted value,
+# or raises ValueError with the message of the diagnostic.
+
+
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _check_theta(diags, space, value, field_name):
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        diags.append(Diagnostic(field_name, "must be a list of numbers"))
-        return
-    if len(value) != space.dimension:
-        diags.append(Diagnostic(field_name, f"must have length {space.dimension}"))
-        return
-    if not space.contains(np.asarray(value, dtype=float)):
-        diags.append(Diagnostic(field_name, "lies outside the admissible parameter set"))
-
-
-def _check_prior(diags, space, value, field_name):
-    if not isinstance(value, list) or len(value) != space.dimension:
-        diags.append(Diagnostic(field_name, f"must list {space.dimension} per-parameter entries"))
-        return None
-    kinds, lower, upper = [], [], []
-    for k, entry in enumerate(value):
-        if not isinstance(entry, dict) or not {"kind", "lower", "upper"} <= set(entry):
-            diags.append(Diagnostic(f"{field_name}[{k}]", "needs kind, lower, upper"))
-            return None
-        kinds.append(entry["kind"])
-        lower.append(entry["lower"])
-        upper.append(entry["upper"])
+    """A finite JSON number; booleans are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
     try:
-        prior = Prior(tuple(kinds), np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-    except ValueError as exc:
-        diags.append(Diagnostic(field_name, str(exc)))
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the range of a double
+        return False
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer(minimum: int):
+    def rule(value):
+        if not _is_integer(value) or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}")
+        return value
+    return rule
+
+
+def _number(ok, message: str):
+    def rule(value):
+        if not _is_number(value) or not ok(value):
+            raise ValueError(message)
+        return float(value)
+    return rule
+
+
+_FRACTION = _number(lambda x: 0 < x < 1, "must be in (0, 1)")
+_POSITIVE = _number(lambda x: x > 0, "must be a positive number")
+_NOISE_SD = _number(lambda x: x >= MIN_NOISE_SD, f"must be a number >= {MIN_NOISE_SD:g}")
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
+    return value
+
+
+def _object(value):
+    if not isinstance(value, dict):
+        raise ValueError("must be an object")
+    return value
+
+
+def _unchecked(value):
+    """Top-level sections pass through here; their fields are read once the model is known."""
+    return value
+
+
+def _times(value):
+    if not isinstance(value, list) or not value or not all(_is_number(t) for t in value):
+        raise ValueError("must be a non-empty list of numbers")
+    if not all(b > a for a, b in zip(value, value[1:])):
+        raise ValueError("must be strictly increasing")
+    return np.asarray(value, dtype=float)
+
+
+def _criterion(value):
+    if not isinstance(value, str) or value not in DESIGN_CRITERIA:
+        raise ValueError(f"must be one of {DESIGN_CRITERIA}")
+    return value
+
+
+def _n_samples(value):
+    if not _is_integer(value) or value < MIN_SAMPLES or value & (value - 1):
+        raise ValueError(f"must be a power of two >= {MIN_SAMPLES}")
+    return value
+
+
+def _grid(value):
+    if value is None:
         return None
-    if not prior.contained_in(space):
-        diags.append(Diagnostic(field_name, "support is not contained in the parameter box"))
+    if not isinstance(value, list) or len(value) < 3 or not all(_is_number(g) for g in value):
+        raise ValueError("must be a list of at least 3 numbers")
+    return np.asarray(value, dtype=float)
+
+
+# Rules that depend on the parameter space; ``space`` is None when the model
+# section is itself bad, and then only the form of the value is checked.
+
+
+def _theta(space):
+    def rule(value):
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
+            raise ValueError("must be a list of numbers")
+        theta = np.asarray(value, dtype=float)
+        if space is not None and theta.size != space.dimension:
+            raise ValueError(f"must have length {space.dimension}")
+        if space is not None and not space.contains(theta):
+            raise ValueError("lies outside the admissible parameter set")
+        return theta
+    return rule
+
+
+def _indices(space):
+    def rule(value):
+        if value is None:
+            return None
+        if not isinstance(value, list) or not all(_is_integer(i) for i in value):
+            raise ValueError("must be a list of indices")
+        if space is not None and any(not 0 <= i < space.dimension for i in value):
+            raise ValueError("index out of range")
+        return value
+    return rule
+
+
+def _prior(space):
+    def rule(value):
+        if not isinstance(value, list) or (space is not None and len(value) != space.dimension):
+            raise ValueError("must list one entry per parameter")
+        for k, entry in enumerate(value):
+            if (not isinstance(entry, dict) or set(entry) != {"kind", "lower", "upper"}
+                    or not _is_number(entry["lower"]) or not _is_number(entry["upper"])):
+                raise ValueError(f"entry {k} needs exactly kind, lower and upper numbers")
+        prior = Prior(
+            tuple(e["kind"] for e in value),
+            np.array([e["lower"] for e in value], dtype=float),
+            np.array([e["upper"] for e in value], dtype=float),
+        )
+        if space is not None and not prior.contained_in(space):
+            raise ValueError("support is not contained in the parameter box")
+        return prior
+    return rule
+
+
+def _fields(diags: list[Diagnostic], name: str, section, rules: dict, required=()) -> dict | None:
+    """Checked and converted values of the fields of one JSON object.
+
+    A field that fails its rule, a required field that is missing and a key
+    with no rule each add a diagnostic; only fields that pass are returned.
+    Returns None, with a diagnostic, when ``section`` is not an object.
+    """
+    if not isinstance(section, dict):
+        diags.append(Diagnostic(name, "must be an object"))
         return None
-    return prior
-
-
-def validate_config(raw: dict) -> list[Diagnostic]:
-    """Field-by-field checks; an empty return means the document is runnable."""
-    diags: list[Diagnostic] = []
-
-    model_section = raw.get("model")
-    model = None
-    if not isinstance(model_section, dict) or "name" not in model_section:
-        diags.append(Diagnostic("model.name", "model section with a name is required"))
-    else:
-        constants = model_section.get("constants", {})
-        if not isinstance(constants, dict):
-            diags.append(Diagnostic("model.constants", "must be an object"))
-            constants = {}
+    prefix = f"{name}." if name else ""
+    values = {}
+    for key, value in section.items():
+        if key not in rules:
+            diags.append(Diagnostic(prefix + key, "unknown field"))
+            continue
         try:
-            model = get_model(str(model_section["name"]), **constants)
-        except UnknownModelError as exc:
-            diags.append(Diagnostic("model.name", str(exc)))
-        except (TypeError, ValueError) as exc:
-            diags.append(Diagnostic("model.constants", str(exc)))
+            values[key] = rules[key](value)
+        except ValueError as exc:
+            diags.append(Diagnostic(prefix + key, str(exc)))
+    diags.extend(Diagnostic(prefix + key, "is required") for key in required if key not in section)
+    return values
 
-    design_section = raw.get("design")
-    if not isinstance(design_section, dict):
-        diags.append(Diagnostic("design", "design section is required"))
-    else:
-        times = design_section.get("times")
-        if not isinstance(times, list) or not times or not all(_is_number(t) for t in times):
-            diags.append(Diagnostic("design.times", "must be a non-empty list of numbers"))
-        elif len(times) > 1 and not all(b > a for a, b in zip(times, times[1:])):
-            diags.append(Diagnostic("design.times", "must be strictly increasing"))
-        sigma = design_section.get("noise_sd")
-        if not _is_number(sigma) or sigma < MIN_NOISE_SD:
-            diags.append(Diagnostic("design.noise_sd", f"must be a number >= {MIN_NOISE_SD:g}"))
-        replicates = design_section.get("replicates", 1)
-        if not isinstance(replicates, int) or replicates < 1:
-            diags.append(Diagnostic("design.replicates", "must be a positive integer"))
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        diags.append(Diagnostic("seed", "must be an integer"))
+def _model(diags: list[Diagnostic], section) -> Model | None:
+    fields = _fields(diags, "model", section, {"name": _string, "constants": _object}, ("name",))
+    if fields is None or "name" not in fields:
+        return None
+    try:
+        return get_model(fields["name"], **fields.get("constants", {}))
+    except UnknownModelError as exc:
+        diags.append(Diagnostic("model.name", str(exc)))
+    except (TypeError, ValueError) as exc:
+        diags.append(Diagnostic("model.constants", str(exc)))
+    return None
 
-    data = raw.get("data")
-    if data is not None:
-        if not isinstance(data, dict):
-            diags.append(Diagnostic("data", "must be an object"))
-        else:
-            has_theta = "theta_true" in data
-            has_path = "path" in data
-            if has_theta == has_path:
-                diags.append(Diagnostic("data", "give exactly one of theta_true or path"))
-            if has_theta and model is not None:
-                _check_theta(diags, model.space, data["theta_true"], "data.theta_true")
-            if "seed" in data and not isinstance(data["seed"], int):
-                diags.append(Diagnostic("data.seed", "must be an integer"))
 
-    fit_section = raw.get("fit", {})
-    if not isinstance(fit_section, dict):
-        diags.append(Diagnostic("fit", "must be an object"))
-    elif "starts" in fit_section and (not isinstance(fit_section["starts"], int) or fit_section["starts"] < 1):
-        diags.append(Diagnostic("fit.starts", "must be a positive integer"))
-
-    fim_section = raw.get("fim")
-    if fim_section is not None:
-        if not isinstance(fim_section, dict):
-            diags.append(Diagnostic("fim", "must be an object"))
-        else:
-            if "theta" in fim_section and model is not None:
-                _check_theta(diags, model.space, fim_section["theta"], "fim.theta")
-            if "theta" not in fim_section and data is None:
-                diags.append(Diagnostic("fim.theta", "required when no data section provides a fit"))
-            tol = fim_section.get("rank_tolerance", DEFAULT_RANK_TOL)
-            if not _is_number(tol) or not 0 < tol < 1:
-                diags.append(Diagnostic("fim.rank_tolerance", "must be in (0, 1)"))
-            level = fim_section.get("level", 0.95)
-            if not _is_number(level) or not 0 < level < 1:
-                diags.append(Diagnostic("fim.level", "must be in (0, 1)"))
-
-    ds_section = raw.get("design_score")
-    if ds_section is not None:
-        if not isinstance(ds_section, dict):
-            diags.append(Diagnostic("design_score", "must be an object"))
-        else:
-            criterion = ds_section.get("criterion", "D")
-            if criterion not in DESIGN_CRITERIA:
-                diags.append(Diagnostic("design_score.criterion", f"must be one of {DESIGN_CRITERIA}"))
-            if "theta" in ds_section and model is not None:
-                _check_theta(diags, model.space, ds_section["theta"], "design_score.theta")
-            if "theta" not in ds_section and data is None:
-                diags.append(Diagnostic("design_score.theta", "required when no data section provides a fit"))
-
-    profile_section = raw.get("profile")
-    if profile_section is not None:
-        if not isinstance(profile_section, dict):
-            diags.append(Diagnostic("profile", "must be an object"))
-        else:
-            if data is None:
-                diags.append(Diagnostic("profile", "requires a data section"))
-            params = profile_section.get("parameters")
-            if params is not None:
-                if not isinstance(params, list) or not all(isinstance(i, int) for i in params):
-                    diags.append(Diagnostic("profile.parameters", "must be a list of indices"))
-                elif model is not None and any(not 0 <= i < model.space.dimension for i in params):
-                    diags.append(Diagnostic("profile.parameters", "index out of range"))
-            points = profile_section.get("points", DEFAULT_GRID_POINTS)
-            if not isinstance(points, int) or points < 3:
-                diags.append(Diagnostic("profile.points", "must be an integer >= 3"))
-            grid = profile_section.get("grid")
-            if grid is not None:
-                if not isinstance(grid, list) or len(grid) < 3 or not all(_is_number(g) for g in grid):
-                    diags.append(Diagnostic("profile.grid", "must be a list of at least 3 numbers"))
-                elif model is not None:
-                    arr = np.asarray(grid, dtype=float)
-                    indices = params if isinstance(params, list) else range(model.space.dimension)
-                    for i in indices:
-                        if not isinstance(i, int) or not 0 <= i < model.space.dimension:
-                            continue
-                        lo, hi = model.space.lower[i], model.space.upper[i]
-                        if arr.min() < lo or arr.max() > hi:
-                            diags.append(Diagnostic(
-                                "profile.grid",
-                                f"exits the admissible slice [{lo:g}, {hi:g}] of parameter {i}",
-                            ))
-                            break
-            level = profile_section.get("level", 0.95)
-            if not _is_number(level) or not 0 < level < 1:
-                diags.append(Diagnostic("profile.level", "must be in (0, 1)"))
-
-    sobol_section = raw.get("sobol")
-    if sobol_section is not None:
-        if not isinstance(sobol_section, dict):
-            diags.append(Diagnostic("sobol", "must be an object"))
-        else:
-            n = sobol_section.get("n_samples", 4096)
-            if not isinstance(n, int) or n < MIN_SAMPLES or n & (n - 1):
-                diags.append(Diagnostic("sobol.n_samples", f"must be a power of two >= {MIN_SAMPLES}"))
-            if "prior" in sobol_section and model is not None:
-                _check_prior(diags, model.space, sobol_section["prior"], "sobol.prior")
-            bootstrap = sobol_section.get("bootstrap", 200)
-            if not isinstance(bootstrap, int) or bootstrap < 0:
-                diags.append(Diagnostic("sobol.bootstrap", "must be a non-negative integer"))
-
-    recover_section = raw.get("recover")
-    if recover_section is not None:
-        if not isinstance(recover_section, dict):
-            diags.append(Diagnostic("recover", "must be an object"))
-        else:
-            k = recover_section.get("k_trials", 20)
-            if not isinstance(k, int) or k < 1:
-                diags.append(Diagnostic("recover.k_trials", "must be an integer >= 1"))
-            n_starts = recover_section.get("n_starts", DEFAULT_STARTS)
-            if not isinstance(n_starts, int) or n_starts < 1:
-                diags.append(Diagnostic("recover.n_starts", "must be an integer >= 1"))
-            tolerance = recover_section.get("tolerance", DEFAULT_TOLERANCE)
-            if not _is_number(tolerance) or tolerance <= 0:
-                diags.append(Diagnostic("recover.tolerance", "must be a positive number"))
-            if "prior" in recover_section and model is not None:
-                _check_prior(diags, model.space, recover_section["prior"], "recover.prior")
-
-    return diags
+def _design(diags: list[Diagnostic], section) -> Design | None:
+    rules = {"times": _times, "noise_sd": _NOISE_SD, "replicates": _integer(1)}
+    fields = _fields(diags, "design", section, rules, ("times", "noise_sd"))
+    if fields is None or "times" not in fields or "noise_sd" not in fields:
+        return None
+    return Design(fields.pop("times"), **fields)
 
 
 def build_config(raw: dict) -> RunConfig:
-    """Typed configuration from a document that passed :func:`validate_config`."""
-    model = get_model(str(raw["model"]["name"]), **raw["model"].get("constants", {}))
-    dsec = raw["design"]
-    design = Design(
-        np.asarray(dsec["times"], dtype=float),
-        float(dsec["noise_sd"]),
-        int(dsec.get("replicates", 1)),
-    )
-    seed = int(raw.get("seed", 0))
+    """Check every field of a configuration document and build the typed configuration.
 
-    data = None
-    if raw.get("data") is not None:
-        d = raw["data"]
-        data = DataSection(
-            theta_true=None if "theta_true" not in d else np.asarray(d["theta_true"], dtype=float),
-            path=d.get("path"),
-            seed=d.get("seed"),
-        )
+    Raises :class:`ConfigError` listing every bad, missing or unknown field.
+    """
+    diags: list[Diagnostic] = []
+    sections = ("model", "design", "data", "fit") + ANALYSIS_SECTIONS
+    top = _fields(diags, "", raw, {"seed": _integer(0), **dict.fromkeys(sections, _unchecked)})
+    model = _model(diags, top.pop("model", None))
+    design = _design(diags, top.pop("design", None))
 
-    fit = FitSection(starts=int(raw.get("fit", {}).get("starts", DEFAULT_STARTS)))
+    space = None if model is None else model.space
+    theta = _theta(space)
+    section_rules = {
+        "data": (DataSection, {"theta_true": theta, "path": _string, "seed": _integer(0)}),
+        "fit": (FitSection, {"starts": _integer(1)}),
+        "fim": (FimSection, {"theta": theta, "rank_tolerance": _FRACTION, "level": _FRACTION}),
+        "design_score": (DesignScoreSection, {"criterion": _criterion, "theta": theta}),
+        "profile": (ProfileSection, {
+            "parameters": _indices(space), "points": _integer(3), "span_sd": _POSITIVE,
+            "level": _FRACTION, "flatness_tol": _POSITIVE, "multistart": _integer(0),
+            "grid": _grid,
+        }),
+        "sobol": (SobolSection, {
+            "n_samples": _n_samples, "bootstrap": _integer(0), "prior": _prior(space),
+        }),
+        "recover": (RecoverSection, {
+            "k_trials": _integer(1), "n_starts": _integer(1), "tolerance": _POSITIVE,
+            "prior": _prior(space),
+        }),
+    }
+    for name, (section_type, rules) in section_rules.items():
+        section = top.pop(name, None)
+        fields = None if section is None else _fields(diags, name, section, rules)
+        if fields is not None:
+            top[name] = section_type(**fields)
 
-    fim = None
-    if raw.get("fim") is not None:
-        f = raw["fim"]
-        fim = FimSection(
-            theta=None if "theta" not in f else np.asarray(f["theta"], dtype=float),
-            rank_tolerance=float(f.get("rank_tolerance", DEFAULT_RANK_TOL)),
-            level=float(f.get("level", 0.95)),
-        )
+    # Fields that depend on one another; each section here is a JSON object.
+    data = top.get("data")
+    if data is not None and ("theta_true" in raw["data"]) == ("path" in raw["data"]):
+        diags.append(Diagnostic("data", "give exactly one of theta_true or path"))
+    for name in ("fim", "design_score"):
+        if top.get(name) is not None and data is None and "theta" not in raw[name]:
+            diags.append(Diagnostic(f"{name}.theta", "required when no data section provides a fit"))
+    profile = top.get("profile")
+    if profile is not None and data is None:
+        diags.append(Diagnostic("profile", "requires a data section"))
+    if profile is not None and profile.grid is not None and space is not None:
+        indices = profile.parameters if profile.parameters is not None else range(space.dimension)
+        for i in indices:
+            lo, hi = space.lower[i], space.upper[i]
+            if profile.grid.min() < lo or profile.grid.max() > hi:
+                diags.append(Diagnostic(
+                    "profile.grid", f"exits the admissible slice [{lo:g}, {hi:g}] of parameter {i}"
+                ))
+                break
 
-    design_score = None
-    if raw.get("design_score") is not None:
-        d = raw["design_score"]
-        design_score = DesignScoreSection(
-            criterion=str(d.get("criterion", "D")),
-            theta=None if "theta" not in d else np.asarray(d["theta"], dtype=float),
-        )
+    if diags:
+        raise ConfigError(diags)
+    return RunConfig(model=model, design=design, raw=raw, **top)
 
-    profile = None
-    if raw.get("profile") is not None:
-        p = raw["profile"]
-        profile = ProfileSection(
-            parameters=p.get("parameters"),
-            points=int(p.get("points", DEFAULT_GRID_POINTS)),
-            span_sd=float(p.get("span_sd", DEFAULT_SPAN_SD)),
-            level=float(p.get("level", 0.95)),
-            flatness_tol=float(p.get("flatness_tol", FLATNESS_TOL)),
-            multistart=int(p.get("multistart", 0)),
-            grid=None if p.get("grid") is None else np.asarray(p["grid"], dtype=float),
-        )
 
-    sobol = None
-    if raw.get("sobol") is not None:
-        s = raw["sobol"]
-        prior = None
-        if "prior" in s:
-            prior = _check_prior([], model.space, s["prior"], "sobol.prior")
-        sobol = SobolSection(
-            n_samples=int(s.get("n_samples", 4096)),
-            bootstrap=int(s.get("bootstrap", 200)),
-            prior=prior,
-        )
-
-    recover = None
-    if raw.get("recover") is not None:
-        r = raw["recover"]
-        prior = None
-        if "prior" in r:
-            prior = _check_prior([], model.space, r["prior"], "recover.prior")
-        recover = RecoverSection(
-            k_trials=int(r.get("k_trials", 20)),
-            n_starts=int(r.get("n_starts", DEFAULT_STARTS)),
-            tolerance=float(r.get("tolerance", DEFAULT_TOLERANCE)),
-            prior=prior,
-        )
-
-    return RunConfig(
-        model=model, design=design, seed=seed, data=data, fit=fit,
-        fim=fim, design_score=design_score, profile=profile,
-        sobol=sobol, recover=recover, raw=raw,
-    )
+def validate_config(raw: dict) -> list[Diagnostic]:
+    """Diagnostics of :func:`build_config`; an empty list means the document is runnable."""
+    try:
+        build_config(raw)
+    except ConfigError as exc:
+        return exc.diagnostics
+    return []

@@ -9,7 +9,6 @@ throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,13 +254,10 @@ def multi_start_fit(
     seed: int,
     mask: ParameterMask | None = None,
     options: FitOptions | None = None,
-    threads: int = 1,
 ) -> list[EstimateResult]:
     """Independent fits from dispersed starts, sorted by objective.
 
-    Individual failures are flagged per start, never raised.  Results are
-    identical for any thread count because each fit is deterministic in its
-    start point.
+    Individual failures are flagged per start, never raised.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
@@ -279,12 +275,7 @@ def multi_start_fit(
                 start=np.asarray(start, dtype=float), reason=MAX_ITER, failure=str(exc),
             )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
-    return sorted(results, key=lambda r: r.objective)
+    return sorted((run(s) for s in starts), key=lambda r: r.objective)
 
 
 def estimates_csv(results: list[EstimateResult], names) -> tuple[list[str], list[list]]:

@@ -61,8 +61,8 @@ class ParameterSpace:
         upper = np.asarray(self.upper, dtype=float)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
             raise ValueError("bounds must be equal-length 1-D arrays")
-        if not np.all(lower < upper):
-            raise ValueError("each lower bound must be strictly below its upper bound")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower < upper)):
+            raise ValueError("each bound must be finite and each lower bound strictly below its upper bound")
         p = lower.size
         for i, j in self.orderings:
             if i == j or not (0 <= i < p and 0 <= j < p):

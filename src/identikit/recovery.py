@@ -8,7 +8,6 @@ over the admissible set and aggregates success into a verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,6 @@ def recover_once(
     tolerance: float = DEFAULT_TOLERANCE,
     mask: ParameterMask | None = None,
     options: FitOptions | None = None,
-    threads: int = 1,
 ) -> RecoveryTrial:
     """Generate data at theta_star, re-infer it, and score the recovery.
 
@@ -107,10 +105,7 @@ def recover_once(
     """
     theta_star = model.space.require(theta_star)
     dataset = generate_data(model, design, theta_star, seed)
-    results = multi_start_fit(
-        model, dataset, n_starts, _starts_seed(seed),
-        mask=mask, options=options, threads=threads,
-    )
+    results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed), mask=mask, options=options)
     converged = [r for r in results if r.converged]
     best = converged[0] if converged else results[0]
     free = mask.free_indices if mask is not None else np.arange(theta_star.size)
@@ -139,7 +134,6 @@ def global_recovery(
     tolerance: float = DEFAULT_TOLERANCE,
     mask: ParameterMask | None = None,
     options: FitOptions | None = None,
-    threads: int = 1,
 ) -> RecoveryReport:
     """Many recovery trials at true parameters sampled widely over the space.
 
@@ -161,18 +155,13 @@ def global_recovery(
         int(np.random.SeedSequence([seed, 2, k]).generate_state(1)[0])
         for k in range(k_trials)
     ]
-
-    def run(k):
-        return recover_once(
+    trials = [
+        recover_once(
             model, design, truths[k], trial_seeds[k],
             n_starts=n_starts, tolerance=tolerance, mask=mask, options=options,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = list(pool.map(run, range(k_trials)))
-    else:
-        trials = [run(k) for k in range(k_trials)]
+        for k in range(k_trials)
+    ]
 
     errors = np.vstack([t.rel_errors for t in trials])
     success_rate = float(np.mean([t.success for t in trials]))

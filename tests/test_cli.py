@@ -1,5 +1,6 @@
 """Command-line interface: validation, dispatch, reports, reproducibility."""
 
+import copy
 import csv
 import json
 import subprocess
@@ -7,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.cli import main
-from identikit.config import build_config, validate_config
+from identikit.config import ConfigError, build_config, validate_config
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -31,6 +34,17 @@ FULL_CONFIG = {
     "sobol": {"n_samples": 1024, "bootstrap": 50},
     "recover": {"k_trials": 3, "n_starts": 6},
 }
+
+
+def with_field(config, path, value):
+    """A deep copy of ``config`` with the field at ``path`` (keys and list indices) set to ``value``."""
+    doc = copy.deepcopy(config)
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    return doc
 
 
 def summary_without_timestamp(path):
@@ -97,6 +111,37 @@ class TestValidation:
         })
         assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("profile", "span_sd"), 0, "profile.span_sd"),
+        (("profile", "span_sd"), -1, "profile.span_sd"),
+        (("profile", "span_sd"), "wide", "profile.span_sd"),
+        (("profile", "flatness_tol"), 0, "profile.flatness_tol"),
+        (("profile", "flatness_tol"), "tight", "profile.flatness_tol"),
+        (("profile", "multistart"), -3, "profile.multistart"),
+        (("profile", "multistart"), 2.7, "profile.multistart"),
+        (("data",), {"path": 5}, "data.path"),
+        (("profile", "parameters"), [True], "profile.parameters"),
+        (("seed",), True, "seed"),
+        (("data", "seed"), True, "data.seed"),
+        (("design", "replicates"), True, "design.replicates"),
+        (("fit", "starts"), True, "fit.starts"),
+        (("recover", "k_trials"), True, "recover.k_trials"),
+        (("recover", "n_starts"), True, "recover.n_starts"),
+        (("design", "noise_sd"), float("nan"), "design.noise_sd"),
+        (("design", "noise_sd"), float("inf"), "design.noise_sd"),
+        (("design", "times"), [0.25, 0.5, float("inf")], "design.times"),
+        (("recover", "tolerance"), float("inf"), "recover.tolerance"),
+        (("model", "constants"), {"bounds": [0.01, float("inf")]}, "model.constants"),
+        (("profile", "grid"), [0.5, float("nan"), 2.0], "profile.grid"),
+        (("recover", "k_trial"), 5, "recover.k_trial"),
+        (("sed",), 3, "sed"),
+    ])
+    def test_bad_field_is_named_and_exits_2(self, tmp_path, path, value, field):
+        doc = with_field(FULL_CONFIG, path, value)
+        assert any(d.field == field for d in validate_config(doc))
+        cfg = write_config(tmp_path, doc)
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
 
 class TestRun:
     def test_full_pipeline_outputs(self, tmp_path):
@@ -143,6 +188,10 @@ class TestRun:
         b = json.loads((out2 / "summary.json").read_text())
         assert a["seed"] == 99 and b["seed"] == 7
         assert a["results"]["sobol"]["first_order"] != b["results"]["sobol"]["first_order"]
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        assert main(["fim", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
 
     def test_missing_data_file_is_analysis_failure(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -239,3 +288,38 @@ class TestBuildConfig:
         assert cfg.recover.tolerance == pytest.approx(0.1)
         assert cfg.fit.starts == 16
         assert cfg.sections_present() == ["recover"]
+
+
+def _field_paths(node, prefix=()):
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# every field of FULL_CONFIG (sections and list entries too), then the optional ones it leaves out
+FIELD_PATHS = list(_field_paths(FULL_CONFIG)) + [
+    ("model", "constants"), ("design", "replicates"), ("data", "path"),
+    ("fim", "theta"), ("fim", "rank_tolerance"), ("fim", "level"), ("design_score", "theta"),
+    ("profile", "span_sd"), ("profile", "level"), ("profile", "flatness_tol"),
+    ("profile", "multistart"), ("profile", "grid"), ("sobol", "prior"),
+    ("recover", "tolerance"), ("recover", "prior"),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_any_field_value_builds_or_is_diagnosed(path, value):
+    doc = with_field(FULL_CONFIG, path, value)
+    try:
+        build_config(doc)
+        built = True
+    except ConfigError as exc:
+        assert exc.diagnostics
+        built = False
+    assert (validate_config(doc) == []) == built

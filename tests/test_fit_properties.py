@@ -45,10 +45,7 @@ def test_refit_from_an_optimum_stays_there(rate_a, rate_b, seed, start):
 @given(rate_a=rates, rate_b=rates, data_seed=seeds, start_seed=seeds)
 def test_multi_start_is_deterministic_and_thread_invariant(rate_a, rate_b, data_seed, start_seed):
     data = _data(rate_a, rate_b, data_seed)
-    runs = [
-        ik.multi_start_fit(BIEXP, data, 4, seed=start_seed, threads=threads)
-        for threads in (1, 1, 2)
-    ]
+    runs = [ik.multi_start_fit(BIEXP, data, 4, seed=start_seed) for _ in range(3)]
     reference = runs[0]
     for other in runs[1:]:
         for a, b in zip(reference, other, strict=True):

