@@ -238,6 +238,8 @@ def _indices(space):
             raise ValueError("must be a list of indices")
         if space is not None and any(not 0 <= i < space.dimension for i in value):
             raise ValueError("index out of range")
+        if len(set(value)) != len(value):
+            raise ValueError("repeats an index")
         return value
     return rule
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import qmc
 
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
 from .sensitivity import sensitivity_matrix
@@ -229,13 +228,17 @@ def latin_hypercube_starts(
 ) -> np.ndarray:
     """Latin-hypercube start points over the admissible box.
 
-    Rows violating ordering constraints are replaced by uniform redraws so
-    every start is feasible; the whole construction is deterministic in seed.
+    The hypercube comes from a child generator spawned from
+    ``default_rng(seed)``; rows violating ordering constraints are replaced
+    by uniform redraws from the parent, so every start is feasible.  The
+    starts depend on numpy alone, not on scipy's ``QMCEngine`` seeding.
     """
     space = model.space
     rng = np.random.default_rng(seed)
-    sampler = qmc.LatinHypercube(d=space.dimension, seed=rng)
-    unit = sampler.random(k_starts)
+    lhs = rng.spawn(1)[0]
+    jitter = lhs.uniform(size=(k_starts, space.dimension))
+    strata = np.column_stack([lhs.permutation(k_starts) for _ in range(space.dimension)])
+    unit = (strata + 1 - jitter) / k_starts
     starts = space.lower + unit * (space.upper - space.lower)
     for k in range(k_starts):
         tries = 0

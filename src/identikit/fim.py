@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .models import Design, Model
 from .sensitivity import SensitivityMatrix, sensitivity_matrix
@@ -258,13 +258,18 @@ class Ellipsoid:
     level: float
 
 
-def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoid:
-    """Chi-square-calibrated ellipsoid: semi-axes sqrt(chi2_p(level) / lambda_i)."""
+def chi2_quantile(level: float, df: int) -> float:
+    """Chi-square(df) quantile: the expression scipy's ``chi2.ppf`` evaluates."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
+    return float(2.0 * gammaincinv(df / 2, level))
+
+
+def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoid:
+    """Chi-square-calibrated ellipsoid: semi-axes sqrt(chi2_p(level) / lambda_i)."""
+    q = chi2_quantile(level, report.dimension)
     if report.classification != IDENTIFIABLE:
         raise ValueError("confidence ellipsoid requires a full-rank information matrix")
-    q = chi2.ppf(level, df=report.dimension)
     lengths = np.sqrt(q / report.eigenvalues)
     return Ellipsoid(
         center=np.asarray(theta_hat, dtype=float),

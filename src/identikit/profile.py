@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import chi2
 
 from .estimation import (
     EstimateResult,
@@ -22,7 +21,7 @@ from .estimation import (
     log_likelihood,
     multi_start_fit,
 )
-from .fim import IDENTIFIABLE, combination_variance, fim_report
+from .fim import IDENTIFIABLE, chi2_quantile, combination_variance, fim_report
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError
 
 FLATNESS_TOL = 1e-6
@@ -69,7 +68,7 @@ class ProfileCurve:
 
 def drop_threshold(level: float) -> float:
     """Log-likelihood drop defining the level set: chi2_1(level) / 2."""
-    return float(chi2.ppf(level, df=1) / 2.0)
+    return chi2_quantile(level, 1) / 2.0
 
 
 def _default_grid(model, dataset, fit_result, index, points, span_sd) -> np.ndarray:
@@ -112,6 +111,7 @@ def profile_parameter(
     p = space.dimension
     if not 0 <= index < p:
         raise ValueError(f"parameter index {index} out of range for p={p}")
+    drop_threshold(level)  # rejects a level outside (0, 1) before any refit
     if not fit_result.converged:
         raise ValueError("profile requires a converged fit result")
     sigma = dataset.design.noise_sd
@@ -230,9 +230,9 @@ def classify_profile(curve: ProfileCurve, level: float, flatness_tol: float | No
     exists and the parameter is identifiable.
     """
     tol = curve.flatness_tol if flatness_tol is None else flatness_tol
+    interval = likelihood_interval(curve, level)
     if curve.total_variation < tol:
         return CLASS_FLAT
-    interval = likelihood_interval(curve, level)
     if interval.lower_open or interval.upper_open:
         return CLASS_PRACTICAL
     return CLASS_IDENTIFIABLE

@@ -135,6 +135,7 @@ class TestValidation:
         (("profile", "grid"), [0.5, float("nan"), 2.0], "profile.grid"),
         (("recover", "k_trial"), 5, "recover.k_trial"),
         (("sed",), 3, "sed"),
+        (("profile", "parameters"), [0, 0], "profile.parameters"),
     ])
     def test_bad_field_is_named_and_exits_2(self, tmp_path, path, value, field):
         doc = with_field(FULL_CONFIG, path, value)

@@ -66,6 +66,36 @@ class TestDropThreshold:
         assert drop_threshold(0.95) == pytest.approx(1.920729, abs=1e-6)
 
 
+BAD_LEVELS = [0.0, 1.0, 1.5, float("nan")]
+
+
+class TestLevelValidation:
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    def test_interval_and_classification_reject_level(self, level):
+        grid = np.linspace(-1, 1, 41)
+        curves = (make_curve(grid, -50.0 * grid**2), make_curve(grid, np.full(41, -3.0)))
+        for curve in curves:
+            with pytest.raises(ValueError, match="level"):
+                ik.likelihood_interval(curve, level)
+            with pytest.raises(ValueError, match="level"):
+                ik.classify_profile(curve, level)
+
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    def test_profile_rejects_level_before_any_refit(self, level, monkeypatch):
+        model = ik.get_model("reciprocal")
+        design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
+        data = ik.generate_data(model, design, [0.5], seed=0)
+        fit = best_fit(model, data, k=4)
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("refit attempted")
+
+        monkeypatch.setattr("identikit.profile.fit", no_refit)
+        monkeypatch.setattr("identikit.profile.multi_start_fit", no_refit)
+        with pytest.raises(ValueError, match="level"):
+            ik.profile_parameter(model, data, fit, 0, level=level, multistart=2)
+
+
 class TestProfileParameter:
     def test_flat_profile_on_redundant_exponential(self):
         model = ik.get_model("redundant-exponential")
