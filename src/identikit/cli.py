@@ -14,7 +14,6 @@ codes: 0 success, 2 configuration/validation error, 3 analysis failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +26,7 @@ from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_sco
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
 from .profile import profile_parameter
 from .recovery import global_recovery
-from .serialize import write_csv, write_json
+from .serialize import to_jsonable, write_csv, write_json
 from .sobol import Prior, sobol_indices
 
 SUBCOMMANDS = ("fim", "profile", "sobol", "recover", "design-score", "all")
@@ -44,23 +43,6 @@ def list_models() -> str:
         label = model.identifiability or "-"
         lines.append(f"{model.name:<22} {model.space.dimension:>3}  {label}")
     return "\n".join(lines)
-
-
-def _finite_or_none(x: float):
-    return float(x) if math.isfinite(x) else None
-
-
-def _estimate_payload(result) -> dict:
-    return {
-        "theta": result.theta.tolist(),
-        "objective": result.objective,
-        "sigma2": result.sigma2,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "reason": result.reason,
-        "start": result.start.tolist(),
-        "failure": result.failure,
-    }
 
 
 def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict:
@@ -94,25 +76,15 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         best = next((r for r in fits if r.converged), fits[0])
         header, rows = estimates_csv(fits, names)
         write_csv(out_dir / "fit.csv", header, rows)
-        results["fit"] = {
-            "starts": config.fit.starts,
-            "best": _estimate_payload(best),
-            "estimates": [_estimate_payload(r) for r in fits],
-        }
+        results["fit"] = {"starts": config.fit.starts, "best": best, "estimates": fits}
 
     if "fim" in selection and config.fim is not None:
         theta = config.fim.theta if config.fim.theta is not None else best.theta
         report = fim_report(model, design, theta, rank_tolerance=config.fim.rank_tolerance)
-        block = {"theta": np.asarray(theta, dtype=float).tolist(), **report.to_dict()}
-        block["scores"] = {c: _finite_or_none(report.score(c)) for c in DESIGN_CRITERIA}
+        block = {"theta": np.asarray(theta, dtype=float), **to_jsonable(report)}
+        block["scores"] = {c: report.score(c) for c in DESIGN_CRITERIA}
         if report.classification == IDENTIFIABLE:
-            ellipsoid = confidence_ellipsoid(report, theta, config.fim.level)
-            block["ellipsoid"] = {
-                "level": ellipsoid.level,
-                "center": ellipsoid.center.tolist(),
-                "axes": ellipsoid.axes.tolist(),
-                "semi_axis_lengths": ellipsoid.semi_axis_lengths.tolist(),
-            }
+            block["ellipsoid"] = confidence_ellipsoid(report, theta, config.fim.level)
         results["fim"] = block
 
     if "design_score" in selection and config.design_score is not None:
@@ -120,8 +92,8 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         score = design_score(model, design, theta, config.design_score.criterion)
         results["design_score"] = {
             "criterion": config.design_score.criterion,
-            "theta": np.asarray(theta, dtype=float).tolist(),
-            "score": _finite_or_none(score),
+            "theta": np.asarray(theta, dtype=float),
+            "score": score,
         }
 
     if "profile" in selection and config.profile is not None:
@@ -140,23 +112,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
                 ["theta_i", "profile_loglik", "converged"],
                 curve.csv_rows(),
             )
-            block[str(curve.index)] = {
-                "parameter": names[curve.index],
-                "grid": curve.grid.tolist(),
-                "profile_loglik": curve.values.tolist(),
-                "converged": curve.converged.tolist(),
-                "loglik_hat": curve.loglik_hat,
-                "level": curve.level,
-                "interval": {
-                    "lower": curve.interval.lower,
-                    "upper": curve.interval.upper,
-                    "lower_open": curve.interval.lower_open,
-                    "upper_open": curve.interval.upper_open,
-                },
-                "classification": curve.classification,
-                "total_variation": curve.total_variation,
-                "truncated": curve.truncated,
-            }
+            block[str(curve.index)] = curve.to_dict(names[curve.index])
         results["profile"] = block
 
     if "sobol" in selection and config.sobol is not None:
@@ -184,29 +140,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
             n_starts=rsec.n_starts, tolerance=rsec.tolerance,
         )
         write_csv(out_dir / "recovery.csv", report.csv_header(names), report.csv_rows())
-        results["recovery"] = {
-            "k_trials": rsec.k_trials,
-            "tolerance": report.tolerance,
-            "success_rate": report.success_rate,
-            "symmetry_success_rate": report.symmetry_success_rate,
-            "error_p50": report.error_p50.tolist(),
-            "error_p90": report.error_p90.tolist(),
-            "error_max": report.error_max.tolist(),
-            "verdict": report.verdict,
-            "trials": [
-                {
-                    "seed": t.seed,
-                    "theta_true": t.theta_true.tolist(),
-                    "theta_hat": t.theta_hat.tolist(),
-                    "objective": t.objective,
-                    "rel_errors": t.rel_errors.tolist(),
-                    "success": t.success,
-                    "success_symmetry": t.success_symmetry,
-                    "converged": t.converged,
-                }
-                for t in report.trials
-            ],
-        }
+        results["recovery"] = {"k_trials": rsec.k_trials, **to_jsonable(report)}
 
     return results
 

@@ -84,8 +84,8 @@ class EstimateResult:
     sigma2: float
     converged: bool
     iterations: int
-    start: np.ndarray
     reason: str
+    start: np.ndarray
     failure: str | None = None
 
 
@@ -124,8 +124,8 @@ def linear_least_squares(X, y) -> EstimateResult:
         sigma2=sigma2,
         converged=True,
         iterations=0,
-        start=theta.copy(),
         reason=SMALL_GRADIENT,
+        start=theta.copy(),
     )
 
 
@@ -193,8 +193,8 @@ def fit(
         sigma2 = 2.0 * objective / (y.size - free.size) if y.size > free.size else float("nan")
         return EstimateResult(
             theta=theta.copy(), objective=float(objective), sigma2=float(sigma2),
-            converged=converged, iterations=jacobians, start=start.copy(),
-            reason=reason, failure=failure,
+            converged=converged, iterations=jacobians, reason=reason,
+            start=start.copy(), failure=failure,
         )
 
     if free.size == 0:
@@ -275,7 +275,7 @@ def multi_start_fit(
             return EstimateResult(
                 theta=np.asarray(start, dtype=float), objective=float("inf"),
                 sigma2=float("nan"), converged=False, iterations=0,
-                start=np.asarray(start, dtype=float), reason=MAX_ITER, failure=str(exc),
+                reason=MAX_ITER, start=np.asarray(start, dtype=float), failure=str(exc),
             )
 
     return sorted((run(s) for s in starts), key=lambda r: r.objective)

@@ -53,9 +53,9 @@ class SloppinessStats:
 class FimReport:
     """Information matrix with its eigen-expansion and classification."""
 
-    fim: np.ndarray
     sigma: float
     replicates: int
+    fim: np.ndarray
     eigenvalues: np.ndarray       # descending
     eigenvectors: np.ndarray      # orthonormal columns, matching order
     rank: int
@@ -80,30 +80,6 @@ class FimReport:
         if self.classification != IDENTIFIABLE:
             return float("inf")
         return float(np.sum(1.0 / self.eigenvalues))
-
-    def to_dict(self) -> dict:
-        payload = {
-            "sigma": self.sigma,
-            "replicates": self.replicates,
-            "fim": self.fim.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-            "rank": self.rank,
-            "classification": self.classification,
-            "rank_tolerance": self.rank_tolerance,
-            "sloppiness": None,
-        }
-        if self.sloppiness is not None:
-            s = self.sloppiness
-            payload["sloppiness"] = {
-                "spread_decades": s.spread_decades,
-                "slope": s.slope,
-                "intercept": s.intercept,
-                "r_squared": s.r_squared,
-                "residual_ss": s.residual_ss,
-                "sloppy": s.sloppy,
-            }
-        return payload
 
 
 def _log_linear_fit(eigenvalues: np.ndarray) -> SloppinessStats:
@@ -153,9 +129,9 @@ def assemble_fim(
     classification = IDENTIFIABLE if rank == lam.size else RANK_DEFICIENT
     sloppiness = _log_linear_fit(lam) if np.all(lam > 0) else None
     return FimReport(
-        fim=fim,
         sigma=float(sigma),
         replicates=int(replicates),
+        fim=fim,
         eigenvalues=lam,
         eigenvectors=vecs,
         rank=rank,
@@ -214,12 +190,12 @@ def classify_local_identifiability(
 
 def detect_sloppiness(report: FimReport) -> SloppinessStats:
     """Log-linear eigenvalue-spacing statistics; undefined for singular spectra."""
-    if np.any(report.eigenvalues <= 0):
+    if report.sloppiness is None:
         raise ValueError(
             "sloppiness is undefined with non-positive eigenvalues; "
             "the matrix is rank-deficient"
         )
-    return _log_linear_fit(report.eigenvalues)
+    return report.sloppiness
 
 
 def combination_variance(report: FimReport, a) -> float:
@@ -252,10 +228,10 @@ def combination_variance(report: FimReport, a) -> float:
 class Ellipsoid:
     """Confidence region: center, orthonormal axes, and semi-axis lengths."""
 
+    level: float
     center: np.ndarray
     axes: np.ndarray              # columns are the eigenvector directions
     semi_axis_lengths: np.ndarray
-    level: float
 
 
 def chi2_quantile(level: float, df: int) -> float:
@@ -272,10 +248,10 @@ def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoi
         raise ValueError("confidence ellipsoid requires a full-rank information matrix")
     lengths = np.sqrt(q / report.eigenvalues)
     return Ellipsoid(
+        level=float(level),
         center=np.asarray(theta_hat, dtype=float),
         axes=report.eigenvectors.copy(),
         semi_axis_lengths=lengths,
-        level=float(level),
     )
 
 

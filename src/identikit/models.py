@@ -256,10 +256,6 @@ class Dataset:
         if self.theta_true is not None:
             object.__setattr__(self, "theta_true", np.asarray(self.theta_true, dtype=float))
 
-    @property
-    def n_observations(self) -> int:
-        return self.observations.size
-
 
 def generate_data(model: Model, design: Design, theta_star, seed: int) -> Dataset:
     """Draw y = f(theta*) + sigma * z with one standard-normal z per observation.

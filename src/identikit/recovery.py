@@ -30,8 +30,8 @@ SUCCESS_RATE_MARGINAL = 0.8
 
 @dataclass(frozen=True)
 class RecoveryTrial:
-    theta_true: np.ndarray
     seed: int
+    theta_true: np.ndarray
     theta_hat: np.ndarray
     objective: float
     rel_errors: np.ndarray    # absolute error where |true| < 1e-6
@@ -42,15 +42,14 @@ class RecoveryTrial:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    trials: list[RecoveryTrial]
+    tolerance: float
     success_rate: float
     symmetry_success_rate: float
     error_p50: np.ndarray
     error_p90: np.ndarray
     error_max: np.ndarray
     verdict: str
-    tolerance: float
-    design: Design
+    trials: list[RecoveryTrial]
 
     def csv_rows(self) -> list[list]:
         rows = []
@@ -113,8 +112,8 @@ def recover_once(
     aligned = model.align_to_orbit(theta_star, best.theta)
     _, success_sym = _errors_and_success(aligned, best.theta, free, tolerance)
     return RecoveryTrial(
-        theta_true=theta_star,
         seed=int(seed),
+        theta_true=theta_star,
         theta_hat=best.theta,
         objective=best.objective,
         rel_errors=errors,
@@ -173,13 +172,12 @@ def global_recovery(
     else:
         verdict = VERDICT_BAD
     return RecoveryReport(
-        trials=trials,
+        tolerance=float(tolerance),
         success_rate=success_rate,
         symmetry_success_rate=symmetry_rate,
         error_p50=np.quantile(errors, 0.5, axis=0),
         error_p90=np.quantile(errors, 0.9, axis=0),
         error_max=np.max(errors, axis=0),
         verdict=verdict,
-        tolerance=float(tolerance),
-        design=design,
+        trials=trials,
     )

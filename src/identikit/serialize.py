@@ -2,12 +2,19 @@
 
 Numbers are printed with 17 significant digits so that re-parsing a CSV
 recovers the exact binary double that also appears in the JSON summary.
+
+A results block of ``summary.json`` is its report dataclass: :func:`to_jsonable`
+writes a dataclass as an object whose keys are its fields in declaration
+order, so reordering a field reorders the file.  The summary is strict JSON:
+a non-finite float, array entries included, is written as ``null``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +26,13 @@ def fmt(x) -> str:
 
 
 def to_jsonable(obj):
-    """Recursively convert arrays / numpy scalars to plain Python containers."""
+    """Recursively convert dataclasses, arrays and numpy scalars to plain JSON values."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -36,7 +45,7 @@ def to_jsonable(obj):
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(to_jsonable(payload), indent=2) + "\n")
+    Path(path).write_text(json.dumps(to_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:

@@ -177,7 +177,6 @@ def sobol_indices(
     n_samples: int,
     seed: int = 0,
     bootstrap: int = 200,
-    aggregation: str = "variance-weighted",
 ) -> SobolReport:
     """Monte-Carlo Sobol indices of the noiseless output under the prior.
 
@@ -194,8 +193,6 @@ def sobol_indices(
     to rounding (about 1e-14 relative).  Everything, bootstrap included, is
     deterministic in ``seed``.
     """
-    if aggregation != "variance-weighted":
-        raise ValueError("only variance-weighted aggregation is supported")
     n = int(n_samples)
     if n < MIN_SAMPLES or n & (n - 1):
         raise ValueError(f"n_samples must be a power of two >= {MIN_SAMPLES}")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import identikit as ik
 from identikit.cli import main
 from identikit.config import ConfigError, build_config, validate_config
+from identikit.serialize import write_json
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -260,6 +261,80 @@ class TestRun:
         for trial_json, trial in zip(block["trials"], recovery.trials):
             assert trial_json["theta_hat"] == trial.theta_hat.tolist()
             assert trial_json["objective"] == trial.objective
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestSummaryJson:
+    def test_layout_is_pinned(self, tmp_path):
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        blocks = {
+            "fit.best": results["fit"]["best"],
+            "fim": results["fim"],
+            "fim.sloppiness": results["fim"]["sloppiness"],
+            "fim.ellipsoid": results["fim"]["ellipsoid"],
+            "profile.0": results["profile"]["0"],
+            "profile.0.interval": results["profile"]["0"]["interval"],
+            "sobol": results["sobol"],
+            "recovery": results["recovery"],
+            "recovery.trials[0]": results["recovery"]["trials"][0],
+        }
+        assert {name: list(block) for name, block in blocks.items()} == {
+            "fit.best": ["theta", "objective", "sigma2", "converged", "iterations",
+                         "reason", "start", "failure"],
+            "fim": ["theta", "sigma", "replicates", "fim", "eigenvalues", "eigenvectors",
+                    "rank", "classification", "rank_tolerance", "sloppiness", "scores",
+                    "ellipsoid"],
+            "fim.sloppiness": ["spread_decades", "slope", "intercept", "r_squared",
+                               "residual_ss", "sloppy"],
+            "fim.ellipsoid": ["level", "center", "axes", "semi_axis_lengths"],
+            "profile.0": ["parameter", "grid", "profile_loglik", "converged", "loglik_hat",
+                          "level", "interval", "classification", "total_variation",
+                          "truncated"],
+            "profile.0.interval": ["lower", "upper", "lower_open", "upper_open"],
+            "sobol": ["parameters", "first_order", "total_order", "first_order_se",
+                      "total_order_se", "variance_per_time", "variance_total",
+                      "per_time_first", "per_time_total", "n_samples", "degenerate",
+                      "resampled"],
+            "recovery": ["k_trials", "tolerance", "success_rate", "symmetry_success_rate",
+                         "error_p50", "error_p90", "error_max", "verdict", "trials"],
+            "recovery.trials[0]": ["seed", "theta_true", "theta_hat", "objective",
+                                   "rel_errors", "success", "success_symmetry", "converged"],
+        }
+
+    def test_undefined_sigma2_is_null(self, tmp_path):
+        # one observation for one parameter: sigma^2 = 2 S / (n - p) is undefined
+        cfg = write_config(tmp_path, {
+            "model": {"name": "reciprocal"},
+            "design": {"times": [1.0], "noise_sd": 0.1},
+            "data": {"theta_true": [2.0]},
+            "fim": {},
+        })
+        out = tmp_path / "out"
+        assert main(["fim", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        fit = summary["results"]["fit"]
+        assert fit["best"]["sigma2"] is None
+        assert all(r["sigma2"] is None for r in fit["estimates"])
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        failed = ik.EstimateResult(
+            theta=np.array([1.0]), objective=float("inf"), sigma2=float("nan"),
+            converged=False, iterations=0, reason="max-iter", start=np.array([1.0]),
+            failure="non-finite",
+        )
+        path = tmp_path / "summary.json"
+        write_json(path, {"fit": failed, "values": np.array([1.0, -np.inf, np.nan]),
+                          "score": np.float64("inf")})
+        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert payload["fit"]["objective"] is None and payload["fit"]["sigma2"] is None
+        assert payload["values"] == [1.0, None, None]
+        assert payload["score"] is None
 
 
 class TestListModels:
