@@ -39,6 +39,7 @@ from .models import (
     Design,
     EvaluationError,
     Model,
+    OdeSystem,
     OutOfBoundsError,
     ParameterSpace,
     UnknownModelError,
@@ -67,6 +68,7 @@ from .sensitivity import (
     cross_check,
     fd_jacobian,
     forward_ode_jacobian,
+    forward_ode_solve,
     relative_difference,
     sensitivity_matrix,
 )

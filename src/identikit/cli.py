@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, Diagnostic, RunConfig, build_config, load_raw
 from .estimation import estimates_csv, multi_start_fit
-from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
+from .fim import DEFAULT_RANK_TOL, DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, fim_report
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
 from .profile import profile_parameter
 from .recovery import global_recovery
@@ -30,11 +30,6 @@ from .serialize import to_jsonable, write_csv, write_json
 from .sobol import Prior, sobol_indices
 
 SUBCOMMANDS = ("fim", "profile", "sobol", "recover", "design-score", "all")
-_SECTION_FOR = {"design-score": "design_score"}
-
-
-def _section_name(subcommand: str) -> str:
-    return _SECTION_FOR.get(subcommand, subcommand)
 
 
 def list_models() -> str:
@@ -78,9 +73,17 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         write_csv(out_dir / "fit.csv", header, rows)
         results["fit"] = {"starts": config.fit.starts, "best": best, "estimates": fits}
 
+    reports = {}  # information matrices of the design by (theta, rank tolerance), each built once
+
+    def report_at(theta, rank_tolerance=DEFAULT_RANK_TOL):
+        key = (np.asarray(theta, dtype=float).tobytes(), rank_tolerance)
+        if key not in reports:
+            reports[key] = fim_report(model, design, theta, rank_tolerance=rank_tolerance)
+        return reports[key]
+
     if "fim" in selection and config.fim is not None:
         theta = config.fim.theta if config.fim.theta is not None else best.theta
-        report = fim_report(model, design, theta, rank_tolerance=config.fim.rank_tolerance)
+        report = report_at(theta, config.fim.rank_tolerance)
         block = {"theta": np.asarray(theta, dtype=float), **to_jsonable(report)}
         block["scores"] = {c: report.score(c) for c in DESIGN_CRITERIA}
         if report.classification == IDENTIFIABLE:
@@ -89,7 +92,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
 
     if "design_score" in selection and config.design_score is not None:
         theta = config.design_score.theta if config.design_score.theta is not None else best.theta
-        score = design_score(model, design, theta, config.design_score.criterion)
+        score = report_at(theta).score(config.design_score.criterion)
         results["design_score"] = {
             "criterion": config.design_score.criterion,
             "theta": np.asarray(theta, dtype=float),
@@ -106,6 +109,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
                 grid=psec.grid, points=psec.points, span_sd=psec.span_sd,
                 level=psec.level, flatness_tol=psec.flatness_tol,
                 multistart=psec.multistart, seed=config.seed,
+                report=report_at(best.theta) if psec.grid is None and dataset.design is design else None,
             )
             write_csv(
                 out_dir / f"profile_{curve.index}.csv",
@@ -177,7 +181,7 @@ def main(argv=None) -> int:
             diags = exc.diagnostics
     if config is not None:
         present = config.sections_present()
-        selection = present if args.subcommand == "all" else [_section_name(args.subcommand)]
+        selection = present if args.subcommand == "all" else [args.subcommand.replace("-", "_")]
         if not selection:
             diags.append(Diagnostic("config", "no analysis sections present"))
         diags.extend(Diagnostic(s, "section missing for requested analysis") for s in selection if s not in present)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
-from .sensitivity import sensitivity_matrix
+from .sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
 
 SMALL_GRADIENT = "small-gradient"
 SMALL_STEP = "small-step"
@@ -140,13 +140,16 @@ def fit(
 
     One ``least_squares(method="trf")`` call on the free sub-vector: box
     bounds, residuals f(theta) - y stacked over replicates, and the model's
-    own sensitivity route as the Jacobian.  ``gradient_tol``, ``step_tol`` and
-    ``max_iterations`` are its ``gtol``, ``xtol`` and ``max_nfev``; ``ftol`` is
-    off.  ``iterations`` is its ``njev``: one Jacobian per iteration, the
-    start's included.  Status 1 is ``small-gradient`` (trf scales the gradient
-    by the distance to the bound it points at, so optima on a bound end here),
-    status 2-4 ``small-step``, or ``boundary`` with a bound active, and status
-    0 ``max-iter`` with ``converged=False``.
+    own sensitivity route as the Jacobian.  On the forward-ODE route one
+    integration of the augmented system gives both: a residual evaluation
+    keeps its sensitivities for a Jacobian at the same point.
+    ``gradient_tol``, ``step_tol`` and ``max_iterations`` are its ``gtol``,
+    ``xtol`` and ``max_nfev``; ``ftol`` is off.  ``iterations`` is its
+    ``njev``: one Jacobian per iteration, the start's included.  Status 1 is
+    ``small-gradient`` (trf scales the gradient by the distance to the bound it
+    points at, so optima on a bound end here), status 2-4 ``small-step``, or
+    ``boundary`` with a bound active, and status 0 ``max-iter`` with
+    ``converged=False``.
 
     The solver cannot express ordering constraints: it runs over the box,
     evaluating without the ordering check, and if it ends outside them the
@@ -166,8 +169,10 @@ def fit(
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=()))
+    joint = resolve_method(model, opts.jacobian_method) == FORWARD_ODE
     best_theta, best_objective = None, np.inf
     jacobians = 0
+    solved = None  # (point, sensitivities) of the last joint solve
 
     def at(x) -> np.ndarray:
         point = theta.copy()
@@ -175,9 +180,14 @@ def fit(
         return point
 
     def residuals(x) -> np.ndarray:
-        nonlocal best_theta, best_objective
+        nonlocal best_theta, best_objective, solved
         point = at(x)
-        r = np.repeat(evaluate(model, design, point, check_bounds=False), design.replicates) - y
+        if joint:
+            outputs, V = forward_ode_solve(box, design, point)
+            solved = (point, V)
+        else:
+            outputs = evaluate(model, design, point, check_bounds=False)
+        r = np.repeat(outputs, design.replicates) - y
         objective = 0.5 * float(r @ r)
         if objective < best_objective and space.contains(point):
             best_theta, best_objective = point, objective
@@ -186,7 +196,11 @@ def fit(
     def jacobian(x) -> np.ndarray:
         nonlocal jacobians
         jacobians += 1
-        V = sensitivity_matrix(box, design, at(x), method=opts.jacobian_method).values
+        point = at(x)
+        if solved is not None and solved[0].tobytes() == point.tobytes():
+            V = solved[1]  # bit for bit the point of the last residual evaluation
+        else:
+            V = sensitivity_matrix(box, design, point, method=opts.jacobian_method).values
         return np.repeat(V, design.replicates, axis=0)[:, free]
 
     def result(theta, objective, converged, reason, failure=None):

@@ -153,17 +153,18 @@ class Design:
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Scalar-observation ODE with the partial derivatives needed for
-    forward sensitivity integration.
+    """Scalar-observation ODE x' = g(t, x, theta) with its sensitivity system.
 
-    The observed output is the first state component.  ``rtol``/``atol`` are
-    deliberately tighter than any downstream finite-difference step so that
-    integration error never masquerades as sensitivity.
+    ``augmented(t, z, theta)`` returns [g; vec((dg/dx) s + dg/dtheta)], length
+    d + d p, for z = [x; vec(s)]: the d states, then the (d, p) sensitivities
+    s = dx/dtheta row by row; ``initial_jac`` is s at t = 0.  The observed
+    output is the first state component.  ``rtol``/``atol`` are deliberately
+    tighter than any downstream finite-difference step so that integration
+    error never masquerades as sensitivity.
     """
 
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    jac_state: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    jac_params: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    augmented: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
     initial_jac: Callable[[np.ndarray], np.ndarray]
     rtol: float = 1e-11
@@ -484,14 +485,18 @@ def logistic_model(
         names=("growth_rate", "capacity", "initial_state"),
     )
 
+    def _augmented(t, z, theta):
+        # dg/dx = r (1 - 2x/K), dg/dtheta = [x (1 - x/K), r x^2/K^2, 0], combined
+        # as a * s_j + b_j: the same operations as a generic (dg/dx) @ s + dg/dtheta
+        x, s_r, s_k, s_x0 = z.tolist()
+        r, k, _ = theta.tolist()
+        a = r * (1.0 - 2.0 * x / k)
+        u = 1.0 - x / k
+        return np.array([r * x * u, a * s_r + x * u, a * s_k + r * x ** 2 / k ** 2, a * s_x0 + 0.0])
+
     ode = OdeSystem(
         rhs=lambda t, x, theta: np.array([theta[0] * x[0] * (1.0 - x[0] / theta[1])]),
-        jac_state=lambda t, x, theta: np.array([[theta[0] * (1.0 - 2.0 * x[0] / theta[1])]]),
-        jac_params=lambda t, x, theta: np.array([[
-            x[0] * (1.0 - x[0] / theta[1]),
-            theta[0] * x[0] ** 2 / theta[1] ** 2,
-            0.0,
-        ]]),
+        augmented=_augmented,
         initial=lambda theta: np.array([theta[2]]),
         initial_jac=lambda theta: np.array([[0.0, 0.0, 1.0]]),
         rtol=rtol,

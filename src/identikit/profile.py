@@ -21,7 +21,7 @@ from .estimation import (
     log_likelihood,
     multi_start_fit,
 )
-from .fim import IDENTIFIABLE, chi2_quantile, combination_variance, fim_report
+from .fim import IDENTIFIABLE, FimReport, chi2_quantile, combination_variance, fim_report
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError
 
 FLATNESS_TOL = 1e-6
@@ -86,11 +86,12 @@ def drop_threshold(level: float) -> float:
     return chi2_quantile(level, 1) / 2.0
 
 
-def _default_grid(model, dataset, fit_result, index, points, span_sd) -> np.ndarray:
+def _default_grid(model, dataset, fit_result, index, points, span_sd, report) -> np.ndarray:
     space = model.space
     lo, hi = space.lower[index], space.upper[index]
     center = float(fit_result.theta[index])
-    report = fim_report(model, dataset.design, fit_result.theta)
+    if report is None:
+        report = fim_report(model, dataset.design, fit_result.theta)
     if report.classification == IDENTIFIABLE:
         e = np.zeros(space.dimension)
         e[index] = 1.0
@@ -113,14 +114,16 @@ def profile_parameter(
     multistart: int = 0,
     seed: int = 0,
     options: FitOptions | None = None,
+    report: FimReport | None = None,
 ) -> ProfileCurve:
     """Profile log-likelihood of parameter ``index``.
 
     The default grid spans the fit plus/minus ``span_sd`` information-matrix
     standard deviations (clipped to the admissible slice), falling back to the
-    full slice when the information matrix is rank-deficient.  ``multistart``
-    adds that many cold Latin-hypercube refits per grid point on top of the
-    warm-started one.
+    full slice when the information matrix is rank-deficient.  ``report``, if
+    given, is that matrix: ``fim_report`` of the dataset's design at the fit,
+    with the default rank tolerance.  ``multistart`` adds that many cold
+    Latin-hypercube refits per grid point on top of the warm-started one.
     """
     space = model.space
     p = space.dimension
@@ -131,7 +134,7 @@ def profile_parameter(
         raise ValueError("profile requires a converged fit result")
     sigma = dataset.design.noise_sd
     if grid is None:
-        grid = _default_grid(model, dataset, fit_result, index, points, span_sd)
+        grid = _default_grid(model, dataset, fit_result, index, points, span_sd, report)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < space.lower[index]) or np.any(grid > space.upper[index]):
         raise OutOfBoundsError("profile grid exits the admissible slice")

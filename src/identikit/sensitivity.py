@@ -78,48 +78,50 @@ def fd_jacobian(model: Model, design: Design, theta, step_rule=None) -> Sensitiv
     return SensitivityMatrix(cols, theta, FD, tuple(one_sided.tolist()))
 
 
+def forward_ode_solve(model: Model, design: Design, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs (n,) and sensitivities (n, p) from one integration of ``ode.augmented``.
+
+    Raises :class:`EvaluationError` if it fails or any value is non-finite.
+    """
+    if model.ode is None:
+        raise ValueError(f"model {model.name} has no ODE sensitivity system")
+    theta, ode, times = model.space.require(theta), model.ode, design.time_points
+    x0 = np.asarray(ode.initial(theta), dtype=float)
+    s0 = np.asarray(ode.initial_jac(theta), dtype=float)  # (d, p)
+    if times[-1] == 0.0:
+        outputs, sens = np.full(times.size, x0[0]), np.tile(s0[0], (times.size, 1))
+    else:
+        sol = solve_ivp(
+            ode.augmented, (0.0, times[-1]), np.concatenate([x0, s0.ravel()]), t_eval=times,
+            args=(theta,), method=ode.method, rtol=ode.rtol, atol=ode.atol,
+        )
+        if not sol.success:
+            raise EvaluationError(f"model {model.name} sensitivity integration failed: {sol.message}")
+        outputs, sens = sol.y[0], sol.y[x0.size : x0.size + theta.size].T  # output = first state
+    bad = ~(np.isfinite(outputs) & np.all(np.isfinite(sens), axis=1))
+    if np.any(bad):
+        raise EvaluationError(f"model {model.name} non-finite at t={times[bad].tolist()}")
+    return outputs, sens
+
+
 def forward_ode_jacobian(model: Model, design: Design, theta) -> SensitivityMatrix:
     """Integrate state and sensitivity equations s' = (dg/dx) s + dg/dtheta jointly."""
-    if model.ode is None:
-        raise ValueError(f"model {model.name} does not expose ODE right-hand-side partials")
-    theta = model.space.require(theta)
-    ode = model.ode
-    p = theta.size
-    x0 = np.asarray(ode.initial(theta), dtype=float)
-    d = x0.size
-    s0 = np.asarray(ode.initial_jac(theta), dtype=float)  # (d, p)
+    _, sens = forward_ode_solve(model, design, theta)
+    return SensitivityMatrix(sens, np.asarray(theta, dtype=float), FORWARD_ODE)
 
-    def augmented(t, z):
-        x = z[:d]
-        s = z[d:].reshape(d, p)
-        dx = np.asarray(ode.rhs(t, x, theta), dtype=float)
-        ds = np.asarray(ode.jac_state(t, x, theta)) @ s + np.asarray(ode.jac_params(t, x, theta))
-        return np.concatenate([dx, ds.ravel()])
 
-    times = design.time_points
-    z0 = np.concatenate([x0, s0.ravel()])
-    if times[-1] == 0.0:
-        sens = np.tile(s0[0], (times.size, 1))
-        return SensitivityMatrix(sens, theta, FORWARD_ODE)
-    sol = solve_ivp(
-        augmented, (0.0, times[-1]), z0, t_eval=times,
-        method=ode.method, rtol=ode.rtol, atol=ode.atol,
-    )
-    if not sol.success:
-        raise EvaluationError(f"sensitivity integration failed: {sol.message}")
-    sens = sol.y[d : d + p].T  # output = first state component
-    return SensitivityMatrix(sens, theta, FORWARD_ODE)
+def resolve_method(model: Model, method: str = "auto") -> str:
+    """The route ``"auto"`` stands for: analytic if registered, else forward-ODE, else FD."""
+    if method != "auto":
+        return method
+    if model.jacobian is not None:
+        return ANALYTIC
+    return FORWARD_ODE if model.ode is not None else FD
 
 
 def sensitivity_matrix(model: Model, design: Design, theta, method: str = "auto") -> SensitivityMatrix:
-    """Preferred route: analytic if registered, else forward-ODE, else finite differences."""
-    if method == "auto":
-        if model.jacobian is not None:
-            method = ANALYTIC
-        elif model.ode is not None:
-            method = FORWARD_ODE
-        else:
-            method = FD
+    """Jacobian by the given route; see :func:`resolve_method` for ``"auto"``."""
+    method = resolve_method(model, method)
     if method == ANALYTIC:
         if model.jacobian is None:
             raise ValueError(f"model {model.name} has no analytic Jacobian")

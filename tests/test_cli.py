@@ -239,6 +239,24 @@ class TestRun:
             assert float(row["objective"]) == fblock[i]["objective"]
             assert float(row["theta_rate1"]) == fblock[i]["theta"][0]
 
+    @pytest.mark.parametrize("fim, builds", [({}, 1), ({"rank_tolerance": 1e-8}, 2)])
+    def test_information_matrix_at_the_fit_is_built_once(self, tmp_path, monkeypatch, fim, builds):
+        # fim, design_score and both default profile grids ask for it at the best fit;
+        # a fim block with its own rank tolerance gets its own
+        from identikit import cli, fim as fim_module, profile
+
+        calls = []
+        counted = lambda *a, **k: calls.append(1) or ik.fim_report(*a, **k)  # noqa: E731
+        for module in (cli, fim_module, profile):
+            monkeypatch.setattr(module, "fim_report", counted)
+        config = {k: v for k, v in FULL_CONFIG.items() if k not in ("sobol", "recover")}
+        config.update(fim=fim, profile={"parameters": [0, 1], "points": 9})
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert len(calls) == builds
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["results"]["fim"]["rank_tolerance"] == fim.get("rank_tolerance", 1e-10)
+
     def test_cli_matches_library_numbers(self, tmp_path):
         cfg = write_config(tmp_path, FULL_CONFIG)
         out = tmp_path / "out"

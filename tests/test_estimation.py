@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import identikit as ik
 
@@ -198,6 +199,102 @@ class TestFitTermination:
         model, data = ramp_problem()
         with pytest.raises(ik.EvaluationError):
             ik.fit(model, data, [3.0])
+
+
+def decay_problem():
+    """x' = -k x, x(0) = x0 as an ODE model whose augmented system is NaN above k = 1
+    (after t = 0); noiseless data from (k, x0) = (2, 1)."""
+
+    def augmented(t, z, theta):
+        k = theta[0]
+        x, s_k, s_x0 = z
+        if k > 1.0 and t > 0.0:  # NaN at t = 0 leaves solve_ivp's first step NaN, and it never returns
+            return np.full(3, np.nan)
+        return np.array([-k * x, -k * s_k - x, -k * s_x0])
+
+    ode = ik.OdeSystem(
+        rhs=lambda t, x, theta: -theta[0] * x, augmented=augmented,
+        initial=lambda theta: np.array([theta[1]]), initial_jac=lambda theta: np.array([[0.0, 1.0]]),
+    )
+    model = ik.Model(
+        name="decay", space=ik.ParameterSpace(np.array([0.1, 0.1]), np.array([5.0, 5.0])),
+        f=lambda times, thetas: thetas[:, 1:] * np.exp(-thetas[:, :1] * times), ode=ode,
+    )
+    design = ik.Design(np.linspace(0.5, 3.0, 6), 0.05)
+    return model, ik.Dataset(design, np.exp(-2.0 * design.time_points)[:, None])
+
+
+class TestForwardOdeRoute:
+    """Fits of ODE models without an analytic Jacobian take residuals and
+    Jacobian from one augmented integration per point."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from identikit import models, sensitivity
+
+        counts = {"plain": 0, "augmented": 0, "fd": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(models, "solve_ivp", counted("plain", models.solve_ivp))
+        monkeypatch.setattr(sensitivity, "solve_ivp", counted("augmented", sensitivity.solve_ivp))
+        monkeypatch.setattr(sensitivity, "fd_jacobian", counted("fd", sensitivity.fd_jacobian))
+        return counts
+
+    @pytest.fixture
+    def solver_runs(self, monkeypatch):
+        from identikit import estimation
+
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(least_squares(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(estimation, "least_squares", recorded)
+        return runs
+
+    @staticmethod
+    def logistic_data():
+        model = ik.get_model("logistic")
+        design = ik.Design(np.array([0.5, 1.0, 2.0, 3.0, 5.0, 8.0]), 0.02)
+        return model, ik.generate_data(model, design, [1.0, 2.0, 0.1], seed=11)
+
+    def test_one_augmented_integration_per_residual(self, solves, solver_runs):
+        model, data = self.logistic_data()
+        solves["plain"] = 0  # generating the data integrated the state alone
+        res = ik.fit(model, data, [2.0, 3.0, 0.5])
+        (run,) = solver_runs
+        assert res.converged and res.iterations == run.njev > 1
+        assert solves["plain"] == 0
+        assert 0 < solves["augmented"] <= run.nfev
+
+    def test_finite_difference_option_keeps_the_plain_route(self, solves, solver_runs):
+        model, data = self.logistic_data()
+        solves["plain"] = 0
+        res = ik.fit(model, data, [2.0, 3.0, 0.5], options=ik.FitOptions(jacobian_method="finite-difference"))
+        (run,) = solver_runs
+        assert res.converged
+        assert solves["augmented"] == 0
+        assert solves["fd"] == res.iterations == run.njev
+        assert solves["plain"] >= run.nfev
+
+    def test_failure_mid_run_returns_best_point_so_far(self):
+        model, data = decay_problem()
+        res = ik.fit(model, data, [0.5, 1.0])
+        assert not res.converged and res.reason == "max-iter"
+        assert res.failure
+        assert 0.5 < res.theta[0] <= 1.0
+        assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-8)
+
+    def test_failure_at_the_start_is_raised(self):
+        model, data = decay_problem()
+        with pytest.raises(ik.EvaluationError):
+            ik.fit(model, data, [1.5, 1.0])
 
 
 class TestMultiStart:

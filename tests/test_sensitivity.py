@@ -1,5 +1,7 @@
 """Finite-difference, forward-ODE, and analytic sensitivity routes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,26 @@ class TestForwardOde:
         design = ik.Design(np.array([0.0]), 0.1)
         fo = ik.forward_ode_jacobian(self.model, design, [1.0, 2.0, 0.5])
         np.testing.assert_allclose(fo.values[0], [0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_solve_gives_the_jacobian_and_the_outputs(self):
+        for theta in interior_points(self.model.space, 20, seed=11):
+            outputs, sens = ik.forward_ode_solve(self.model, self.design, theta)
+            assert sens.tobytes() == ik.forward_ode_jacobian(self.model, self.design, theta).values.tobytes()
+            assert ik.relative_difference(outputs, ik.evaluate(self.model, self.design, theta)) <= 1e-9
+
+    def test_augmented_matches_the_generic_formula_bitwise(self):
+        # the explicit partials, combined as (dg/dx) @ s + dg/dtheta on arrays
+        def reference(t, z, theta):
+            x, s = z[:1], z[1:].reshape(1, 3)
+            dgdx = np.array([[theta[0] * (1.0 - 2.0 * x[0] / theta[1])]])
+            dgdtheta = np.array([[x[0] * (1.0 - x[0] / theta[1]), theta[0] * x[0] ** 2 / theta[1] ** 2, 0.0]])
+            dx = np.array([theta[0] * x[0] * (1.0 - x[0] / theta[1])])
+            return np.concatenate([dx, (dgdx @ s + dgdtheta).ravel()])
+
+        generic = replace(self.model, ode=replace(self.model.ode, augmented=reference))
+        for theta in interior_points(self.model.space, 20, seed=5):
+            own = ik.forward_ode_jacobian(self.model, self.design, theta).values
+            assert own.tobytes() == ik.forward_ode_jacobian(generic, self.design, theta).values.tobytes()
 
     def test_requires_ode_partials(self):
         model = ik.get_model("reciprocal")
