@@ -11,12 +11,13 @@ provided for testing and benchmarking.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from .serialize import fmt
 
@@ -158,7 +159,8 @@ class OdeSystem:
     ``augmented(t, z, theta)`` returns [g; vec((dg/dx) s + dg/dtheta)], length
     d + d p, for z = [x; vec(s)]: the d states, then the (d, p) sensitivities
     s = dx/dtheta row by row; ``initial_jac`` is s at t = 0.  The observed
-    output is the first state component.  ``rtol``/``atol`` are deliberately
+    output is the first state component.  LSODA integrates both (``odeint``,
+    at most 500 steps per output interval).  ``rtol``/``atol`` are deliberately
     tighter than any downstream finite-difference step so that integration
     error never masquerades as sensitivity.
     """
@@ -169,7 +171,29 @@ class OdeSystem:
     initial_jac: Callable[[np.ndarray], np.ndarray]
     rtol: float = 1e-11
     atol: float = 1e-13
-    method: str = "DOP853"
+
+    def integrate(self, fun, z0, times: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """States (n, len(z0)) of z' = fun(t, z, theta), z(0) = z0, at the n ``times``; raises
+        :class:`EvaluationError` with LSODA's message if it fails (a success may be non-finite)."""
+        grid = times if times[0] == 0.0 else np.concatenate(([0.0], times))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ODEintWarning)
+            try:
+                z = odeint(fun, z0, grid, args=(theta,), tfirst=True, rtol=self.rtol, atol=self.atol)
+            except ODEintWarning as exc:
+                raise EvaluationError(f"LSODA failed: {exc}") from None
+        return z[-times.size :]
+
+    def outputs(self, times: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """First state (m, n) for each row of ``thetas``, a model's ``f``: one integration per
+        row (a stacked state would share one adaptive step); a failed row stays NaN."""
+        out = np.full((len(thetas), len(times)), np.nan)
+        for row, theta in zip(out, thetas):
+            try:
+                row[:] = self.integrate(self.rhs, self.initial(theta), times, theta)[:, 0]
+            except EvaluationError:
+                pass
+        return out
 
 
 @dataclass(frozen=True)
@@ -472,7 +496,8 @@ def logistic_model(
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ) -> Model:
-    """Logistic growth x' = r x (1 - x/K), x(0) = x0, solved numerically.
+    """Logistic growth x' = r x (1 - x/K), x(0) = x0, solved numerically by
+    LSODA (``odeint``, at most 500 steps per output interval).
 
     Parameters are (r, K, x0); the observed output is the state itself.
     Integration tolerances must stay several orders below the central
@@ -501,29 +526,12 @@ def logistic_model(
         initial_jac=lambda theta: np.array([[0.0, 0.0, 1.0]]),
         rtol=rtol,
         atol=atol,
-        method="DOP853",
     )
-
-    def _f(times, thetas):
-        # one integration per parameter vector: a stacked state would share one
-        # adaptive step and move the outputs in their last digits
-        out = np.full((len(thetas), len(times)), np.nan)  # rows of failed integrations stay NaN
-        for row, theta in zip(out, thetas):
-            if times[-1] == 0.0:
-                row[:] = theta[2]
-                continue
-            sol = solve_ivp(
-                ode.rhs, (0.0, times[-1]), ode.initial(theta), t_eval=times,
-                args=(theta,), method=ode.method, rtol=ode.rtol, atol=ode.atol,
-            )
-            if sol.success:
-                row[:] = sol.y[0]
-        return out
 
     return Model(
         name="logistic",
         space=space,
-        f=_f,
+        f=ode.outputs,
         ode=ode,
         identifiability=GLOBALLY_IDENTIFIABLE,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .models import Design, EvaluationError, Model, evaluate, evaluate_batch
 
@@ -79,7 +78,8 @@ def fd_jacobian(model: Model, design: Design, theta, step_rule=None) -> Sensitiv
 
 
 def forward_ode_solve(model: Model, design: Design, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs (n,) and sensitivities (n, p) from one integration of ``ode.augmented``.
+    """Outputs (n,) and sensitivities (n, p) from one integration of ``ode.augmented``
+    by LSODA (``odeint``, at most 500 steps per output interval).
 
     Raises :class:`EvaluationError` if it fails or any value is non-finite.
     """
@@ -88,16 +88,8 @@ def forward_ode_solve(model: Model, design: Design, theta) -> tuple[np.ndarray, 
     theta, ode, times = model.space.require(theta), model.ode, design.time_points
     x0 = np.asarray(ode.initial(theta), dtype=float)
     s0 = np.asarray(ode.initial_jac(theta), dtype=float)  # (d, p)
-    if times[-1] == 0.0:
-        outputs, sens = np.full(times.size, x0[0]), np.tile(s0[0], (times.size, 1))
-    else:
-        sol = solve_ivp(
-            ode.augmented, (0.0, times[-1]), np.concatenate([x0, s0.ravel()]), t_eval=times,
-            args=(theta,), method=ode.method, rtol=ode.rtol, atol=ode.atol,
-        )
-        if not sol.success:
-            raise EvaluationError(f"model {model.name} sensitivity integration failed: {sol.message}")
-        outputs, sens = sol.y[0], sol.y[x0.size : x0.size + theta.size].T  # output = first state
+    z = ode.integrate(ode.augmented, np.concatenate([x0, s0.ravel()]), times, theta)
+    outputs, sens = z[:, 0], z[:, x0.size : x0.size + theta.size]  # output = first state
     bad = ~(np.isfinite(outputs) & np.all(np.isfinite(sens), axis=1))
     if np.any(bad):
         raise EvaluationError(f"model {model.name} non-finite at t={times[bad].tolist()}")

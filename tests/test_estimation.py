@@ -1,5 +1,8 @@
 """Closed-form and trust-region least squares, masks, multi-start."""
 
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -208,7 +211,7 @@ def decay_problem():
     def augmented(t, z, theta):
         k = theta[0]
         x, s_k, s_x0 = z
-        if k > 1.0 and t > 0.0:  # NaN at t = 0 leaves solve_ivp's first step NaN, and it never returns
+        if k > 1.0 and t > 0.0:  # from t = 0 on: test_nan_from_the_start_fails_fast
             return np.full(3, np.nan)
         return np.array([-k * x, -k * s_k - x, -k * s_x0])
 
@@ -230,19 +233,21 @@ class TestForwardOdeRoute:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        from identikit import models, sensitivity
+        from identikit import sensitivity
 
         counts = {"plain": 0, "augmented": 0, "fd": 0}
+        integrate, fd_jacobian = ik.OdeSystem.integrate, sensitivity.fd_jacobian
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_integrate(ode, fun, *args):
+            counts["augmented" if fun is ode.augmented else "plain"] += 1
+            return integrate(ode, fun, *args)
 
-        monkeypatch.setattr(models, "solve_ivp", counted("plain", models.solve_ivp))
-        monkeypatch.setattr(sensitivity, "solve_ivp", counted("augmented", sensitivity.solve_ivp))
-        monkeypatch.setattr(sensitivity, "fd_jacobian", counted("fd", sensitivity.fd_jacobian))
+        def counted_fd(*args, **kwargs):
+            counts["fd"] += 1
+            return fd_jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(ik.OdeSystem, "integrate", counted_integrate)
+        monkeypatch.setattr(sensitivity, "fd_jacobian", counted_fd)
         return counts
 
     @pytest.fixture
@@ -295,6 +300,40 @@ class TestForwardOdeRoute:
         model, data = decay_problem()
         with pytest.raises(ik.EvaluationError):
             ik.fit(model, data, [1.5, 1.0])
+
+    def test_nan_from_the_start_fails_fast(self):
+        # a right-hand side that is NaN at t = 0 once sent the integrator into an endless
+        # loop, so the checks run in a child process that a timeout can stop
+        probe = textwrap.dedent("""
+            import numpy as np
+            import identikit as ik
+            from identikit.sensitivity import forward_ode_solve
+
+            def rhs(t, x, theta):
+                return np.full(1, np.nan) if theta[0] > 1.0 else -theta[0] * x
+
+            def augmented(t, z, theta):
+                k = theta[0]
+                return np.full(3, np.nan) if k > 1.0 else np.array([-k * z[0], -k * z[1] - z[0], -k * z[2]])
+
+            ode = ik.OdeSystem(rhs=rhs, augmented=augmented, initial=lambda theta: np.array([theta[1]]),
+                               initial_jac=lambda theta: np.array([[0.0, 1.0]]))
+            space = ik.ParameterSpace(np.array([0.1, 0.1]), np.array([5.0, 5.0]))
+            model = ik.Model(name="decay", space=space, f=ode.outputs, ode=ode)
+            design = ik.Design(np.linspace(0.5, 3.0, 6), 0.05)
+            for call in (forward_ode_solve, ik.evaluate):
+                try:
+                    call(model, design, [1.5, 1.0])
+                except ik.EvaluationError:
+                    continue
+                raise AssertionError(f"{call.__name__} did not raise")
+            res = ik.fit(model, ik.Dataset(design, np.exp(-2.0 * design.time_points)[:, None]), [0.5, 1.0])
+            assert res.reason == "max-iter" and res.failure, res
+            print("ok")
+        """)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n" and proc.stderr == ""
 
 
 class TestMultiStart:

@@ -1,11 +1,20 @@
 """Finite-difference, forward-ODE, and analytic sensitivity routes."""
 
+import json
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import identikit as ik
+
+LOGISTIC_TIMES = np.array(json.loads(
+    (Path(__file__).parents[1] / "bench" / "configs" / "logistic_ode.json").read_text()
+)["design"]["times"], dtype=float)
 
 
 def interior_points(space, count, seed, inset=0.05):
@@ -159,6 +168,63 @@ class TestForwardOde:
     def test_empty_design_rejected(self):
         with pytest.raises(ValueError):
             ik.Design(np.array([]), 0.1)
+
+
+def logistic_closed_form(theta, times):
+    """x(t) = K x0 e^{rt} / (K + x0 (e^{rt} - 1)); complex theta gives complex-step derivatives."""
+    r, k, x0 = theta
+    growth = np.exp(r * times)
+    return k * x0 * growth / (k + x0 * (growth - 1.0))
+
+
+def logistic_points():
+    space = ik.get_model("logistic").space
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in zip(space.lower, space.upper))).map(np.array)
+
+
+class TestLsoda:
+    """Both ODE routes integrate with LSODA; accuracy and failures are checked here."""
+
+    model = ik.get_model("logistic")
+    design = ik.Design(LOGISTIC_TIMES, 0.02)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(logistic_points())
+    def test_outputs_match_the_closed_form(self, theta):
+        exact = logistic_closed_form(theta, LOGISTIC_TIMES)
+        assert ik.relative_difference(ik.evaluate(self.model, self.design, theta), exact) <= 1e-9
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(logistic_points())
+    def test_sensitivities_match_complex_step(self, theta):
+        step = 1e-30
+        exact = np.column_stack([
+            logistic_closed_form(theta + 1j * step * e, LOGISTIC_TIMES).imag / step for e in np.eye(3)
+        ])
+        _, sens = ik.forward_ode_solve(self.model, self.design, theta)
+        assert ik.relative_difference(sens, exact) <= 1e-9
+
+    def test_excess_work_is_an_evaluation_error_without_warnings(self):
+        # tracking cos t on x' = 1e8 (cos t - x) to t = 1000 takes LSODA more than its 500 steps
+        ode = ik.OdeSystem(
+            rhs=lambda t, x, theta: theta[0] * (np.cos(t) - x),
+            augmented=lambda t, z, theta: np.array([
+                theta[0] * (np.cos(t) - z[0]), -theta[0] * z[1] + (np.cos(t) - z[0])
+            ]),
+            initial=lambda theta: np.array([0.0]),
+            initial_jac=lambda theta: np.array([[0.0]]),
+        )
+        space = ik.ParameterSpace(np.array([1e7]), np.array([1e9]))
+        model = ik.Model(name="stiff", space=space, f=ode.outputs, ode=ode)
+        design = ik.Design(np.array([1000.0]), 0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ik.EvaluationError, match="Excess work done"):
+                ik.forward_ode_solve(model, design, [1e8])
+            with pytest.raises(ik.EvaluationError):
+                ik.evaluate(model, design, [1e8])
+            assert np.isnan(ik.models.evaluate_batch(model, design, [[1e8]])).all()
+        assert caught == []
 
 
 class TestDispatcher:
