@@ -166,11 +166,14 @@ def main(argv=None) -> int:
         sub.add_argument("--config", required=True, help="run configuration (JSON)")
         sub.add_argument("--out", required=True, help="output directory")
         sub.add_argument("--threads", type=int, default=1,
-                         help="accepted and ignored: analyses run serially, so results and work do not depend on it")
+                         help="a positive integer, accepted and ignored: analyses run serially, "
+                              "so results and work do not depend on it")
         sub.add_argument("--seed", type=int, default=None, help="override the configured seed")
     args = parser.parse_args(argv)
 
     raw, diags = load_raw(args.config)
+    if args.threads < 1:
+        diags.append(Diagnostic("--threads", f"must be a positive integer, got {args.threads}"))
     config = None
     if raw is not None:
         if args.seed is not None:

@@ -168,7 +168,7 @@ def fit(
     free = mask.free_indices
     design = dataset.design
     y = dataset.observations.ravel()
-    box = replace(model, space=replace(space, orderings=()))
+    box = replace(model, space=replace(space, orderings=())) if space.orderings else model
     joint = resolve_method(model, opts.jacobian_method) == FORWARD_ODE
     best_theta, best_objective = None, np.inf
     jacobians = 0

@@ -87,9 +87,8 @@ class ParameterSpace:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dimension,):
             return False
-        if not np.all(np.isfinite(theta)):
-            return False
-        if np.any(theta < self.lower) or np.any(theta > self.upper):
+        # NaN fails both comparisons and the finite bounds exclude +/-inf
+        if not ((theta >= self.lower) & (theta <= self.upper)).all():
             return False
         return all(theta[i] > theta[j] for i, j in self.orderings)
 
@@ -246,7 +245,7 @@ def evaluate(model: Model, design: Design, theta, *, check_bounds: bool = True) 
     if check_bounds:
         model.space.require(theta)
     values = evaluate_batch(model, design, theta.reshape(1, -1))[0]
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = design.time_points[~np.isfinite(values)]
         raise EvaluationError(f"model {model.name} non-finite at t={bad.tolist()}")
     return values

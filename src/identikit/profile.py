@@ -2,7 +2,8 @@
 
 For parameter i, each grid value of theta_i is held fixed while the remaining
 parameters are re-optimized, warm-started from the neighbouring grid point and
-sweeping outward from the fit in both directions.  Flat curves indicate
+sweeping outward from the fit in both directions (on the default grid, until
+one refit past the likelihood level set).  Flat curves indicate
 structural unidentifiability; likelihood-ratio intervals that run into the
 admissible-set boundary indicate poor practical identifiability.
 """
@@ -124,17 +125,27 @@ def profile_parameter(
     given, is that matrix: ``fim_report`` of the dataset's design at the fit,
     with the default rank tolerance.  ``multistart`` adds that many cold
     Latin-hypercube refits per grid point on top of the warm-started one.
+
+    On the default grid each outward sweep ends one refit past the level set:
+    at the first refit whose value lies more than :func:`drop_threshold`
+    below both ``loglik_hat`` and the highest value so far.  The points it
+    computes are those of the full sweep, bit for bit.  An explicit ``grid``
+    is swept in full.  The curve, and its ``total_variation``, cover only the
+    computed points.
     """
     space = model.space
     p = space.dimension
     if not 0 <= index < p:
         raise ValueError(f"parameter index {index} out of range for p={p}")
-    drop_threshold(level)  # rejects a level outside (0, 1) before any refit
+    drop = drop_threshold(level)  # rejects a level outside (0, 1) before any refit
     if not fit_result.converged:
         raise ValueError("profile requires a converged fit result")
     sigma = dataset.design.noise_sd
+    loglik_hat = log_likelihood(fit_result.objective, sigma)
     if grid is None:
         grid = _default_grid(model, dataset, fit_result, index, points, span_sd, report)
+    else:
+        drop = np.inf  # an explicit grid is swept in full
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < space.lower[index]) or np.any(grid > space.upper[index]):
         raise OutOfBoundsError("profile grid exits the admissible slice")
@@ -144,7 +155,6 @@ def profile_parameter(
     theta_opt = np.tile(fit_result.theta, (m, 1))
     converged = np.zeros(m, dtype=bool)
     computed = np.zeros(m, dtype=bool)
-    truncated = False
 
     def refit(k: int, warm: np.ndarray) -> np.ndarray | None:
         mask = ParameterMask.fixing(p, {index: float(grid[k])})
@@ -170,19 +180,21 @@ def profile_parameter(
         computed[k] = True
         return best.theta
 
+    def sweep(ks, warm) -> bool:
+        """Refit along ``ks``, each from the last; True if a refit failed."""
+        for k in ks:
+            warm = refit(k, warm)
+            if warm is None:
+                return True
+            if values[k] < min(loglik_hat, values.max()) - drop:
+                return False
+        return False
+
     start_index = int(np.argmin(np.abs(grid - fit_result.theta[index])))
-    warm = fit_result.theta
-    for k in range(start_index, m):
-        warm = refit(k, warm)
-        if warm is None:
-            truncated = True
-            break
+    upper_failed = sweep(range(start_index, m), fit_result.theta)
     warm = theta_opt[start_index] if computed[start_index] else fit_result.theta
-    for k in range(start_index - 1, -1, -1):
-        warm = refit(k, warm)
-        if warm is None:
-            truncated = True
-            break
+    lower_failed = sweep(range(start_index - 1, -1, -1), warm)
+    truncated = upper_failed or lower_failed
 
     keep = computed
     grid, values = grid[keep], values[keep]
@@ -190,7 +202,6 @@ def profile_parameter(
     if grid.size == 0:
         raise EvaluationError("every profile refit failed")
 
-    loglik_hat = log_likelihood(fit_result.objective, sigma)
     total_variation = float(np.sum(np.abs(np.diff(values)))) if values.size > 1 else 0.0
     curve = ProfileCurve(
         index=index, grid=grid, values=values, theta_opt=theta_opt,

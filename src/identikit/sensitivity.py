@@ -35,7 +35,7 @@ class SensitivityMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("sensitivity matrix must be 2-D")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise EvaluationError("sensitivity matrix has non-finite entries")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))

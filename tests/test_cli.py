@@ -195,6 +195,14 @@ class TestRun:
         cfg = write_config(tmp_path, FULL_CONFIG)
         assert main(["fim", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_named_and_exits_2(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
+        assert f"--threads: must be a positive integer, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_is_analysis_failure(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": {"name": "reciprocal"},

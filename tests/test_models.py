@@ -4,9 +4,53 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.models import MIN_NOISE_SD
+
+
+def reference_contains(space, theta) -> bool:
+    """Membership as one test per condition: shape, finiteness, box, orderings."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (space.dimension,):
+        return False
+    if not np.all(np.isfinite(theta)):
+        return False
+    if np.any(theta < space.lower) or np.any(theta > space.upper):
+        return False
+    return all(theta[i] > theta[j] for i, j in space.orderings)
+
+
+@st.composite
+def spaces_and_points(draw):
+    """A space of 1-3 overlapping intervals with some orderings, and a point
+    whose entries are often NaN, +/-inf, a bound, or a tie across an ordering,
+    and whose shape is sometimes wrong."""
+    p = draw(st.integers(1, 3))
+    lower = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
+    upper = lower + np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=p, max_size=p)))
+    pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
+    orderings = tuple(draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))) if pairs else ()
+    space = ik.ParameterSpace(lower, upper, orderings)
+    bounds = sorted(set(lower.tolist() + upper.tolist()))
+    special = st.sampled_from([float("nan"), float("inf"), -float("inf")] + bounds)
+    theta = np.array([
+        draw(st.one_of(special, st.floats(-10.0, 10.0), st.floats(lower[i], upper[i])))
+        for i in range(p)
+    ])
+    if orderings and draw(st.booleans()):
+        i, j = orderings[0]
+        theta[i] = theta[j]
+    shape = draw(st.sampled_from(["vector", "vector", "vector", "short", "long", "row"]))
+    if shape == "short":
+        theta = theta[:-1]
+    elif shape == "long":
+        theta = np.append(theta, theta[0])
+    elif shape == "row":
+        theta = theta[None, :]
+    return space, theta
 
 
 class TestParameterSpace:
@@ -28,6 +72,27 @@ class TestParameterSpace:
         assert not space.contains([0.2, 0.8])   # ordering violated
         assert not space.contains([1.2, 0.2])   # box violated
         assert not space.contains([0.8])        # wrong length
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=spaces_and_points())
+    def test_contains_matches_reference(self, case):
+        space, theta = case
+        assert space.contains(theta) is reference_contains(space, theta)
+
+    @pytest.mark.parametrize("theta, inside", [
+        ([0.8, 0.2], True),
+        ([1.0, 0.0], True),                   # both on a bound
+        ([float("nan"), 0.2], False),
+        ([0.8, float("nan")], False),
+        ([float("inf"), 0.2], False),
+        ([0.8, -float("inf")], False),
+        ([0.5, 0.5], False),                  # tie across the ordering
+        ([[0.8, 0.2]], False),                # a row, not a vector
+        ([0.8, 0.2, 0.1], False),
+    ])
+    def test_contains_edge_cases(self, theta, inside):
+        space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
+        assert space.contains(theta) is inside is reference_contains(space, theta)
 
     def test_sample_respects_orderings(self):
         space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))

@@ -1,18 +1,26 @@
 """Profile log-likelihood computation and curve-shape classification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import identikit as ik
+from identikit.config import build_config
 from identikit.estimation import log_likelihood
 from identikit.profile import (
     CLASS_FLAT,
     CLASS_IDENTIFIABLE,
     CLASS_PRACTICAL,
+    DEFAULT_SPAN_SD,
     ProfileCurve,
     ProfileInterval,
+    _default_grid,
     drop_threshold,
 )
+
+ROOT = Path(__file__).parents[1]
 
 
 def best_fit(model, data, k=16, seed=0):
@@ -243,3 +251,86 @@ class TestProfileParameter:
         rows = curve.csv_rows()
         assert len(rows) == curve.grid.size
         assert all(len(r) == 3 for r in rows)
+
+
+def config_case(path):
+    """Model, data, best fit and profile settings of a run configuration, as the CLI builds them."""
+    config = build_config(json.loads((ROOT / path).read_text()))
+    data = ik.generate_data(config.model, config.design, config.data.theta_true, config.data.seed)
+    fits = ik.multi_start_fit(config.model, data, config.fit.starts, config.seed)
+    best = next(r for r in fits if r.converged)
+    return config.model, data, best, config.profile.parameters, config.profile.points
+
+
+def linear_case():
+    X = np.column_stack([np.ones(10), np.arange(10.0)])
+    model = ik.get_model("linear", design_matrix=X)
+    data = ik.generate_data(model, ik.Design(np.arange(10.0), 0.5), [1.0, 2.0], seed=7)
+    return model, data, best_fit(model, data, k=8, seed=1), [0, 1], 41
+
+
+def level_set_run(full, center):
+    """Slice bounds of ``full`` that the stop rule keeps: from the grid point
+    nearest ``center`` each side runs to its first value more than the drop
+    below both the fit's log-likelihood and the highest value so far, the
+    upper side first."""
+    values, drop = full.values, drop_threshold(full.level)
+    start = int(np.argmin(np.abs(full.grid - center)))
+    seen = -np.inf
+
+    def last(ks, end):
+        nonlocal seen
+        for k in ks:
+            seen = max(seen, values[k])
+            if values[k] < min(full.loglik_hat, seen) - drop:
+                return k
+        return end
+
+    stop = last(range(start, values.size), values.size - 1) + 1
+    return last(range(start - 1, -1, -1), 0), stop
+
+
+CASES = {
+    "logistic-ode": lambda: config_case("bench/configs/logistic_ode.json"),
+    "biexp-all": lambda: config_case("configs/biexponential_all.json"),
+    "linear": linear_case,
+}
+
+
+class TestLevelSetStop:
+    """A default-grid sweep ends one refit past the level set; explicit grids are swept in full."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_default_grid_curve_is_a_run_of_the_full_sweep(self, name):
+        model, data, fit, indices, points = CASES[name]()
+        for i in indices:
+            stopped = ik.profile_parameter(model, data, fit, i, points=points)
+            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD, None)
+            full = ik.profile_parameter(model, data, fit, i, grid=grid)
+            assert full.grid.size == points and stopped.grid.size < points
+            start = int(np.flatnonzero(full.grid == stopped.grid[0])[0])
+            run = slice(start, start + stopped.grid.size)
+            for field in ("grid", "values", "theta_opt", "converged"):
+                assert getattr(full, field)[run].tobytes() == getattr(stopped, field).tobytes(), field
+            assert stopped.interval == full.interval
+            assert stopped.classification == full.classification == CLASS_IDENTIFIABLE
+            assert not stopped.truncated and not full.truncated
+            assert (run.start, run.stop) == level_set_run(full, fit.theta[i])
+
+    def test_logistic_refit_count(self, monkeypatch):
+        model, data, fit, indices, points = CASES["logistic-ode"]()
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return ik.fit(*args, **kwargs)
+
+        monkeypatch.setattr("identikit.profile.fit", counting_fit)
+        for i in indices:
+            ik.profile_parameter(model, data, fit, i, points=points)
+        assert len(calls) == 18
+        calls.clear()
+        for i in indices:
+            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD, None)
+            ik.profile_parameter(model, data, fit, i, grid=grid)
+        assert len(calls) == 42
