@@ -1,21 +1,25 @@
 """Least-squares parameter estimation.
 
 Linear models get the closed-form orthogonal-decomposition solution; nonlinear
-models get scipy's bounded trust-region reflective solver (Branch, Coleman & Li
-1999) over the free parameters of a mask, with Latin-hypercube multi-start.
-Every fit ends with one of four reasons (see :func:`fit`).  The objective
-throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
+models get a bounded trust-region Levenberg-Marquardt solver with Coleman-Li
+scaling (the affine scaling of scipy's ``trf``; Coleman & Li 1996, Branch,
+Coleman & Li 1999), written in numpy for the few free parameters of a mask,
+with Latin-hypercube multi-start.  Every fit ends with one of four reasons (see
+:func:`fit`).  The objective throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
-from .sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
+from .sensitivity import (
+    ANALYTIC, FD, FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix,
+)
 
 SMALL_GRADIENT = "small-gradient"
 SMALL_STEP = "small-step"
@@ -73,8 +77,19 @@ class ParameterMask:
 class FitOptions:
     gradient_tol: float = 1e-8
     step_tol: float = 1e-10
-    max_iterations: int = 500
+    max_iterations: int = 500  # residual evaluations
     jacobian_method: str = "auto"
+
+    def __post_init__(self):
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {n!r}")
+        for name in ("gradient_tol", "step_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+        if self.jacobian_method not in ("auto", ANALYTIC, FORWARD_ODE, FD):
+            raise ValueError(f"unknown jacobian_method {self.jacobian_method!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,126 @@ def linear_least_squares(X, y) -> EstimateResult:
     )
 
 
+def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
+    """Bounded trust-region Levenberg-Marquardt for min 0.5 ||fun(x)||^2, dense, small n.
+
+    Coleman-Li affine scaling (Coleman & Li 1996; Branch, Coleman & Li 1999): v_i is
+    the distance from x_i to the bound that -g_i points at (1 if it points at none),
+    D = diag(sqrt(v)), and the bounds being finite, C = diag(|g|) joins the model.
+    The scaled subproblem min ||J D p + f||^2 + p'Cp subject to ||p|| <= delta is
+    solved by one SVD and More's (1977) iteration for the LM parameter.  A step
+    that would leave the box is cut to max(0.995, 1 - ||v g||_inf) of the
+    way to the bound, and replaced by the model's minimiser along -D g (within the
+    radius, cut the same way) if that one predicts more, so every point is strictly
+    inside.  The start is moved 1e-10 (relative) off any bound it sits on, and the
+    first radius is ||x0 / sqrt(v)||.  Radius update and stopping tests are trf's,
+    and ``fun`` is called at most ``max_nfev`` times.  Returns (x, fun(x), status):
+    status 1 is ||v g||_inf < gtol, 3 a step shorter than xtol (xtol + ||x||), and
+    0 the budget spent.
+    """
+    x = np.clip(x, lower + 1e-10 * np.maximum(1.0, np.abs(lower)),
+                upper - 1e-10 * np.maximum(1.0, np.abs(upper)))
+    inside = np.nextafter(lower, upper), np.nextafter(upper, lower)
+    f, J = fun(x), jac(x)
+    nfev, status = 1, None
+    cost, g = 0.5 * float(f @ f), J.T @ f
+
+    def scaling(x, g):
+        return np.where(g < 0, upper - x, np.where(g > 0, x - lower, 1.0))
+
+    def to_bound(p):  # the multiple of p that reaches the first bound
+        with np.errstate(divide="ignore"):
+            return np.min(np.where(p > 0, (upper - x) / p, np.where(p < 0, (lower - x) / p, np.inf)))
+
+    def model(p_h):  # the quadratic model's change along the scaled step p_h
+        return 0.5 * (np.sum((J_h @ p_h) ** 2) + p_h @ (c * p_h)) + g_h @ p_h
+
+    delta = float(np.linalg.norm(x / np.sqrt(scaling(x, g)))) or 1.0
+    alpha = 0.0  # LM parameter, carried between subproblems
+    while True:
+        v = scaling(x, g)
+        g_norm = float(np.max(np.abs(g * v)))
+        if g_norm < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            return x, f, status or 0
+        d, c = np.sqrt(v), np.abs(g)
+        J_h, g_h = J * d, d * g
+        U, s, Vt = np.linalg.svd(np.vstack([J_h, np.diag(np.sqrt(c))]), full_matrices=False)
+        suf = s * (U[: f.size].T @ f)
+        full_rank = s[-1] > np.finfo(float).eps * f.size * s[0]
+        gauss_newton = -Vt.T @ (suf / s**2) if full_rank else None
+        back_off = max(0.995, 1.0 - g_norm)
+        reduction = -1.0
+        while reduction <= 0 and nfev < max_nfev:
+            if gauss_newton is not None and np.linalg.norm(gauss_newton) <= delta:
+                p_h, alpha = gauss_newton, 0.0
+            else:
+                alpha = _lm_parameter(suf, s, delta, alpha, full_rank)
+                p_h = -Vt.T @ (suf / (s**2 + alpha))
+                p_h *= delta / np.linalg.norm(p_h)
+            cut = to_bound(d * p_h)
+            if cut < 1.0:  # back off inside the box, or go along -g_h if the model prefers
+                p_h = back_off * cut * p_h
+                a_h = -g_h
+                a_bound, a_radius = to_bound(d * a_h), delta / np.linalg.norm(a_h)
+                reach = back_off * a_bound if a_bound < a_radius else a_radius
+                curvature = model(a_h) - g_h @ a_h  # model(t a_h) = curvature t^2 - |g_h|^2 t
+                t = min(reach, 0.5 * (g_h @ g_h) / curvature) if curvature > 0 else reach
+                if model(t * a_h) < model(p_h):
+                    p_h = t * a_h
+            p = d * p_h
+            x_new = np.clip(x + p, *inside)
+            f_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(f_new @ f_new)
+            reduction, predicted = cost - cost_new, -model(p_h)
+            ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
+            step_h_norm = float(np.linalg.norm(p_h))
+            new_delta = delta
+            if ratio < 0.25:
+                new_delta = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * delta:
+                new_delta = 2.0 * delta
+            if np.linalg.norm(p) < xtol * (xtol + np.linalg.norm(x)):
+                status = 3
+                break
+            alpha *= delta / new_delta
+            delta = new_delta
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            g = J.T @ f
+
+
+def _lm_parameter(suf, s, delta, alpha, full_rank):
+    """alpha with ||p(alpha)|| ~ delta for p(alpha) = -V (s uf / (s^2 + alpha)), by More's
+    safeguarded Newton iteration on phi(alpha) = ||p(alpha)|| - delta, warm-started."""
+
+    def phi(alpha):
+        denom = s**2 + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    upper = np.linalg.norm(suf) / delta
+    lower = 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    for _ in range(10):
+        if not lower <= alpha <= upper or alpha <= 0:
+            alpha = max(0.001 * upper, np.sqrt(lower * upper))
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        ratio = value / slope
+        lower = max(lower, alpha - ratio)
+        alpha -= (value + delta) * ratio / delta
+        if abs(value) < 0.01 * delta:
+            break
+    return alpha
+
+
 def fit(
     model: Model,
     dataset: Dataset,
@@ -136,20 +271,21 @@ def fit(
     mask: ParameterMask | None = None,
     options: FitOptions | None = None,
 ) -> EstimateResult:
-    """Minimise S(theta) over the free parameters with scipy's ``trf`` solver.
+    """Minimise S(theta) over the free parameters with a bounded trust-region solver.
 
-    One ``least_squares(method="trf")`` call on the free sub-vector: box
-    bounds, residuals f(theta) - y stacked over replicates, and the model's
-    own sensitivity route as the Jacobian.  On the forward-ODE route one
+    One :func:`_solve_trust_region` run on the free sub-vector: box bounds,
+    residuals f(theta) - y stacked over replicates, and the model's own
+    sensitivity route as the Jacobian.  On the forward-ODE route one
     integration of the augmented system gives both: a residual evaluation
     keeps its sensitivities for a Jacobian at the same point.
-    ``gradient_tol``, ``step_tol`` and ``max_iterations`` are its ``gtol``,
-    ``xtol`` and ``max_nfev``; ``ftol`` is off.  ``iterations`` is its
-    ``njev``: one Jacobian per iteration, the start's included.  Status 1 is
-    ``small-gradient`` (trf scales the gradient by the distance to the bound it
-    points at, so optima on a bound end here), status 2-4 ``small-step``, or
-    ``boundary`` with a bound active, and status 0 ``max-iter`` with
-    ``converged=False``.
+    ``max_iterations`` caps the residual evaluations, and ``iterations``
+    counts Jacobians: one per accepted step, the start's included.  The run
+    ends ``small-gradient`` when the gradient, scaled by the distance to the
+    bound it points at, is below ``gradient_tol`` in max-norm (so optima on a
+    bound end here); ``small-step`` on a step shorter than ``step_tol`` (step_tol
+    + ||x||), or ``boundary`` if a free parameter is then within ``step_tol``
+    (relative) of a bound; and ``max-iter`` with ``converged=False`` when the
+    budget is spent.
 
     The solver cannot express ordering constraints: it runs over the box,
     evaluating without the ordering check, and if it ends outside them the
@@ -214,27 +350,29 @@ def fit(
     if free.size == 0:
         residuals(theta[free])
         return result(best_theta, best_objective, True, SMALL_GRADIENT)
+    lower, upper = space.lower[free], space.upper[free]
     try:
-        sol = least_squares(
-            residuals, theta[free], jac=jacobian, method="trf",
-            bounds=(space.lower[free], space.upper[free]),
-            gtol=opts.gradient_tol, xtol=opts.step_tol, ftol=None, max_nfev=opts.max_iterations,
+        x, r, status = _solve_trust_region(
+            residuals, jacobian, theta[free], lower, upper,
+            opts.gradient_tol, opts.step_tol, opts.max_iterations,
         )
     except EvaluationError as exc:
         if best_theta is None:
             raise
         return result(best_theta, best_objective, False, MAX_ITER, failure=str(exc))
-    theta_hat = at(sol.x)
+    theta_hat = at(x)
     if not space.contains(theta_hat):
         if best_theta is None:  # the start, nudged off a bound, already broke an ordering
             residuals(theta[free])
         return result(best_theta, best_objective, False, BOUNDARY)
-    objective = 0.5 * float(sol.fun @ sol.fun)
-    if sol.status == 0:
+    objective = 0.5 * float(r @ r)
+    if status == 0:
         return result(theta_hat, objective, False, MAX_ITER)
-    if sol.status == 1:
+    if status == 1:
         return result(theta_hat, objective, True, SMALL_GRADIENT)
-    return result(theta_hat, objective, True, BOUNDARY if np.any(sol.active_mask) else SMALL_STEP)
+    near = opts.step_tol * np.maximum(1.0, np.abs(np.concatenate([lower, upper])))
+    on_bound = np.any(np.concatenate([x - lower, upper - x]) <= near)
+    return result(theta_hat, objective, True, BOUNDARY if on_bound else SMALL_STEP)
 
 
 def latin_hypercube_starts(

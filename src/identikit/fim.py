@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .models import Design, Model
 from .sensitivity import SensitivityMatrix, sensitivity_matrix
@@ -238,6 +237,8 @@ def chi2_quantile(level: float, df: int) -> float:
     """Chi-square(df) quantile: the expression scipy's ``chi2.ppf`` evaluates."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
+    from scipy.special import gammaincinv  # the only scipy module a profile or ellipsoid loads
+
     return float(2.0 * gammaincinv(df / 2, level))
 
 

@@ -11,13 +11,13 @@ provided for testing and benchmarking.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from .serialize import fmt
 
@@ -132,8 +132,9 @@ class Design:
             raise ValueError("time points must be strictly increasing")
         if not np.isfinite(self.noise_sd) or self.noise_sd < MIN_NOISE_SD:
             raise ValueError(f"noise_sd must be >= {MIN_NOISE_SD:g}")
-        if int(self.replicates) < 1:
-            raise ValueError("replicates must be a positive integer")
+        count = self.replicates
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"replicates must be a positive integer, got {count!r}")
         object.__setattr__(self, "time_points", times)
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
         object.__setattr__(self, "replicates", int(self.replicates))
@@ -174,6 +175,8 @@ class OdeSystem:
     def integrate(self, fun, z0, times: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """States (n, len(z0)) of z' = fun(t, z, theta), z(0) = z0, at the n ``times``; raises
         :class:`EvaluationError` with LSODA's message if it fails (a success may be non-finite)."""
+        from scipy.integrate import ODEintWarning, odeint  # loaded at the first ODE solve
+
         grid = times if times[0] == 0.0 else np.concatenate(([0.0], times))
         with warnings.catch_warnings():
             warnings.simplefilter("error", ODEintWarning)

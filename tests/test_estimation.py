@@ -4,10 +4,10 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
 
 import identikit as ik
 
@@ -190,6 +190,18 @@ class TestFitTermination:
         assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
         assert res.objective <= objective_at(model, data, start)
 
+    def test_optimum_on_a_bound_is_reached_not_stalled_beside_it(self):
+        # the best point has rate2 on its upper bound; a step cut short at that bound
+        # also stops rate1 unless the cut is weighed against a step along the gradient
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
+        data = ik.generate_data(model, design, [6.0, 9.0], seed=11)
+        res = ik.fit(model, data, [6.0, 9.25])
+        pinned = ik.fit(model, data, res.theta, mask=ik.ParameterMask.fixing(2, {1: 10.0}))
+        assert res.converged and res.reason == "small-gradient"
+        assert res.theta[1] == pytest.approx(10.0, abs=1e-9)
+        assert res.objective <= pinned.objective * (1.0 + 1e-9)
+
     def test_evaluation_failure_returns_best_point_so_far(self):
         model, data = ramp_problem()
         res = ik.fit(model, data, [0.5])
@@ -202,6 +214,17 @@ class TestFitTermination:
         model, data = ramp_problem()
         with pytest.raises(ik.EvaluationError):
             ik.fit(model, data, [3.0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 0), ("max_iterations", -5), ("max_iterations", 2.5),
+    ("max_iterations", True), ("gradient_tol", 0.0), ("gradient_tol", -1e-8),
+    ("gradient_tol", float("nan")), ("step_tol", float("inf")), ("step_tol", 0),
+    ("jacobian_method", "newton"),
+])
+def test_fit_options_reject_invalid_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        ik.FitOptions(**{field: value})
 
 
 def decay_problem():
@@ -255,12 +278,23 @@ class TestForwardOdeRoute:
         from identikit import estimation
 
         runs = []
+        solve = estimation._solve_trust_region
 
-        def recorded(*args, **kwargs):
-            runs.append(least_squares(*args, **kwargs))
-            return runs[-1]
+        def recorded(fun, jac, *args):
+            run = SimpleNamespace(nfev=0, njev=0)
+            runs.append(run)
 
-        monkeypatch.setattr(estimation, "least_squares", recorded)
+            def counted_fun(x):
+                run.nfev += 1
+                return fun(x)
+
+            def counted_jac(x):
+                run.njev += 1
+                return jac(x)
+
+            return solve(counted_fun, counted_jac, *args)
+
+        monkeypatch.setattr(estimation, "_solve_trust_region", recorded)
         return runs
 
     @staticmethod

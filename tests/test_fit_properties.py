@@ -1,4 +1,5 @@
-"""Property tests of the nonlinear fit: idempotence, determinism, swap orbit.
+"""Property tests of the nonlinear fit: idempotence, determinism, swap orbit,
+and a best optimum at least as good as scipy's ``trf`` finds from the same starts.
 
 Each property is drawn over data sets, true parameters and start points by
 ``hypothesis``; the draws are derandomised so a failure reproduces exactly.
@@ -7,6 +8,7 @@ Each property is drawn over data sets, true parameters and start points by
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 import identikit as ik
 
@@ -70,3 +72,39 @@ def test_mirrored_start_reaches_mirrored_optimum(rate_a, rate_b, seed, start):
     np.testing.assert_allclose(mirrored.theta, res.theta[::-1], rtol=1e-8, atol=1e-10)
     assert abs(mirrored.objective - res.objective) <= 1e-12 * res.objective
     assert (mirrored.converged, mirrored.reason) == (res.converged, res.reason)
+
+
+REFERENCE_DESIGNS = {
+    "biexponential": DESIGN,
+    "redundant-exponential": ik.Design(np.linspace(0.0, 3.0, 8), 0.1),
+    "reciprocal": ik.Design(np.linspace(1.0, 10.0, 10), 0.1),
+}
+
+
+def _trf_objective(model, data, start, options):
+    """scipy's trf from ``start`` with fit's settings; inf unless it converges."""
+    y = data.observations.ravel()
+    sol = least_squares(
+        lambda x: ik.evaluate(model, data.design, x, check_bounds=False) - y, start,
+        jac=lambda x: ik.sensitivity_matrix(model, data.design, x).values, method="trf",
+        bounds=(model.space.lower, model.space.upper), gtol=options.gradient_tol,
+        xtol=options.step_tol, ftol=None, max_nfev=options.max_iterations,
+    )
+    return 0.5 * float(sol.fun @ sol.fun) if sol.status > 0 else np.inf
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(REFERENCE_DESIGNS)),
+       unit=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
+       data_seed=seeds, start_seed=seeds)
+def test_best_optimum_is_no_worse_than_trf(name, unit, data_seed, start_seed):
+    model = ik.get_model(name)
+    space = model.space
+    theta_true = space.lower + np.array(unit[: space.dimension]) * (space.upper - space.lower)
+    data = ik.generate_data(model, REFERENCE_DESIGNS[name], theta_true, seed=data_seed)
+    options = ik.FitOptions()
+    ours = min((r.objective for r in ik.multi_start_fit(model, data, 8, seed=start_seed)
+                if r.converged), default=np.inf)
+    starts = ik.latin_hypercube_starts(model, 8, start_seed)
+    reference = min(_trf_objective(model, data, s, options) for s in starts)
+    assert ours <= reference * (1.0 + 1e-9)

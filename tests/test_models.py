@@ -116,6 +116,12 @@ class TestDesign:
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             ik.Design(np.array([1.0]), 0.1, replicates=0)
+        # a non-integer or boolean count is rejected, never truncated
+        for bad in (2.9, 2.0, True, False, "2", -1):
+            with pytest.raises(ValueError, match="replicates"):
+                ik.Design(np.array([1.0]), 0.1, replicates=bad)
+        design = ik.Design(np.array([1.0]), 0.1, replicates=np.int64(3))
+        assert design.replicates == 3 and type(design.replicates) is int
 
 
 class TestEvaluate:

@@ -6,8 +6,10 @@ replacements to scipy's results bit for bit, and check in a fresh interpreter
 that importing the package and running its CLI leave scipy.stats unloaded.
 """
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from scipy.stats import chi2, qmc
 import identikit as ik
 from identikit.fim import chi2_quantile
 
+ROOT = Path(__file__).resolve().parents[1]
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 MODELS = ik.builtin_registry() + [ik.get_model("biexponential", ordered=True)]
@@ -59,18 +62,32 @@ def test_chi2_quantile_equals_scipy_bitwise(df, level):
     assert chi2_quantile(level, df).hex() == float(chi2.ppf(level, df)).hex()
 
 
-def test_import_and_cli_leave_scipy_stats_unloaded():
+def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
+    # a recovery-only run loads no scipy module at all: scipy.integrate loads at the
+    # first ODE solve and scipy.special at the first chi-square quantile
+    config = json.loads((ROOT / "configs" / "reciprocal_recovery.json").read_text())
+    config["recover"].update(k_trials=3, n_starts=4)
+    (tmp_path / "run.json").write_text(json.dumps(config))
     probe = (
         "import runpy, sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "def cli(*argv):\n"
+        "    sys.argv = ['identikit', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('identikit.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n"
         "import identikit\n"
         "assert 'scipy.stats' not in sys.modules, 'import identikit'\n"
-        "sys.argv = ['identikit', '--list-models']\n"
-        "try:\n"
-        "    runpy.run_module('identikit.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
+        "assert not scipy_loaded(), ('import identikit', scipy_loaded()[:3])\n"
+        "cli('--list-models')\n"
         "assert 'scipy.stats' not in sys.modules, '--list-models'\n"
+        "assert not scipy_loaded(), ('--list-models', scipy_loaded()[:3])\n"
+        f"cli('recover', '--config', {str(tmp_path / 'run.json')!r}, '--out', {str(tmp_path / 'out')!r})\n"
+        "assert not scipy_loaded(), ('recover', scipy_loaded()[:3])\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "redundant-exponential" in proc.stdout
+    assert (tmp_path / "out" / "recovery.csv").is_file()
