@@ -346,6 +346,9 @@ def build_config(raw: dict) -> RunConfig:
             top[name] = section_type(**fields)
 
     # Fields that depend on one another; each section here is a JSON object.
+    if model is not None and model.ode is not None and design is not None and design.time_points[0] < 0:
+        # an ODE model's state is given at t = 0
+        diags.append(Diagnostic("design.times", "must be >= 0 for an ODE model"))
     data = top.get("data")
     if data is not None and ("theta_true" in raw["data"]) == ("path" in raw["data"]):
         diags.append(Diagnostic("data", "give exactly one of theta_true or path"))

@@ -70,14 +70,16 @@ class FimReport:
         """Design score of this matrix; see :func:`design_score`."""
         if criterion not in DESIGN_CRITERIA:
             raise ValueError(f"criterion must be one of {DESIGN_CRITERIA}")
+        if self.classification != IDENTIFIABLE:
+            # a singular matrix has determinant and smallest eigenvalue 0; the computed
+            # null eigenvalue is round-off whose sign and size move with theta
+            return 0.0 if criterion in ("D", "E") else float("inf")
         if criterion == "D":
             # eigenvalue product == determinant for the symmetrized matrix, and
             # it scales exactly under replicate doubling
             return float(np.prod(self.eigenvalues))
         if criterion == "E":
             return float(self.eigenvalues[-1])
-        if self.classification != IDENTIFIABLE:
-            return float("inf")
         return float(np.sum(1.0 / self.eigenvalues))
 
 
@@ -266,7 +268,8 @@ def design_score(
 ) -> float:
     """Scalar design quality at theta.
 
-    D: det(I), larger is better.  A: trace(I^-1), lower is better (infinite on
-    a rank-deficient matrix).  E: smallest eigenvalue, larger is better.
+    D: det(I), larger is better.  A: trace(I^-1), lower is better.  E: smallest
+    eigenvalue, larger is better.  On a rank-deficient matrix D and E are
+    exactly 0.0 and A is infinite.
     """
     return fim_report(model, design, theta, sigma=sigma, method=method).score(criterion)

@@ -10,9 +10,11 @@ provided for testing and benchmarking.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
 import numbers
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -152,6 +154,46 @@ class Design:
 # ---------------------------------------------------------------------------
 
 
+# LSODA's messages for a negative ``istate``, worded as scipy's ``odeint`` words them.
+_LSODA_MESSAGES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
+
+
+@functools.cache
+def _odepack():
+    """scipy's compiled ODEPACK binding, ``scipy/integrate/_odepack*.so``, loaded from its file.
+
+    Importing it as ``scipy.integrate._odepack`` would run ``scipy.integrate``'s
+    ``__init__``, which also imports scipy.optimize, scipy.sparse and scipy.special
+    and takes longer than a small ODE analysis.  The module is not entered in
+    ``sys.modules``.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("ODE models need scipy, which is not installed")
+    directory = Path(scipy.submodule_search_locations[0], "integrate")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for path in (directory / f"_odepack{suffix}" for suffix in suffixes):
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.integrate._odepack", path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError as exc:
+                raise ImportError(f"cannot load scipy's LSODA extension {path}: {exc}") from exc
+            return module
+    raise ImportError(f"scipy's LSODA extension not found: tried {directory}/_odepack with "
+                      f"the suffixes {', '.join(suffixes)}")
+
+
 @dataclass(frozen=True)
 class OdeSystem:
     """Scalar-observation ODE x' = g(t, x, theta) with its sensitivity system.
@@ -159,10 +201,14 @@ class OdeSystem:
     ``augmented(t, z, theta)`` returns [g; vec((dg/dx) s + dg/dtheta)], length
     d + d p, for z = [x; vec(s)]: the d states, then the (d, p) sensitivities
     s = dx/dtheta row by row; ``initial_jac`` is s at t = 0.  The observed
-    output is the first state component.  LSODA integrates both (``odeint``,
-    at most 500 steps per output interval).  ``rtol``/``atol`` are deliberately
-    tighter than any downstream finite-difference step so that integration
-    error never masquerades as sensitivity.
+    output is the first state component, and the state is given at t = 0, so
+    the output times must not be negative.  LSODA integrates both, called
+    through scipy's compiled ODEPACK binding with the arguments that
+    ``scipy.integrate.odeint`` passes (at most 500 steps per output
+    interval); ``scipy.integrate`` itself is never imported.
+    ``rtol``/``atol`` are deliberately tighter than any downstream
+    finite-difference step so that integration error never masquerades as
+    sensitivity.
     """
 
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -173,17 +219,25 @@ class OdeSystem:
     atol: float = 1e-13
 
     def integrate(self, fun, z0, times: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """States (n, len(z0)) of z' = fun(t, z, theta), z(0) = z0, at the n ``times``; raises
-        :class:`EvaluationError` with LSODA's message if it fails (a success may be non-finite)."""
-        from scipy.integrate import ODEintWarning, odeint  # loaded at the first ODE solve
+        """States (n, len(z0)) of z' = fun(t, z, theta), z(0) = z0, at the n ``times``.
 
+        Raises :class:`ValueError` unless the times are >= 0 and strictly
+        increasing, and :class:`EvaluationError` with LSODA's message if it
+        fails (a success may be non-finite).
+        """
+        if not (times[0] >= 0.0 and np.all(times[1:] > times[:-1])):
+            raise ValueError(f"ODE output times must be >= 0 and strictly increasing, got {times.tolist()}")
         grid = times if times[0] == 0.0 else np.concatenate(([0.0], times))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ODEintWarning)
-            try:
-                z = odeint(fun, z0, grid, args=(theta,), tfirst=True, rtol=self.rtol, atol=self.atol)
-            except ODEintWarning as exc:
-                raise EvaluationError(f"LSODA failed: {exc}") from None
+        # odeint's positional arguments: func, y0, t, args, Dfun, col_deriv, ml, mu,
+        # full_output, rtol, atol, tcrit, h0, hmax, hmin, ixpr, mxstep (0: 500), mxhnil,
+        # mxordn, mxords, tfirst.  LSODA overwrites y0 with the final state, hence the copy.
+        z, istate = _odepack().odeint(
+            fun, np.array(z0, dtype=float), grid, (theta,), None, 0, -1, -1, 0, self.rtol, self.atol,
+            None, 0.0, 0.0, 0.0, 0, 0, 0, 12, 5, 1,
+        )
+        if istate < 0:
+            raise EvaluationError(f"LSODA failed: {_LSODA_MESSAGES[istate]} Run with full_output = 1 "
+                                  f"to get quantitative information.")
         return z[-times.size :]
 
     def outputs(self, times: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -499,7 +553,8 @@ def logistic_model(
     atol: float = 1e-13,
 ) -> Model:
     """Logistic growth x' = r x (1 - x/K), x(0) = x0, solved numerically by
-    LSODA (``odeint``, at most 500 steps per output interval).
+    LSODA through :class:`OdeSystem` (scipy's compiled binding, at most 500
+    steps per output interval), so design times must be >= 0.
 
     Parameters are (r, K, x0); the observed output is the state itself.
     Integration tolerances must stay several orders below the central

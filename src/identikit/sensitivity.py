@@ -79,9 +79,11 @@ def fd_jacobian(model: Model, design: Design, theta, step_rule=None) -> Sensitiv
 
 def forward_ode_solve(model: Model, design: Design, theta) -> tuple[np.ndarray, np.ndarray]:
     """Outputs (n,) and sensitivities (n, p) from one integration of ``ode.augmented``
-    by LSODA (``odeint``, at most 500 steps per output interval).
+    by LSODA, through :meth:`OdeSystem.integrate` (scipy's compiled binding, at most
+    500 steps per output interval).
 
-    Raises :class:`EvaluationError` if it fails or any value is non-finite.
+    Raises :class:`EvaluationError` if it fails or any value is non-finite, and
+    :class:`ValueError` if a design time is negative.
     """
     if model.ode is None:
         raise ValueError(f"model {model.name} has no ODE sensitivity system")

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import identikit as ik
 from identikit.cli import main
 from identikit.config import ConfigError, build_config, validate_config
 from identikit.serialize import write_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -111,6 +114,17 @@ class TestValidation:
             "data": {"theta_true": [0.5]},
         })
         assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_negative_time_for_ode_model_exits_2_without_output(self, tmp_path, capsys):
+        doc = json.loads((ROOT / "bench" / "configs" / "logistic_ode.json").read_text())
+        doc["design"]["times"] = [-1, 0.5, 1, 2]
+        assert [str(d) for d in validate_config(doc)] == ["design.times: must be >= 0 for an ODE model"]
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "design.times: must be >= 0 for an ODE model" in capsys.readouterr().err
+        assert not out.exists()
+        # a closed-form model is defined at negative times
+        assert validate_config(with_field(FULL_CONFIG, ("design", "times"), [-1.0, 0.5, 1.0])) == []
 
     @pytest.mark.parametrize("path, value, field", [
         (("profile", "span_sd"), 0, "profile.span_sd"),

@@ -265,6 +265,17 @@ class TestDesignScore:
         design = DESIGNS[model.name]
         assert ik.design_score(model, design, [1.0, -0.5, 0.5], "A") == np.inf
 
+    def test_d_and_e_scores_are_zero_when_rank_deficient(self):
+        # two points on the flat manifold (a, b, c) -> (a e^s, b, c - s), 1e-5 apart: the
+        # round-off null eigenvalue differs between them, the scores must not
+        model = ik.get_model("redundant-exponential")
+        design = DESIGNS[model.name]
+        for s in (0.0, 1e-5):
+            theta = [np.exp(s), -0.5, 0.5 - s]
+            assert ik.fim_report(model, design, theta).classification == "rank-deficient"
+            assert ik.design_score(model, design, theta, "D") == 0.0
+            assert ik.design_score(model, design, theta, "E") == 0.0
+
     def test_e_score_is_min_eigenvalue(self):
         model = ik.get_model("biexponential")
         design = DESIGNS[model.name]

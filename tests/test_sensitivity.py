@@ -1,5 +1,6 @@
 """Finite-difference, forward-ODE, and analytic sensitivity routes."""
 
+import importlib.machinery
 import json
 import warnings
 from dataclasses import replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import odeint
 
 import identikit as ik
 
@@ -182,6 +184,19 @@ def logistic_points():
     return st.tuples(*(st.floats(lo, hi) for lo, hi in zip(space.lower, space.upper))).map(np.array)
 
 
+def stiff_tracking_system():
+    """x' = theta (cos t - x): tracking cos t at theta = 1e8 to t = 1000 takes LSODA
+    more than its 500 steps."""
+    return ik.OdeSystem(
+        rhs=lambda t, x, theta: theta[0] * (np.cos(t) - x),
+        augmented=lambda t, z, theta: np.array([
+            theta[0] * (np.cos(t) - z[0]), -theta[0] * z[1] + (np.cos(t) - z[0])
+        ]),
+        initial=lambda theta: np.array([0.0]),
+        initial_jac=lambda theta: np.array([[0.0]]),
+    )
+
+
 class TestLsoda:
     """Both ODE routes integrate with LSODA; accuracy and failures are checked here."""
 
@@ -204,16 +219,44 @@ class TestLsoda:
         _, sens = ik.forward_ode_solve(self.model, self.design, theta)
         assert ik.relative_difference(sens, exact) <= 1e-9
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(logistic_points())
+    def test_integrate_equals_public_odeint_bitwise(self, theta):
+        ode, grid = self.model.ode, np.concatenate(([0.0], LOGISTIC_TIMES))
+        x0 = ode.initial(theta)
+        z0 = np.concatenate([x0, ode.initial_jac(theta).ravel()])
+        for fun, start in ((ode.rhs, x0), (ode.augmented, z0)):
+            ours = ode.integrate(fun, start, LOGISTIC_TIMES, theta)
+            public = odeint(fun, start, grid, args=(theta,), tfirst=True, rtol=ode.rtol, atol=ode.atol)
+            assert ours.tobytes() == public[1:].tobytes()
+
+    def test_excess_work_message_equals_public_odeint(self):
+        ode, theta = stiff_tracking_system(), np.array([1e8])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            odeint(ode.rhs, [0.0], [0.0, 1000.0], args=(theta,), tfirst=True, rtol=ode.rtol, atol=ode.atol)
+        [public] = caught
+        with pytest.raises(ik.EvaluationError) as ours:
+            ode.integrate(ode.rhs, np.array([0.0]), np.array([1000.0]), theta)
+        assert str(ours.value) == f"LSODA failed: {public.message}"
+
+    @pytest.mark.parametrize("times", [[-1.0, 0.5, 1.0], [-1e-9], [0.5, 0.5], [1.0, 0.5]])
+    def test_integrate_rejects_negative_or_unsorted_times(self, times):
+        ode, theta = self.model.ode, np.array([1.0, 2.0, 0.1])
+        with pytest.raises(ValueError, match="must be >= 0 and strictly increasing"):
+            ode.integrate(ode.rhs, ode.initial(theta), np.array(times), theta)
+
+    def test_missing_lsoda_extension_is_an_import_error_naming_the_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        ik.models._odepack.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=r"integrate[/\\]_odepack with the suffixes \.missing"):
+                ik.models._odepack()
+        finally:
+            ik.models._odepack.cache_clear()
+
     def test_excess_work_is_an_evaluation_error_without_warnings(self):
-        # tracking cos t on x' = 1e8 (cos t - x) to t = 1000 takes LSODA more than its 500 steps
-        ode = ik.OdeSystem(
-            rhs=lambda t, x, theta: theta[0] * (np.cos(t) - x),
-            augmented=lambda t, z, theta: np.array([
-                theta[0] * (np.cos(t) - z[0]), -theta[0] * z[1] + (np.cos(t) - z[0])
-            ]),
-            initial=lambda theta: np.array([0.0]),
-            initial_jac=lambda theta: np.array([[0.0]]),
-        )
+        ode = stiff_tracking_system()
         space = ik.ParameterSpace(np.array([1e7]), np.array([1e9]))
         model = ik.Model(name="stiff", space=space, f=ode.outputs, ode=ode)
         design = ik.Design(np.array([1000.0]), 0.1)

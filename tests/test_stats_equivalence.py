@@ -3,7 +3,8 @@
 The package computes both without importing scipy.stats, which costs more to
 import than a small analysis takes to run.  These tests hold the two
 replacements to scipy's results bit for bit, and check in a fresh interpreter
-that importing the package and running its CLI leave scipy.stats unloaded.
+that importing the package and running its CLI leave scipy.stats unloaded, and
+that an ODE run leaves scipy.integrate unloaded too.
 """
 
 import json
@@ -63,11 +64,16 @@ def test_chi2_quantile_equals_scipy_bitwise(df, level):
 
 
 def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
-    # a recovery-only run loads no scipy module at all: scipy.integrate loads at the
-    # first ODE solve and scipy.special at the first chi-square quantile
+    # a recovery-only run loads no scipy module at all: scipy.special loads at the first
+    # chi-square quantile, and an ODE run loads LSODA's compiled binding from its file,
+    # without scipy.integrate and the scipy.optimize and scipy.sparse it imports
     config = json.loads((ROOT / "configs" / "reciprocal_recovery.json").read_text())
     config["recover"].update(k_trials=3, n_starts=4)
     (tmp_path / "run.json").write_text(json.dumps(config))
+    ode_config = json.loads((ROOT / "bench" / "configs" / "logistic_ode.json").read_text())
+    ode_config["fit"]["starts"] = 2
+    ode_config["profile"].update(parameters=[0], points=3)
+    (tmp_path / "ode.json").write_text(json.dumps(ode_config))
     probe = (
         "import runpy, sys\n"
         "def scipy_loaded():\n"
@@ -86,8 +92,14 @@ def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
         "assert not scipy_loaded(), ('--list-models', scipy_loaded()[:3])\n"
         f"cli('recover', '--config', {str(tmp_path / 'run.json')!r}, '--out', {str(tmp_path / 'out')!r})\n"
         "assert not scipy_loaded(), ('recover', scipy_loaded()[:3])\n"
+        f"cli('all', '--config', {str(tmp_path / 'ode.json')!r}, '--out', {str(tmp_path / 'ode')!r})\n"
+        "heavy = [m for m in scipy_loaded() if m.startswith(('scipy.integrate', 'scipy.optimize',\n"
+        "                                                    'scipy.sparse', 'scipy.stats'))]\n"
+        "assert not heavy, ('all on an ODE model', heavy[:3])\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert "redundant-exponential" in proc.stdout
     assert (tmp_path / "out" / "recovery.csv").is_file()
+    assert json.loads((tmp_path / "ode" / "summary.json").read_text())["results"]["fim"]["rank"] == 3
