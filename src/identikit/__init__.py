@@ -23,15 +23,12 @@ from .estimation import (
 from .fim import (
     Ellipsoid,
     FimReport,
-    LocalClassification,
     RankDeficientFimWarning,
     SloppinessStats,
     assemble_fim,
-    classify_local_identifiability,
     combination_variance,
     confidence_ellipsoid,
     design_score,
-    detect_sloppiness,
     fim_report,
 )
 from .models import (

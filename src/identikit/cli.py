@@ -41,7 +41,7 @@ def list_models() -> str:
 
 
 def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict:
-    """Execute the selected analyses and write their report files."""
+    """Execute the selected analyses (each a section present in ``config``) and write their report files."""
     model = config.model
     design = config.design
     names = model.space.parameter_names()
@@ -51,17 +51,23 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
     if config.data is not None:
         if config.data.path is not None:
             dataset = load_dataset(config.data.path)
+            found = dataset.design  # every analysis must see one design
+            for field, theirs, ours in (
+                ("times", found.time_points.tolist(), design.time_points.tolist()),
+                ("noise_sd", found.noise_sd, design.noise_sd),
+                ("replicates", found.replicates, design.replicates),
+            ):
+                if theirs != ours:
+                    raise ValueError(f"data.path {config.data.path}: {field} is {theirs}, but design.{field} is {ours}")
         else:
             data_seed = config.seed if config.data.seed is None else config.data.seed
             dataset = generate_data(model, design, config.data.theta_true, data_seed)
         save_dataset(dataset, out_dir / "dataset.csv")
 
-    needs_fit = ("profile" in selection and config.profile is not None) or (
-        "fim" in selection and config.fim is not None and config.fim.theta is None
-    ) or (
-        "design_score" in selection
-        and config.design_score is not None
-        and config.design_score.theta is None
+    needs_fit = (
+        "profile" in selection
+        or ("fim" in selection and config.fim.theta is None)
+        or ("design_score" in selection and config.design_score.theta is None)
     )
     best = None
     if needs_fit:
@@ -81,7 +87,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
             reports[key] = fim_report(model, design, theta, rank_tolerance=rank_tolerance)
         return reports[key]
 
-    if "fim" in selection and config.fim is not None:
+    if "fim" in selection:
         theta = config.fim.theta if config.fim.theta is not None else best.theta
         report = report_at(theta, config.fim.rank_tolerance)
         block = {"theta": np.asarray(theta, dtype=float), **to_jsonable(report)}
@@ -90,7 +96,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
             block["ellipsoid"] = confidence_ellipsoid(report, theta, config.fim.level)
         results["fim"] = block
 
-    if "design_score" in selection and config.design_score is not None:
+    if "design_score" in selection:
         theta = config.design_score.theta if config.design_score.theta is not None else best.theta
         score = report_at(theta).score(config.design_score.criterion)
         results["design_score"] = {
@@ -99,7 +105,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
             "score": score,
         }
 
-    if "profile" in selection and config.profile is not None:
+    if "profile" in selection:
         psec = config.profile
         indices = psec.parameters if psec.parameters is not None else list(range(model.space.dimension))
         block = {}
@@ -109,7 +115,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
                 grid=psec.grid, points=psec.points, span_sd=psec.span_sd,
                 level=psec.level, flatness_tol=psec.flatness_tol,
                 multistart=psec.multistart, seed=config.seed,
-                report=report_at(best.theta) if psec.grid is None and dataset.design is design else None,
+                report=report_at(best.theta) if psec.grid is None else None,
             )
             write_csv(
                 out_dir / f"profile_{curve.index}.csv",
@@ -119,7 +125,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
             block[str(curve.index)] = curve.to_dict(names[curve.index])
         results["profile"] = block
 
-    if "sobol" in selection and config.sobol is not None:
+    if "sobol" in selection:
         ssec = config.sobol
         prior = ssec.prior or Prior.uniform_box(model.space)
         report = sobol_indices(
@@ -137,7 +143,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         )
         results["sobol"] = {"parameters": list(names), **report.to_dict()}
 
-    if "recover" in selection and config.recover is not None:
+    if "recover" in selection:
         rsec = config.recover
         report = global_recovery(
             model, design, rsec.k_trials, prior=rsec.prior, seed=config.seed,

@@ -1,10 +1,11 @@
 """Least-squares parameter estimation.
 
-Linear models get the closed-form orthogonal-decomposition solution; nonlinear
-models get a bounded trust-region Levenberg-Marquardt solver with Coleman-Li
-scaling (the affine scaling of scipy's ``trf``; Coleman & Li 1996, Branch,
-Coleman & Li 1999), written in numpy for the few free parameters of a mask,
-with Latin-hypercube multi-start.  Every fit ends with one of four reasons (see
+:func:`fit` runs every model, linear ones included, through a bounded
+trust-region Levenberg-Marquardt solver with Coleman-Li scaling (the affine
+scaling of scipy's ``trf``; Coleman & Li 1996, Branch, Coleman & Li 1999),
+written in numpy for the few free parameters of a mask, with Latin-hypercube
+multi-start.  :func:`linear_least_squares` is the separate closed-form SVD
+solution for a plain design matrix.  Every fit ends with one of four reasons (see
 :func:`fit`).  The objective throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
 """
 
@@ -375,15 +376,14 @@ def fit(
     return result(theta_hat, objective, True, BOUNDARY if on_bound else SMALL_STEP)
 
 
-def latin_hypercube_starts(
-    model: Model, k_starts: int, seed: int, max_tries: int = 10_000
-) -> np.ndarray:
+def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray:
     """Latin-hypercube start points over the admissible box.
 
     The hypercube comes from a child generator spawned from
     ``default_rng(seed)``; rows violating ordering constraints are replaced
-    by uniform redraws from the parent, so every start is feasible.  The
-    starts depend on numpy alone, not on scipy's ``QMCEngine`` seeding.
+    by uniform redraws from the parent (:meth:`ParameterSpace.draw_feasible`),
+    so every start is feasible.  The starts depend on numpy alone, not on
+    scipy's ``QMCEngine`` seeding.
     """
     space = model.space
     rng = np.random.default_rng(seed)
@@ -393,12 +393,8 @@ def latin_hypercube_starts(
     unit = (strata + 1 - jitter) / k_starts
     starts = space.lower + unit * (space.upper - space.lower)
     for k in range(k_starts):
-        tries = 0
-        while not space.contains(starts[k]):
-            starts[k] = rng.uniform(space.lower, space.upper)
-            tries += 1
-            if tries > max_tries:
-                raise RuntimeError("could not draw a feasible start point")
+        if not space.contains(starts[k]):
+            starts[k] = space.draw_feasible(lambda: rng.uniform(space.lower, space.upper))
     return starts
 
 
@@ -408,7 +404,6 @@ def multi_start_fit(
     k_starts: int,
     seed: int,
     mask: ParameterMask | None = None,
-    options: FitOptions | None = None,
 ) -> list[EstimateResult]:
     """Independent fits from dispersed starts, sorted by objective.
 
@@ -422,7 +417,7 @@ def multi_start_fit(
 
     def run(start):
         try:
-            return fit(model, dataset, start, mask=mask, options=options)
+            return fit(model, dataset, start, mask=mask)
         except EvaluationError as exc:
             return EstimateResult(
                 theta=np.asarray(start, dtype=float), objective=float("inf"),

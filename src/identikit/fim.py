@@ -1,5 +1,9 @@
-"""Fisher information analysis: assembly, eigen-structure, identifiability
-classification, sloppiness detection, variance queries, and design scoring.
+"""Fisher information analysis: the matrix, its eigen-structure and what they
+answer, variance queries and design scores.
+
+One :class:`FimReport` holds every local verdict: ``rank`` and
+``classification``, the null directions ``eigenvectors[:, rank:]``, and
+``sloppiness`` (``None`` for a singular matrix).
 
 The information matrix is sigma^-2 V^T V for a sensitivity matrix V; replicated
 observations enter as an exact integer multiplier so that doubling replicates
@@ -112,6 +116,8 @@ def assemble_fim(
 ) -> FimReport:
     """I = replicates * sigma^-2 V^T V, with eigen-decomposition and rank.
 
+    The rank counts eigenvalues at least ``rank_tolerance`` times the largest
+    (0 if none is positive); the matrix is rank-deficient below full rank.
     Accepts either a :class:`SensitivityMatrix` or a plain array with one row
     per unique design time.
     """
@@ -126,7 +132,7 @@ def assemble_fim(
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vecs = vecs[:, order]
-    rank = _numerical_rank(lam, rank_tolerance)
+    rank = int(np.sum(lam >= rank_tolerance * lam[0])) if lam[0] > 0 else 0
     classification = IDENTIFIABLE if rank == lam.size else RANK_DEFICIENT
     sloppiness = _log_linear_fit(lam) if np.all(lam > 0) else None
     return FimReport(
@@ -158,45 +164,6 @@ def fim_report(
     V = sensitivity_matrix(model, design, theta, method=method)
     return assemble_fim(V, design.noise_sd if sigma is None else sigma,
                         replicates=design.replicates, rank_tolerance=rank_tolerance)
-
-
-def _numerical_rank(eigenvalues: np.ndarray, tolerance: float) -> int:
-    lam_max = eigenvalues[0]
-    if lam_max <= 0:
-        return 0
-    return int(np.sum(eigenvalues >= tolerance * lam_max))
-
-
-@dataclass(frozen=True)
-class LocalClassification:
-    classification: str
-    rank: int
-    null_directions: np.ndarray  # (p, p - rank), empty when identifiable
-
-
-def classify_local_identifiability(
-    report: FimReport, tolerance: float = DEFAULT_RANK_TOL
-) -> LocalClassification:
-    """Rank-deficient iff lambda_min / lambda_max < tolerance (or lambda_max = 0).
-
-    Near-null eigenvector directions are returned for the rank-deficient case;
-    they are the parameter combinations the data carry no information about.
-    """
-    rank = _numerical_rank(report.eigenvalues, tolerance)
-    p = report.dimension
-    if rank == p:
-        return LocalClassification(IDENTIFIABLE, rank, np.empty((p, 0)))
-    return LocalClassification(RANK_DEFICIENT, rank, report.eigenvectors[:, rank:].copy())
-
-
-def detect_sloppiness(report: FimReport) -> SloppinessStats:
-    """Log-linear eigenvalue-spacing statistics; undefined for singular spectra."""
-    if report.sloppiness is None:
-        raise ValueError(
-            "sloppiness is undefined with non-positive eigenvalues; "
-            "the matrix is rank-deficient"
-        )
-    return report.sloppiness
 
 
 def combination_variance(report: FimReport, a) -> float:

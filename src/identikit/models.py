@@ -27,6 +27,9 @@ from .serialize import fmt
 # are rejected so downstream log-likelihood scales stay representable.
 MIN_NOISE_SD = 1e-12
 
+# Draws that ParameterSpace.draw_feasible tries before it gives up.
+MAX_DRAWS = 10_000
+
 
 class OutOfBoundsError(ValueError):
     """Parameter vector lies outside the admissible set."""
@@ -104,18 +107,26 @@ class ParameterSpace:
             )
         return theta
 
-    def sample(self, rng: np.random.Generator, size: int, max_tries: int = 10_000) -> np.ndarray:
-        """Uniform draws from the box, rejecting ordering violations."""
-        out = np.empty((size, self.dimension))
-        for k in range(size):
-            for _ in range(max_tries):
-                cand = rng.uniform(self.lower, self.upper)
-                if self.contains(cand):
-                    out[k] = cand
-                    break
-            else:
-                raise RuntimeError("could not sample a feasible point; orderings too tight?")
-        return out
+    def draw_feasible(self, draw: Callable[[], np.ndarray]) -> np.ndarray:
+        """The first of at most ``MAX_DRAWS`` calls of ``draw()`` that lies in the space.
+
+        Raises RuntimeError naming the constraints that no draw met (all of
+        them, if each was met by some draw but never together).
+        """
+        rejected = []
+        for _ in range(MAX_DRAWS):
+            theta = draw()
+            if self.contains(theta):
+                return theta
+            rejected.append(theta)
+        rejected = np.array(rejected)
+        names = self.parameter_names()
+        constraints = ["the bounds"] + [f"{names[i]} > {names[j]}" for i, j in self.orderings]
+        met = [np.all((rejected >= self.lower) & (rejected <= self.upper), axis=1).any()]
+        met += [np.any(rejected[:, i] > rejected[:, j]) for i, j in self.orderings]
+        unmet = [c for c, m in zip(constraints, met) if not m]
+        what = " and ".join(unmet) if unmet else " and ".join(constraints) + " together"
+        raise RuntimeError(f"no feasible point in {MAX_DRAWS} draws: {what} never held")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .estimation import (
     EstimateResult,
-    FitOptions,
     ParameterMask,
     fit,
     log_likelihood,
@@ -114,7 +113,6 @@ def profile_parameter(
     flatness_tol: float = FLATNESS_TOL,
     multistart: int = 0,
     seed: int = 0,
-    options: FitOptions | None = None,
     report: FimReport | None = None,
 ) -> ProfileCurve:
     """Profile log-likelihood of parameter ``index``.
@@ -163,13 +161,12 @@ def profile_parameter(
         best = None
         try:
             if space.contains(mask.pin(start)):
-                best = fit(model, dataset, start, mask=mask, options=options)
+                best = fit(model, dataset, start, mask=mask)
         except EvaluationError:
             best = None
         if multistart > 0:
             point_seed = int(np.random.SeedSequence([seed, index, k]).generate_state(1)[0])
-            for res in multi_start_fit(model, dataset, multistart, point_seed,
-                                       mask=mask, options=options):
+            for res in multi_start_fit(model, dataset, multistart, point_seed, mask=mask):
                 if res.converged and (best is None or res.objective < best.objective):
                     best = res
         if best is None:
@@ -213,7 +210,7 @@ def profile_parameter(
     return replace(
         curve,
         interval=likelihood_interval(curve, level),
-        classification=classify_profile(curve, level, flatness_tol),
+        classification=classify_profile(curve, level),
     )
 
 
@@ -249,18 +246,17 @@ def _crossing(x_in, v_in, x_out, v_out, target) -> float:
     return float(x_in + w * (x_out - x_in))
 
 
-def classify_profile(curve: ProfileCurve, level: float, flatness_tol: float | None = None) -> str:
+def classify_profile(curve: ProfileCurve, level: float) -> str:
     """Curve-shape classification.
 
-    Completely flat (total variation below the flatness threshold) means a
+    Completely flat (total variation below ``curve.flatness_tol``) means a
     structurally unidentifiable direction; a likelihood-ratio interval that
     runs into the admissible boundary on either side means the parameter is
     practically unidentifiable at this design; otherwise a finite interval
     exists and the parameter is identifiable.
     """
-    tol = curve.flatness_tol if flatness_tol is None else flatness_tol
     interval = likelihood_interval(curve, level)
-    if curve.total_variation < tol:
+    if curve.total_variation < curve.flatness_tol:
         return CLASS_FLAT
     if interval.lower_open or interval.upper_open:
         return CLASS_PRACTICAL

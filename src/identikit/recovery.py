@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitOptions, ParameterMask, multi_start_fit
+from .estimation import multi_start_fit
 from .models import Design, Model, generate_data
 from .sobol import Prior
 
@@ -73,12 +73,12 @@ class RecoveryReport:
         )
 
 
-def _errors_and_success(theta_true, theta_hat, free, tolerance):
+def _errors_and_success(theta_true, theta_hat, tolerance):
     diff = np.abs(theta_hat - theta_true)
     small = np.abs(theta_true) < ABS_FALLBACK_SCALE
     errors = np.where(small, diff, diff / np.maximum(np.abs(theta_true), ABS_FALLBACK_SCALE))
     ok = np.where(small, diff <= ABS_FALLBACK_TOL, errors <= tolerance)
-    return errors, bool(np.all(ok[free]))
+    return errors, bool(np.all(ok))
 
 
 def _starts_seed(seed: int) -> int:
@@ -93,8 +93,6 @@ def recover_once(
     seed: int,
     n_starts: int = DEFAULT_STARTS,
     tolerance: float = DEFAULT_TOLERANCE,
-    mask: ParameterMask | None = None,
-    options: FitOptions | None = None,
 ) -> RecoveryTrial:
     """Generate data at theta_star, re-infer it, and score the recovery.
 
@@ -104,13 +102,12 @@ def recover_once(
     """
     theta_star = model.space.require(theta_star)
     dataset = generate_data(model, design, theta_star, seed)
-    results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed), mask=mask, options=options)
+    results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed))
     converged = [r for r in results if r.converged]
     best = converged[0] if converged else results[0]
-    free = mask.free_indices if mask is not None else np.arange(theta_star.size)
-    errors, success = _errors_and_success(theta_star, best.theta, free, tolerance)
+    errors, success = _errors_and_success(theta_star, best.theta, tolerance)
     aligned = model.align_to_orbit(theta_star, best.theta)
-    _, success_sym = _errors_and_success(aligned, best.theta, free, tolerance)
+    _, success_sym = _errors_and_success(aligned, best.theta, tolerance)
     return RecoveryTrial(
         seed=int(seed),
         theta_true=theta_star,
@@ -131,25 +128,21 @@ def global_recovery(
     seed: int = 0,
     n_starts: int = DEFAULT_STARTS,
     tolerance: float = DEFAULT_TOLERANCE,
-    mask: ParameterMask | None = None,
-    options: FitOptions | None = None,
 ) -> RecoveryReport:
     """Many recovery trials at true parameters sampled widely over the space.
 
     Noise is regenerated per trial from partitioned seeds, so each trial
     emulates an independent experiment and the whole report is reproducible
-    bit for bit from (model, design, k_trials, prior, seed).
+    bit for bit from (model, design, k_trials, prior, seed).  Each true
+    parameter is the first prior draw inside the space; a prior that puts
+    none of ``MAX_DRAWS`` draws there raises RuntimeError
+    (:meth:`ParameterSpace.draw_feasible`).
     """
     if k_trials < 1:
         raise ValueError("k_trials must be >= 1")
     prior = prior or Prior.uniform_box(model.space)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    truths = np.empty((k_trials, model.space.dimension))
-    for k in range(k_trials):
-        cand = prior.sample(1, rng)[0]
-        while not model.space.contains(cand):  # reject ordering violations
-            cand = prior.sample(1, rng)[0]
-        truths[k] = cand
+    truths = [model.space.draw_feasible(lambda: prior.sample(1, rng)[0]) for _ in range(k_trials)]
     trial_seeds = [
         int(np.random.SeedSequence([seed, 2, k]).generate_state(1)[0])
         for k in range(k_trials)
@@ -157,7 +150,7 @@ def global_recovery(
     trials = [
         recover_once(
             model, design, truths[k], trial_seeds[k],
-            n_starts=n_starts, tolerance=tolerance, mask=mask, options=options,
+            n_starts=n_starts, tolerance=tolerance,
         )
         for k in range(k_trials)
     ]

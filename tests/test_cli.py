@@ -226,6 +226,60 @@ class TestRun:
         })
         assert main(["fim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("times", [0.25, 0.5, 1.0]),
+        ("noise_sd", 0.1),
+        ("replicates", 2),
+    ])
+    def test_data_file_with_another_design_is_analysis_failure(self, tmp_path, capsys, field, value):
+        design = ik.Design(np.array([0.25, 0.5, 1.0, 2.0]), 0.05)
+        file_design = ik.Design(
+            np.array(value if field == "times" else design.time_points),
+            value if field == "noise_sd" else design.noise_sd,
+            value if field == "replicates" else design.replicates,
+        )
+        model = ik.get_model("biexponential")
+        ik.save_dataset(ik.generate_data(model, file_design, [2.0, 1.0], 3), tmp_path / "data.csv")
+        cfg = write_config(tmp_path, {
+            "model": {"name": "biexponential"},
+            "design": {"times": design.time_points.tolist(), "noise_sd": design.noise_sd},
+            "data": {"path": str(tmp_path / "data.csv")},
+            "profile": {},
+        })
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: data.path ") and f" design.{field} is " in err
+        assert list(out.iterdir()) == []
+
+    def test_data_file_of_the_run_reproduces_it(self, tmp_path):
+        config = json.loads((ROOT / "configs" / "redundant_structural.json").read_text())
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["all", "--config", str(write_config(tmp_path, config)), "--out", str(first)]) == 0
+        config["data"] = {"path": str(first / "dataset.csv")}
+        cfg = write_config(tmp_path, config, "from_file.json")
+        assert main(["all", "--config", str(cfg), "--out", str(second)]) == 0
+        for name in ("fit.csv", "profile_0.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        results = [json.loads((out / "summary.json").read_text())["results"] for out in (first, second)]
+        assert results[0] == results[1]
+
+    def test_prior_outside_an_ordering_is_analysis_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "biexponential", "constants": {"ordered": True}},
+            "design": {"times": [0.25, 0.5, 1.0, 2.0], "noise_sd": 0.05},
+            "recover": {
+                "k_trials": 2,
+                "prior": [
+                    {"kind": "uniform", "lower": 0.01, "upper": 0.1},
+                    {"kind": "uniform", "lower": 1.0, "upper": 10.0},
+                ],
+            },
+        })
+        assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: ") and "rate1 > rate2 never held" in err
+
     def test_csv_values_round_trip_to_summary(self, tmp_path):
         cfg = write_config(tmp_path, FULL_CONFIG)
         out = tmp_path / "out"

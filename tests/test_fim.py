@@ -77,18 +77,23 @@ class TestAssemble:
 
 class TestClassification:
     def test_plainly_identifiable(self):
-        rep = ik.assemble_fim(np.diag([np.sqrt(2.0), 1.0]), sigma=1.0)  # lam = (2, 1)
-        out = ik.classify_local_identifiability(rep, tolerance=1e-10)
-        assert out.classification == IDENTIFIABLE
-        assert out.null_directions.shape == (2, 0)
+        rep = ik.assemble_fim(np.diag([np.sqrt(2.0), 1.0]), sigma=1.0, rank_tolerance=1e-10)  # lam = (2, 1)
+        assert rep.classification == IDENTIFIABLE
+        assert rep.eigenvectors[:, rep.rank:].shape == (2, 0)
 
     def test_zero_eigenvalue_gives_null_direction(self):
         V = np.array([[1.0, 0.0], [1.0, 0.0]])  # lam = (2, 0)
         rep = ik.assemble_fim(V, sigma=1.0)
-        out = ik.classify_local_identifiability(rep)
-        assert out.classification == RANK_DEFICIENT
-        assert out.rank == 1
-        np.testing.assert_allclose(np.abs(out.null_directions[:, 0]), [0.0, 1.0], atol=1e-12)
+        assert rep.classification == RANK_DEFICIENT
+        assert rep.rank == 1
+        np.testing.assert_allclose(np.abs(rep.eigenvectors[:, rep.rank]), [0.0, 1.0], atol=1e-12)
+
+    def test_rank_tolerance_sets_the_cut(self):
+        V = np.diag([1.0, 1e-6])  # lam = (1, 1e-12)
+        assert ik.assemble_fim(V, sigma=1.0).rank == 1
+        rep = ik.assemble_fim(V, sigma=1.0, rank_tolerance=1e-13)
+        assert (rep.rank, rep.classification) == (2, IDENTIFIABLE)
+        assert ik.assemble_fim(np.zeros((2, 2)), sigma=1.0).rank == 0
 
     def test_biexponential_symmetric_point_rank_deficient(self):
         # equal rates give identical sensitivity columns; oracle via the
@@ -98,7 +103,7 @@ class TestClassification:
         V = model.jacobian(design.time_points, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(V[:, 0], V[:, 1])
         rep = ik.assemble_fim(V, sigma=0.1)
-        assert ik.classify_local_identifiability(rep).classification == RANK_DEFICIENT
+        assert rep.classification == RANK_DEFICIENT
 
     def test_agrees_with_ground_truth_labels(self):
         # local test at generic interior points; the swap-symmetric model is
@@ -126,14 +131,14 @@ class TestClassification:
 class TestSloppiness:
     def test_exact_geometric_spectrum_is_sloppy(self):
         rep = ik.assemble_fim(np.diag([1.0, np.sqrt(1e-3), np.sqrt(1e-6)]), sigma=1.0)
-        stats = ik.detect_sloppiness(rep)
+        stats = rep.sloppiness
         assert stats.spread_decades == pytest.approx(6.0, abs=1e-12)
         assert stats.r_squared == pytest.approx(1.0, abs=1e-12)
         assert stats.sloppy
 
     def test_narrow_spectrum_not_sloppy(self):
         rep = ik.assemble_fim(np.diag([np.sqrt(2.0), 1.0]), sigma=1.0)
-        stats = ik.detect_sloppiness(rep)
+        stats = rep.sloppiness
         assert stats.spread_decades < 3.0
         assert not stats.sloppy
 
@@ -141,7 +146,7 @@ class TestSloppiness:
         # lam = (1, 1e-8, 1e-8.5): spread 8.5 decades but the log-linear fit is
         # poor; oracle values from an independent least-squares computation
         rep = ik.assemble_fim(np.diag([1.0, 1e-4, 10**-4.25]), sigma=1.0)
-        stats = ik.detect_sloppiness(rep)
+        stats = rep.sloppiness
         assert stats.spread_decades == pytest.approx(8.5, rel=1e-12)
         assert stats.slope == pytest.approx(-4.25, rel=1e-12)
         assert stats.r_squared == pytest.approx(0.793956043956044, rel=1e-10)
@@ -149,8 +154,7 @@ class TestSloppiness:
 
     def test_undefined_on_singular_spectrum(self):
         rep = ik.assemble_fim(np.array([[1.0, 0.0], [1.0, 0.0]]), sigma=1.0)
-        with pytest.raises(ValueError):
-            ik.detect_sloppiness(rep)
+        assert rep.rank == 1
         assert rep.sloppiness is None
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import identikit as ik
-from identikit.models import MIN_NOISE_SD
+from identikit.models import MAX_DRAWS, MIN_NOISE_SD
 
 
 def reference_contains(space, theta) -> bool:
@@ -96,8 +96,20 @@ class TestParameterSpace:
 
     def test_sample_respects_orderings(self):
         space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
-        draws = space.sample(np.random.default_rng(0), 50)
+        rng = np.random.default_rng(0)
+        draws = [space.draw_feasible(lambda: rng.uniform(space.lower, space.upper)) for _ in range(50)]
         assert all(space.contains(d) for d in draws)
+
+    def test_draw_feasible_gives_up_naming_what_no_draw_met(self):
+        space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1), (1, 0)))
+        rng = np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match=r"theta1 > theta2 and theta2 > theta1 together never held"):
+            space.draw_feasible(lambda: rng.uniform(space.lower, space.upper))
+        calls = []
+        outside = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
+        with pytest.raises(RuntimeError, match=r"draws: the bounds never held$"):
+            outside.draw_feasible(lambda: calls.append(1) or np.array([2.0, 0.5]))
+        assert len(calls) == MAX_DRAWS
 
 
 class TestDesign:

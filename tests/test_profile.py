@@ -179,7 +179,7 @@ class TestProfileParameter:
         sigma = design.noise_sd
         for g, p_val in zip(curve.grid[::2], curve.values[::2]):
             for _ in range(100):
-                theta = model.space.sample(rng, 1)[0]
+                theta = model.space.draw_feasible(lambda: rng.uniform(model.space.lower, model.space.upper))
                 theta[0] = g
                 objective = 0.5 * np.sum(
                     (data.observations[:, 0] - ik.evaluate(model, design, theta)) ** 2

@@ -93,11 +93,18 @@ class TestGlobalRecovery:
         )
         report = ik.global_recovery(model, design, 8, prior=prior, seed=1)
         rep_fim = ik.fim_report(model, design, np.array([1.0, -0.5, 0.5]))
-        null = ik.classify_local_identifiability(rep_fim).null_directions
+        null = rep_fim.eigenvectors[:, rep_fim.rank:]
         assert null.shape[1] == 1
         # the null direction mixes amplitude and offset; those coordinates blow up
         heavy = np.flatnonzero(np.abs(null[:, 0]) > 0.1)
         assert np.max(report.error_max[heavy]) > 1.0
+
+    def test_prior_outside_the_ordering_raises(self):
+        model = ik.get_model("biexponential", ordered=True)  # rate1 > rate2
+        design = ik.Design(np.linspace(0.25, 3.0, 6), 0.1)
+        prior = Prior(("uniform",) * 2, np.array([0.01, 1.0]), np.array([0.1, 10.0]))
+        with pytest.raises(RuntimeError, match=r"10000 draws: rate1 > rate2 never held"):
+            ik.global_recovery(model, design, 1, prior=prior, seed=0, n_starts=2)
 
     def test_single_trial_report_well_formed(self):
         model = ik.get_model("biexponential")
