@@ -12,12 +12,13 @@ doubles the information bitwise.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Design, Model
+from .models import Design, Model, _scipy_extension
 from .sensitivity import SensitivityMatrix, sensitivity_matrix
 
 DEFAULT_RANK_TOL = 1e-10
@@ -203,19 +204,25 @@ class Ellipsoid:
 
 
 def chi2_quantile(level: float, df: int) -> float:
-    """Chi-square(df) quantile: the expression scipy's ``chi2.ppf`` evaluates."""
+    """Chi-square(df) quantile: 2 gammaincinv(df / 2, level), the expression scipy's
+    ``chi2.ppf`` evaluates, with the same compiled ufunc.
+
+    ``gammaincinv`` is read from scipy's ``special/_special_ufuncs`` extension,
+    loaded from its file; the one module that enters ``sys.modules`` is
+    ``scipy.special._special_ufuncs`` itself, never ``scipy`` or ``scipy.special``.
+    """
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    from scipy.special import gammaincinv  # the only scipy module a profile or ellipsoid loads
-
-    return float(2.0 * gammaincinv(df / 2, level))
+    if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    return float(2.0 * _scipy_extension("special", "_special_ufuncs").gammaincinv(df / 2, level))
 
 
 def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoid:
     """Chi-square-calibrated ellipsoid: semi-axes sqrt(chi2_p(level) / lambda_i)."""
-    q = chi2_quantile(level, report.dimension)
     if report.classification != IDENTIFIABLE:
         raise ValueError("confidence ellipsoid requires a full-rank information matrix")
+    q = chi2_quantile(level, report.dimension)
     lengths = np.sqrt(q / report.eigenvalues)
     return Ellipsoid(
         level=float(level),

@@ -179,29 +179,33 @@ _LSODA_MESSAGES = {
 
 
 @functools.cache
-def _odepack():
-    """scipy's compiled ODEPACK binding, ``scipy/integrate/_odepack*.so``, loaded from its file.
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled extension ``scipy/<subpackage>/<name>*.so``, loaded from its file.
 
-    Importing it as ``scipy.integrate._odepack`` would run ``scipy.integrate``'s
-    ``__init__``, which also imports scipy.optimize, scipy.sparse and scipy.special
-    and takes longer than a small ODE analysis.  The module is not entered in
-    ``sys.modules``.
+    Importing it as ``scipy.<subpackage>.<name>`` would first run the
+    ``__init__`` of ``scipy`` and of the subpackage, which take longer than a
+    small analysis: scipy.integrate's imports scipy.optimize, scipy.sparse and
+    scipy.special, and scipy.special's loads its array-API layer.  Neither
+    runs here.  LSODA's ``integrate/_odepack`` is not entered in ``sys.modules``;
+    ``special/_special_ufuncs`` enters itself under its own name,
+    ``scipy.special._special_ufuncs``, and no other module, so a later
+    ``import scipy.special`` reuses it.
     """
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
-        raise ImportError("ODE models need scipy, which is not installed")
-    directory = Path(scipy.submodule_search_locations[0], "integrate")
+        raise ImportError(f"scipy.{subpackage}.{name} is needed, but scipy is not installed")
+    directory = Path(scipy.submodule_search_locations[0], subpackage)
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
-    for path in (directory / f"_odepack{suffix}" for suffix in suffixes):
+    for path in (directory / f"{name}{suffix}" for suffix in suffixes):
         if path.is_file():
-            spec = importlib.util.spec_from_file_location("scipy.integrate._odepack", path)
+            spec = importlib.util.spec_from_file_location(f"scipy.{subpackage}.{name}", path)
             try:
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
             except ImportError as exc:
-                raise ImportError(f"cannot load scipy's LSODA extension {path}: {exc}") from exc
+                raise ImportError(f"cannot load scipy's extension {path}: {exc}") from exc
             return module
-    raise ImportError(f"scipy's LSODA extension not found: tried {directory}/_odepack with "
+    raise ImportError(f"scipy's extension not found: tried {directory / name} with "
                       f"the suffixes {', '.join(suffixes)}")
 
 
@@ -242,7 +246,7 @@ class OdeSystem:
         # odeint's positional arguments: func, y0, t, args, Dfun, col_deriv, ml, mu,
         # full_output, rtol, atol, tcrit, h0, hmax, hmin, ixpr, mxstep (0: 500), mxhnil,
         # mxordn, mxords, tfirst.  LSODA overwrites y0 with the final state, hence the copy.
-        z, istate = _odepack().odeint(
+        z, istate = _scipy_extension("integrate", "_odepack").odeint(
             fun, np.array(z0, dtype=float), grid, (theta,), None, 0, -1, -1, 0, self.rtol, self.atol,
             None, 0.0, 0.0, 0.0, 0, 0, 0, 12, 5, 1,
         )

@@ -1,5 +1,6 @@
 """Information-matrix assembly, eigen-analysis, classification, and queries."""
 
+import importlib.machinery
 import warnings
 
 import numpy as np
@@ -238,6 +239,33 @@ class TestConfidenceEllipsoid:
         rep = ik.assemble_fim(np.array([[1.0, 0.0], [1.0, 0.0]]), sigma=1.0)
         with pytest.raises(ValueError):
             ik.confidence_ellipsoid(rep, [0.0, 0.0], 0.95)
+
+    def test_rank_deficient_rejected_before_the_quantile_loads(self, monkeypatch):
+        monkeypatch.setattr(ik.fim, "_scipy_extension", refuse_to_load)
+        rep = ik.assemble_fim(np.array([[1.0, 0.0], [1.0, 0.0]]), sigma=1.0)
+        with pytest.raises(ValueError, match="full-rank"):
+            ik.confidence_ellipsoid(rep, [0.0, 0.0], 0.95)
+
+
+def refuse_to_load(subpackage, name):
+    raise AssertionError(f"scipy.{subpackage}.{name} loaded")
+
+
+class TestChi2Quantile:
+    @pytest.mark.parametrize("df", [0, -1, 1.5, True])
+    def test_df_other_than_a_positive_int_is_rejected_before_loading(self, df, monkeypatch):
+        monkeypatch.setattr(ik.fim, "_scipy_extension", refuse_to_load)
+        with pytest.raises(ValueError, match="df must be a positive integer"):
+            ik.fim.chi2_quantile(0.95, df)
+
+    def test_missing_quantile_extension_is_an_import_error_naming_the_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        ik.models._scipy_extension.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=r"special[/\\]_special_ufuncs with the suffixes \.missing"):
+                ik.fim.chi2_quantile(0.95, 1)
+        finally:
+            ik.models._scipy_extension.cache_clear()
 
 
 class TestDesignScore:

@@ -248,12 +248,12 @@ class TestLsoda:
 
     def test_missing_lsoda_extension_is_an_import_error_naming_the_path(self, monkeypatch):
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-        ik.models._odepack.cache_clear()
+        ik.models._scipy_extension.cache_clear()
         try:
             with pytest.raises(ImportError, match=r"integrate[/\\]_odepack with the suffixes \.missing"):
-                ik.models._odepack()
+                ik.models._scipy_extension("integrate", "_odepack")
         finally:
-            ik.models._odepack.cache_clear()
+            ik.models._scipy_extension.cache_clear()
 
     def test_excess_work_is_an_evaluation_error_without_warnings(self):
         ode = stiff_tracking_system()

@@ -4,7 +4,8 @@ The package computes both without importing scipy.stats, which costs more to
 import than a small analysis takes to run.  These tests hold the two
 replacements to scipy's results bit for bit, and check in a fresh interpreter
 that importing the package and running its CLI leave scipy.stats unloaded, and
-that an ODE run leaves scipy.integrate unloaded too.
+that runs with a chi-square quantile or an ODE model load only scipy's compiled
+extensions, never the ``scipy`` package.
 """
 
 import json
@@ -64,9 +65,9 @@ def test_chi2_quantile_equals_scipy_bitwise(df, level):
 
 
 def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
-    # a recovery-only run loads no scipy module at all: scipy.special loads at the first
-    # chi-square quantile, and an ODE run loads LSODA's compiled binding from its file,
-    # without scipy.integrate and the scipy.optimize and scipy.sparse it imports
+    # a recovery-only run loads no scipy module at all; the first chi-square quantile loads
+    # gammaincinv's compiled extension and an ODE run LSODA's, each from its file, so neither
+    # scipy's package nor scipy.special, scipy.integrate and what they import ever loads
     config = json.loads((ROOT / "configs" / "reciprocal_recovery.json").read_text())
     config["recover"].update(k_trials=3, n_starts=4)
     (tmp_path / "run.json").write_text(json.dumps(config))
@@ -74,6 +75,10 @@ def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
     ode_config["fit"]["starts"] = 2
     ode_config["profile"].update(parameters=[0], points=3)
     (tmp_path / "ode.json").write_text(json.dumps(ode_config))
+    redundant = json.loads((ROOT / "configs" / "redundant_structural.json").read_text())
+    redundant["fit"]["starts"] = 2
+    redundant["profile"]["points"] = 5
+    (tmp_path / "redundant.json").write_text(json.dumps(redundant))
     probe = (
         "import runpy, sys\n"
         "def scipy_loaded():\n"
@@ -96,6 +101,15 @@ def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
         "heavy = [m for m in scipy_loaded() if m.startswith(('scipy.integrate', 'scipy.optimize',\n"
         "                                                    'scipy.sparse', 'scipy.stats'))]\n"
         "assert not heavy, ('all on an ODE model', heavy[:3])\n"
+        "assert scipy_loaded() == ['scipy.special._special_ufuncs'], ('all on an ODE model', scipy_loaded())\n"
+        f"cli('all', '--config', {str(tmp_path / 'redundant.json')!r}, '--out', {str(tmp_path / 'redundant')!r})\n"
+        "assert scipy_loaded() == ['scipy.special._special_ufuncs'], ('all with a profile', scipy_loaded())\n"
+        "import scipy.special\n"
+        "from identikit.fim import chi2_quantile\n"
+        "for df in (1, 2, 3, 7, 40):\n"
+        "    for level in (1e-300, 1e-9, 0.5, 0.95, 1 - 1e-12):\n"
+        "        public = float(2.0 * scipy.special.gammaincinv(df / 2, level))\n"
+        "        assert chi2_quantile(level, df).hex() == public.hex(), (df, level)\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -103,3 +117,5 @@ def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
     assert "redundant-exponential" in proc.stdout
     assert (tmp_path / "out" / "recovery.csv").is_file()
     assert json.loads((tmp_path / "ode" / "summary.json").read_text())["results"]["fim"]["rank"] == 3
+    results = json.loads((tmp_path / "redundant" / "summary.json").read_text())["results"]
+    assert results["fim"]["classification"] == "rank-deficient" and "0" in results["profile"]
