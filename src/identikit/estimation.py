@@ -26,6 +26,7 @@ SMALL_GRADIENT = "small-gradient"
 SMALL_STEP = "small-step"
 MAX_ITER = "max-iter"
 BOUNDARY = "boundary"
+_EPS = np.finfo(float).eps
 
 
 class UnidentifiableDesignError(ValueError):
@@ -52,10 +53,6 @@ class ParameterMask:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def none(cls, p: int) -> "ParameterMask":
-        return cls(np.zeros(p, dtype=bool), np.zeros(p))
-
-    @classmethod
     def fixing(cls, p: int, assignments: dict[int, float]) -> "ParameterMask":
         fixed = np.zeros(p, dtype=bool)
         values = np.zeros(p)
@@ -74,7 +71,7 @@ class ParameterMask:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitOptions:
     gradient_tol: float = 1e-8
     step_tol: float = 1e-10
@@ -91,6 +88,9 @@ class FitOptions:
                 raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
         if self.jacobian_method not in ("auto", ANALYTIC, FORWARD_ODE, FD):
             raise ValueError(f"unknown jacobian_method {self.jacobian_method!r}")
+
+
+DEFAULT_FIT_OPTIONS = FitOptions()
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,15 @@ def linear_least_squares(X, y) -> EstimateResult:
     )
 
 
+def _norm(a) -> np.float64:  # np.linalg.norm of a contiguous 1-D float array: its sqrt(a.dot(a))
+    return np.float64(math.sqrt(a.dot(a)))
+
+
+def _clip(value: float, low: float, high: float) -> float:  # np.clip's: NaN passes, a tie gives the bound
+    value = value if value > low or value != value else low
+    return value if value < high or value != value else high
+
+
 def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     """Bounded trust-region Levenberg-Marquardt for min 0.5 ||fun(x)||^2, dense, small n.
 
@@ -161,72 +170,84 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     and ``fun`` is called at most ``max_nfev`` times.  Returns (x, fun(x), status):
     status 1 is ||v g||_inf < gtol, 3 a step shorter than xtol (xtol + ||x||), and
     0 the budget spent.
+
+    With so few parameters numpy's per-call cost outweighs the arithmetic, so p-vector
+    elementwise work runs on Python floats, the same IEEE operations.  Two traps move
+    the last digits: ``np.sum(a**2)`` (pairwise) and ``a.dot(a)`` (BLAS, as in
+    ``np.linalg.norm``) round differently, and so does ``J.T @ f`` on a C-contiguous J
+    against the F-contiguous copy that ``fit``'s ``[:, free]`` makes.
     """
-    x = np.clip(x, lower + 1e-10 * np.maximum(1.0, np.abs(lower)),
-                upper - 1e-10 * np.maximum(1.0, np.abs(upper)))
-    inside = np.nextafter(lower, upper), np.nextafter(upper, lower)
+    lo, hi = lower.tolist(), upper.tolist()
+    x = np.array([_clip(xi, l + 1e-10 * max(1.0, abs(l)), u - 1e-10 * max(1.0, abs(u)))
+                  for xi, l, u in zip(x.tolist(), lo, hi)])
+    inside = [(math.nextafter(l, u), math.nextafter(u, l)) for l, u in zip(lo, hi)]
     f, J = fun(x), jac(x)
-    nfev, status = 1, None
+    n, k, nfev, status = f.size, x.size, 1, None
     cost, g = 0.5 * float(f @ f), J.T @ f
+    augmented = np.zeros((n + k, k))  # [J D; sqrt(C)], refilled for each step's SVD
+    diagonal = augmented.reshape(-1)[n * k :: k + 1]  # a view of the diagonal of sqrt(C)
 
     def scaling(x, g):
-        return np.where(g < 0, upper - x, np.where(g > 0, x - lower, 1.0))
+        return [u - xi if gi < 0 else xi - l if gi > 0 else 1.0
+                for xi, gi, l, u in zip(x.tolist(), g.tolist(), lo, hi)]
 
     def to_bound(p):  # the multiple of p that reaches the first bound
-        with np.errstate(divide="ignore"):
-            return np.min(np.where(p > 0, (upper - x) / p, np.where(p < 0, (lower - x) / p, np.inf)))
+        return min([(u - xi) / pi if pi > 0 else (l - xi) / pi if pi < 0 else math.inf
+                    for xi, pi, l, u in zip(x.tolist(), p.tolist(), lo, hi)])
 
     def model(p_h):  # the quadratic model's change along the scaled step p_h
         return 0.5 * (np.sum((J_h @ p_h) ** 2) + p_h @ (c * p_h)) + g_h @ p_h
 
-    delta = float(np.linalg.norm(x / np.sqrt(scaling(x, g)))) or 1.0
+    delta = float(_norm(x / np.sqrt(scaling(x, g)))) or 1.0
     alpha = 0.0  # LM parameter, carried between subproblems
     while True:
         v = scaling(x, g)
-        g_norm = float(np.max(np.abs(g * v)))
+        scaled = [abs(gi * vi) for gi, vi in zip(g.tolist(), v)]
+        g_norm = math.nan if any(a != a for a in scaled) else max(scaled)  # np.max keeps NaN
         if g_norm < gtol:
             status = 1
         if status is not None or nfev == max_nfev:
             return x, f, status or 0
         d, c = np.sqrt(v), np.abs(g)
         J_h, g_h = J * d, d * g
-        U, s, Vt = np.linalg.svd(np.vstack([J_h, np.diag(np.sqrt(c))]), full_matrices=False)
-        suf = s * (U[: f.size].T @ f)
-        full_rank = s[-1] > np.finfo(float).eps * f.size * s[0]
+        augmented[:n], diagonal[:] = J_h, np.sqrt(c)
+        U, s, Vt = np.linalg.svd(augmented, full_matrices=False)
+        suf = s * (U[:n].T @ f)
+        full_rank = s[-1] > _EPS * n * s[0]
         gauss_newton = -Vt.T @ (suf / s**2) if full_rank else None
         back_off = max(0.995, 1.0 - g_norm)
         reduction = -1.0
         while reduction <= 0 and nfev < max_nfev:
-            if gauss_newton is not None and np.linalg.norm(gauss_newton) <= delta:
+            if gauss_newton is not None and _norm(gauss_newton) <= delta:
                 p_h, alpha = gauss_newton, 0.0
             else:
                 alpha = _lm_parameter(suf, s, delta, alpha, full_rank)
                 p_h = -Vt.T @ (suf / (s**2 + alpha))
-                p_h *= delta / np.linalg.norm(p_h)
+                p_h *= delta / _norm(p_h)
             cut = to_bound(d * p_h)
             if cut < 1.0:  # back off inside the box, or go along -g_h if the model prefers
                 p_h = back_off * cut * p_h
                 a_h = -g_h
-                a_bound, a_radius = to_bound(d * a_h), delta / np.linalg.norm(a_h)
+                a_bound, a_radius = to_bound(d * a_h), delta / _norm(a_h)
                 reach = back_off * a_bound if a_bound < a_radius else a_radius
                 curvature = model(a_h) - g_h @ a_h  # model(t a_h) = curvature t^2 - |g_h|^2 t
                 t = min(reach, 0.5 * (g_h @ g_h) / curvature) if curvature > 0 else reach
                 if model(t * a_h) < model(p_h):
                     p_h = t * a_h
             p = d * p_h
-            x_new = np.clip(x + p, *inside)
+            x_new = np.array([_clip(xi, *bounds) for xi, bounds in zip((x + p).tolist(), inside)])
             f_new = fun(x_new)
             nfev += 1
             cost_new = 0.5 * float(f_new @ f_new)
             reduction, predicted = cost - cost_new, -model(p_h)
             ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
-            step_h_norm = float(np.linalg.norm(p_h))
+            step_h_norm = float(_norm(p_h))
             new_delta = delta
             if ratio < 0.25:
                 new_delta = 0.25 * step_h_norm
             elif ratio > 0.75 and step_h_norm > 0.95 * delta:
                 new_delta = 2.0 * delta
-            if np.linalg.norm(p) < xtol * (xtol + np.linalg.norm(x)):
+            if _norm(p) < xtol * (xtol + _norm(x)):
                 status = 3
                 break
             alpha *= delta / new_delta
@@ -243,10 +264,10 @@ def _lm_parameter(suf, s, delta, alpha, full_rank):
 
     def phi(alpha):
         denom = s**2 + alpha
-        p_norm = np.linalg.norm(suf / denom)
+        p_norm = _norm(suf / denom)
         return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
 
-    upper = np.linalg.norm(suf) / delta
+    upper = _norm(suf) / delta
     lower = 0.0
     if full_rank:
         value, slope = phi(0.0)
@@ -295,14 +316,13 @@ def fit(
     point so far, not converged, as ``max-iter`` with the message in
     ``failure``; one at the first evaluation is raised.
     """
-    opts = options or FitOptions()
+    opts = options or DEFAULT_FIT_OPTIONS
     space = model.space
     start = space.require(start)
-    mask = mask or ParameterMask.none(start.size)
-    theta = mask.pin(start)
-    if not space.contains(theta):
+    theta = start.copy() if mask is None else mask.pin(start)
+    if mask is not None and not space.contains(theta):
         raise OutOfBoundsError("mask pins parameters outside the admissible set")
-    free = mask.free_indices
+    free = np.arange(start.size) if mask is None else mask.free_indices
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=())) if space.orderings else model
@@ -324,7 +344,7 @@ def fit(
             solved = (point, V)
         else:
             outputs = evaluate(model, design, point, check_bounds=False)
-        r = np.repeat(outputs, design.replicates) - y
+        r = (np.repeat(outputs, design.replicates) if design.replicates > 1 else outputs) - y
         objective = 0.5 * float(r @ r)
         if objective < best_objective and space.contains(point):
             best_theta, best_objective = point, objective
@@ -338,7 +358,7 @@ def fit(
             V = solved[1]  # bit for bit the point of the last residual evaluation
         else:
             V = sensitivity_matrix(box, design, point, method=opts.jacobian_method).values
-        return np.repeat(V, design.replicates, axis=0)[:, free]
+        return (np.repeat(V, design.replicates, axis=0) if design.replicates > 1 else V)[:, free]
 
     def result(theta, objective, converged, reason, failure=None):
         sigma2 = 2.0 * objective / (y.size - free.size) if y.size > free.size else float("nan")

@@ -92,10 +92,10 @@ class ParameterSpace:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dimension,):
             return False
-        # NaN fails both comparisons and the finite bounds exclude +/-inf
-        if not ((theta >= self.lower) & (theta <= self.upper)).all():
+        values = theta.tolist()  # NaN fails both comparisons and the finite bounds exclude +/-inf
+        if not all(lo <= v <= hi for lo, v, hi in zip(self.lower.tolist(), values, self.upper.tolist())):
             return False
-        return all(theta[i] > theta[j] for i, j in self.orderings)
+        return all(values[i] > values[j] for i, j in self.orderings)
 
     def require(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

@@ -52,25 +52,11 @@ class RecoveryReport:
     trials: list[RecoveryTrial]
 
     def csv_rows(self) -> list[list]:
-        rows = []
-        for k, trial in enumerate(self.trials):
-            rows.append(
-                [k]
-                + [float(v) for v in trial.theta_true]
-                + [float(v) for v in trial.theta_hat]
-                + [float(v) for v in trial.rel_errors]
-                + [int(trial.success)]
-            )
-        return rows
+        return [[k, *map(float, t.theta_true), *map(float, t.theta_hat), *map(float, t.rel_errors),
+                 int(t.success)] for k, t in enumerate(self.trials)]
 
     def csv_header(self, names) -> list[str]:
-        return (
-            ["trial"]
-            + [f"true_{n}" for n in names]
-            + [f"hat_{n}" for n in names]
-            + [f"rel_err_{n}" for n in names]
-            + ["success"]
-        )
+        return ["trial", *(f"{column}_{n}" for column in ("true", "hat", "rel_err") for n in names), "success"]
 
 
 def _errors_and_success(theta_true, theta_hat, tolerance):
@@ -143,16 +129,10 @@ def global_recovery(
     prior = prior or Prior.uniform_box(model.space)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     truths = [model.space.draw_feasible(lambda: prior.sample(1, rng)[0]) for _ in range(k_trials)]
-    trial_seeds = [
-        int(np.random.SeedSequence([seed, 2, k]).generate_state(1)[0])
-        for k in range(k_trials)
-    ]
     trials = [
-        recover_once(
-            model, design, truths[k], trial_seeds[k],
-            n_starts=n_starts, tolerance=tolerance,
-        )
-        for k in range(k_trials)
+        recover_once(model, design, truth, int(np.random.SeedSequence([seed, 2, k]).generate_state(1)[0]),
+                     n_starts=n_starts, tolerance=tolerance)
+        for k, truth in enumerate(truths)
     ]
 
     errors = np.vstack([t.rel_errors for t in trials])

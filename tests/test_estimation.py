@@ -3,7 +3,7 @@
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +225,20 @@ class TestFitTermination:
 def test_fit_options_reject_invalid_fields(field, value):
     with pytest.raises(ValueError, match=field):
         ik.FitOptions(**{field: value})
+
+
+def test_fit_options_are_immutable():
+    """A field set after construction would skip the checks (max_iterations = 0 made
+    fit loop for ever), so FitOptions is frozen and a changed copy is checked."""
+    options = ik.FitOptions()
+    with pytest.raises(FrozenInstanceError):
+        options.max_iterations = 0
+    with pytest.raises(FrozenInstanceError):
+        options.gradient_tol = float("nan")
+    with pytest.raises(ValueError, match="max_iterations"):
+        replace(options, max_iterations=0)
+    assert replace(options, max_iterations=3).max_iterations == 3
+    assert options == ik.FitOptions()
 
 
 def decay_problem():

@@ -23,11 +23,21 @@ def reference_contains(space, theta) -> bool:
     return all(theta[i] > theta[j] for i, j in space.orderings)
 
 
+def array_contains(space, theta) -> bool:
+    """Membership on whole arrays, as numpy compares them."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (space.dimension,):
+        return False
+    if not ((theta >= space.lower) & (theta <= space.upper)).all():
+        return False
+    return all(theta[i] > theta[j] for i, j in space.orderings)
+
+
 @st.composite
 def spaces_and_points(draw):
     """A space of 1-3 overlapping intervals with some orderings, and a point
     whose entries are often NaN, +/-inf, a bound, or a tie across an ordering,
-    and whose shape is sometimes wrong."""
+    and whose shape is sometimes wrong; sometimes a plain list."""
     p = draw(st.integers(1, 3))
     lower = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
     upper = lower + np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=p, max_size=p)))
@@ -43,13 +53,19 @@ def spaces_and_points(draw):
     if orderings and draw(st.booleans()):
         i, j = orderings[0]
         theta[i] = theta[j]
-    shape = draw(st.sampled_from(["vector", "vector", "vector", "short", "long", "row"]))
+    shape = draw(st.sampled_from(["vector", "vector", "vector", "short", "long", "row", "column", "scalar"]))
     if shape == "short":
         theta = theta[:-1]
     elif shape == "long":
         theta = np.append(theta, theta[0])
     elif shape == "row":
         theta = theta[None, :]
+    elif shape == "column":
+        theta = theta[:, None]
+    elif shape == "scalar":
+        theta = theta[0]
+    if draw(st.booleans()):
+        theta = np.asarray(theta).tolist()
     return space, theta
 
 
@@ -77,7 +93,7 @@ class TestParameterSpace:
     @given(case=spaces_and_points())
     def test_contains_matches_reference(self, case):
         space, theta = case
-        assert space.contains(theta) is reference_contains(space, theta)
+        assert space.contains(theta) is reference_contains(space, theta) is array_contains(space, theta)
 
     @pytest.mark.parametrize("theta, inside", [
         ([0.8, 0.2], True),
@@ -89,10 +105,12 @@ class TestParameterSpace:
         ([0.5, 0.5], False),                  # tie across the ordering
         ([[0.8, 0.2]], False),                # a row, not a vector
         ([0.8, 0.2, 0.1], False),
+        ([[0.8], [0.2]], False),              # a column, not a vector
+        (0.8, False),                         # a scalar
     ])
     def test_contains_edge_cases(self, theta, inside):
         space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
-        assert space.contains(theta) is inside is reference_contains(space, theta)
+        assert space.contains(theta) is inside is reference_contains(space, theta) is array_contains(space, theta)
 
     def test_sample_respects_orderings(self):
         space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
