@@ -9,8 +9,6 @@ synthetic-data recovery experiments.
 
 from .estimation import (
     EstimateResult,
-    FitOptions,
-    ParameterMask,
     UnidentifiableDesignError,
     cluster_optima,
     estimates_csv,

@@ -14,14 +14,13 @@ names it, and all of them are raised together as a :class:`ConfigError`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .fim import DEFAULT_RANK_TOL, DESIGN_CRITERIA
-from .models import MIN_NOISE_SD, Design, Model, UnknownModelError, get_model
+from .models import MIN_NOISE_SD, Design, Model, UnknownModelError, _is_integer, _is_number, get_model
 from .profile import DEFAULT_GRID_POINTS, DEFAULT_SPAN_SD, FLATNESS_TOL
 from .recovery import DEFAULT_STARTS, DEFAULT_TOLERANCE
 from .sobol import MIN_SAMPLES, Prior
@@ -133,20 +132,6 @@ def load_raw(path: str | Path) -> tuple[dict | None, list[Diagnostic]]:
 # or raises ValueError with the message of the diagnostic.
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number; booleans are not numbers."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the range of a double
-        return False
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _integer(minimum: int):
     def rule(value):
         if not _is_integer(value) or value < minimum:
@@ -185,12 +170,16 @@ def _unchecked(value):
     return value
 
 
-def _times(value):
-    if not isinstance(value, list) or not value or not all(_is_number(t) for t in value):
-        raise ValueError("must be a non-empty list of numbers")
+def _increasing(value, shortest: int, message: str):
+    if not isinstance(value, list) or len(value) < shortest or not all(_is_number(t) for t in value):
+        raise ValueError(message)
     if not all(b > a for a, b in zip(value, value[1:])):
         raise ValueError("must be strictly increasing")
     return np.asarray(value, dtype=float)
+
+
+def _times(value):
+    return _increasing(value, 1, "must be a non-empty list of numbers")
 
 
 def _criterion(value):
@@ -206,11 +195,7 @@ def _n_samples(value):
 
 
 def _grid(value):
-    if value is None:
-        return None
-    if not isinstance(value, list) or len(value) < 3 or not all(_is_number(g) for g in value):
-        raise ValueError("must be a list of at least 3 numbers")
-    return np.asarray(value, dtype=float)
+    return None if value is None else _increasing(value, 3, "must be a list of at least 3 numbers")
 
 
 # Rules that depend on the parameter space; ``space`` is None when the model

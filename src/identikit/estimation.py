@@ -3,7 +3,7 @@
 :func:`fit` runs every model, linear ones included, through a bounded
 trust-region Levenberg-Marquardt solver with Coleman-Li scaling (the affine
 scaling of scipy's ``trf``; Coleman & Li 1996, Branch, Coleman & Li 1999),
-written in numpy for the few free parameters of a mask, with Latin-hypercube
+written in numpy for the few free parameters, with Latin-hypercube
 multi-start.  :func:`linear_least_squares` is the separate closed-form SVD
 solution for a plain design matrix.  Every fit ends with one of four reasons (see
 :func:`fit`).  The objective throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
@@ -12,20 +12,20 @@ solution for a plain design matrix.  Every fit ends with one of four reasons (se
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
-from .sensitivity import (
-    ANALYTIC, FD, FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix,
-)
+from .sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
 
 SMALL_GRADIENT = "small-gradient"
 SMALL_STEP = "small-step"
 MAX_ITER = "max-iter"
 BOUNDARY = "boundary"
+GRADIENT_TOL = 1e-8
+STEP_TOL = 1e-10
+MAX_EVALUATIONS = 500  # residual evaluations per fit
 _EPS = np.finfo(float).eps
 
 
@@ -35,62 +35,6 @@ class UnidentifiableDesignError(ValueError):
     def __init__(self, message: str, null_direction: np.ndarray):
         super().__init__(message)
         self.null_direction = null_direction
-
-
-@dataclass(frozen=True)
-class ParameterMask:
-    """Which parameters are held fixed during a fit, and at what values."""
-
-    fixed: np.ndarray   # bool per parameter
-    values: np.ndarray  # used where fixed
-
-    def __post_init__(self):
-        fixed = np.asarray(self.fixed, dtype=bool)
-        values = np.asarray(self.values, dtype=float)
-        if fixed.shape != values.shape:
-            raise ValueError("fixed flags and values must have equal length")
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def fixing(cls, p: int, assignments: dict[int, float]) -> "ParameterMask":
-        fixed = np.zeros(p, dtype=bool)
-        values = np.zeros(p)
-        for i, v in assignments.items():
-            fixed[i] = True
-            values[i] = v
-        return cls(fixed, values)
-
-    @property
-    def free_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.fixed)
-
-    def pin(self, theta) -> np.ndarray:
-        out = np.asarray(theta, dtype=float).copy()
-        out[self.fixed] = self.values[self.fixed]
-        return out
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    gradient_tol: float = 1e-8
-    step_tol: float = 1e-10
-    max_iterations: int = 500  # residual evaluations
-    jacobian_method: str = "auto"
-
-    def __post_init__(self):
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"max_iterations must be a positive integer, got {n!r}")
-        for name in ("gradient_tol", "step_tol"):
-            tol = getattr(self, name)
-            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
-        if self.jacobian_method not in ("auto", ANALYTIC, FORWARD_ODE, FD):
-            raise ValueError(f"unknown jacobian_method {self.jacobian_method!r}")
-
-
-DEFAULT_FIT_OPTIONS = FitOptions()
 
 
 @dataclass(frozen=True)
@@ -290,22 +234,21 @@ def fit(
     model: Model,
     dataset: Dataset,
     start,
-    mask: ParameterMask | None = None,
-    options: FitOptions | None = None,
+    fixed: dict[int, float] | None = None,
 ) -> EstimateResult:
-    """Minimise S(theta) over the free parameters with a bounded trust-region solver.
+    """Minimise S(theta) by a bounded trust-region solver, each ``fixed`` index held at its value.
 
     One :func:`_solve_trust_region` run on the free sub-vector: box bounds,
     residuals f(theta) - y stacked over replicates, and the model's own
     sensitivity route as the Jacobian.  On the forward-ODE route one
     integration of the augmented system gives both: a residual evaluation
     keeps its sensitivities for a Jacobian at the same point.
-    ``max_iterations`` caps the residual evaluations, and ``iterations``
+    ``MAX_EVALUATIONS`` caps the residual evaluations, and ``iterations``
     counts Jacobians: one per accepted step, the start's included.  The run
     ends ``small-gradient`` when the gradient, scaled by the distance to the
-    bound it points at, is below ``gradient_tol`` in max-norm (so optima on a
-    bound end here); ``small-step`` on a step shorter than ``step_tol`` (step_tol
-    + ||x||), or ``boundary`` if a free parameter is then within ``step_tol``
+    bound it points at, is below ``GRADIENT_TOL`` in max-norm (so optima on a
+    bound end here); ``small-step`` on a step shorter than ``STEP_TOL`` (STEP_TOL
+    + ||x||), or ``boundary`` if a free parameter is then within ``STEP_TOL``
     (relative) of a bound; and ``max-iter`` with ``converged=False`` when the
     budget is spent.
 
@@ -316,17 +259,17 @@ def fit(
     point so far, not converged, as ``max-iter`` with the message in
     ``failure``; one at the first evaluation is raised.
     """
-    opts = options or DEFAULT_FIT_OPTIONS
     space = model.space
     start = space.require(start)
-    theta = start.copy() if mask is None else mask.pin(start)
-    if mask is not None and not space.contains(theta):
-        raise OutOfBoundsError("mask pins parameters outside the admissible set")
-    free = np.arange(start.size) if mask is None else mask.free_indices
+    theta, fixed = start.copy(), fixed or {}
+    theta[list(fixed)] = list(fixed.values())
+    if fixed and not space.contains(theta):
+        raise OutOfBoundsError("fixed parameters lie outside the admissible set")
+    free = np.flatnonzero(~np.isin(np.arange(start.size), list(fixed)))
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=())) if space.orderings else model
-    joint = resolve_method(model, opts.jacobian_method) == FORWARD_ODE
+    joint = resolve_method(model) == FORWARD_ODE
     best_theta, best_objective = None, np.inf
     jacobians = 0
     solved = None  # (point, sensitivities) of the last joint solve
@@ -357,7 +300,7 @@ def fit(
         if solved is not None and solved[0].tobytes() == point.tobytes():
             V = solved[1]  # bit for bit the point of the last residual evaluation
         else:
-            V = sensitivity_matrix(box, design, point, method=opts.jacobian_method).values
+            V = sensitivity_matrix(box, design, point).values
         return (np.repeat(V, design.replicates, axis=0) if design.replicates > 1 else V)[:, free]
 
     def result(theta, objective, converged, reason, failure=None):
@@ -374,8 +317,7 @@ def fit(
     lower, upper = space.lower[free], space.upper[free]
     try:
         x, r, status = _solve_trust_region(
-            residuals, jacobian, theta[free], lower, upper,
-            opts.gradient_tol, opts.step_tol, opts.max_iterations,
+            residuals, jacobian, theta[free], lower, upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
         )
     except EvaluationError as exc:
         if best_theta is None:
@@ -391,7 +333,7 @@ def fit(
         return result(theta_hat, objective, False, MAX_ITER)
     if status == 1:
         return result(theta_hat, objective, True, SMALL_GRADIENT)
-    near = opts.step_tol * np.maximum(1.0, np.abs(np.concatenate([lower, upper])))
+    near = STEP_TOL * np.maximum(1.0, np.abs(np.concatenate([lower, upper])))
     on_bound = np.any(np.concatenate([x - lower, upper - x]) <= near)
     return result(theta_hat, objective, True, BOUNDARY if on_bound else SMALL_STEP)
 
@@ -423,21 +365,21 @@ def multi_start_fit(
     dataset: Dataset,
     k_starts: int,
     seed: int,
-    mask: ParameterMask | None = None,
+    fixed: dict[int, float] | None = None,
 ) -> list[EstimateResult]:
-    """Independent fits from dispersed starts, sorted by objective.
+    """Independent fits from dispersed starts, ``fixed`` as in :func:`fit`, sorted by objective.
 
     Individual failures are flagged per start, never raised.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
     starts = latin_hypercube_starts(model, k_starts, seed)
-    if mask is not None:
-        starts[:, mask.fixed] = mask.values[mask.fixed]
+    if fixed:
+        starts[:, list(fixed)] = list(fixed.values())
 
     def run(start):
         try:
-            return fit(model, dataset, start, mask=mask)
+            return fit(model, dataset, start, fixed)
         except EvaluationError as exc:
             return EstimateResult(
                 theta=np.asarray(start, dtype=float), objective=float("inf"),
@@ -466,16 +408,12 @@ OBJECTIVE_CLUSTER_RTOL = 1e-4
 PARAMETER_CLUSTER_RTOL = 1e-3
 
 
-def cluster_optima(
-    results: list[EstimateResult],
-    objective_rtol: float = OBJECTIVE_CLUSTER_RTOL,
-    parameter_rtol: float = PARAMETER_CLUSTER_RTOL,
-) -> list[list[EstimateResult]]:
+def cluster_optima(results: list[EstimateResult]) -> list[list[EstimateResult]]:
     """Group converged results into distinct optima.
 
     Two results belong together when both the objective and the parameter
-    vector agree to the stated relative tolerances (with +1 guards so
-    near-zero optima compare absolutely).
+    vector agree to ``OBJECTIVE_CLUSTER_RTOL`` and ``PARAMETER_CLUSTER_RTOL``
+    (relative, with +1 guards so near-zero optima compare absolutely).
     """
     clusters: list[list[EstimateResult]] = []
     for res in sorted(results, key=lambda r: r.objective):
@@ -483,9 +421,9 @@ def cluster_optima(
             continue
         for cluster in clusters:
             rep = cluster[0]
-            close_obj = abs(res.objective - rep.objective) <= objective_rtol * (1.0 + abs(rep.objective))
+            close_obj = abs(res.objective - rep.objective) <= OBJECTIVE_CLUSTER_RTOL * (1.0 + abs(rep.objective))
             scale = 1.0 + float(np.max(np.abs(rep.theta)))
-            close_par = float(np.max(np.abs(res.theta - rep.theta))) <= parameter_rtol * scale
+            close_par = float(np.max(np.abs(res.theta - rep.theta))) <= PARAMETER_CLUSTER_RTOL * scale
             if close_obj and close_par:
                 cluster.append(res)
                 break

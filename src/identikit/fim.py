@@ -153,18 +153,15 @@ def fim_report(
     model: Model,
     design: Design,
     theta,
-    sigma: float | None = None,
-    method: str = "auto",
     rank_tolerance: float = DEFAULT_RANK_TOL,
 ) -> FimReport:
-    """Assemble the information matrix of a design at theta.
+    """Assemble the information matrix of a design at theta, on the model's own route.
 
-    sigma defaults to the design's noise level; replicates enter as the exact
+    sigma is the design's noise level; replicates enter as the exact
     multiplier on V^T V.
     """
-    V = sensitivity_matrix(model, design, theta, method=method)
-    return assemble_fim(V, design.noise_sd if sigma is None else sigma,
-                        replicates=design.replicates, rank_tolerance=rank_tolerance)
+    V = sensitivity_matrix(model, design, theta)
+    return assemble_fim(V, design.noise_sd, design.replicates, rank_tolerance)
 
 
 def combination_variance(report: FimReport, a) -> float:
@@ -232,18 +229,11 @@ def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoi
     )
 
 
-def design_score(
-    model: Model,
-    design: Design,
-    theta,
-    criterion: str,
-    sigma: float | None = None,
-    method: str = "auto",
-) -> float:
+def design_score(model: Model, design: Design, theta, criterion: str) -> float:
     """Scalar design quality at theta.
 
     D: det(I), larger is better.  A: trace(I^-1), lower is better.  E: smallest
     eigenvalue, larger is better.  On a rank-deficient matrix D and E are
     exactly 0.0 and A is infinite.
     """
-    return fim_report(model, design, theta, sigma=sigma, method=method).score(criterion)
+    return fim_report(model, design, theta).score(criterion)

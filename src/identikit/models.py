@@ -14,6 +14,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -284,17 +285,8 @@ class Model:
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     ode: OdeSystem | None = None
     identifiability: str | None = None
+    # align_symmetry(theta_ref, theta): the member of theta_ref's symmetry orbit nearest theta
     align_symmetry: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def align_to_orbit(self, theta_ref, theta) -> np.ndarray:
-        """Map ``theta_ref`` to the member of its symmetry orbit nearest ``theta``.
-
-        Models without registered symmetries return ``theta_ref`` unchanged.
-        """
-        theta_ref = np.asarray(theta_ref, dtype=float)
-        if self.align_symmetry is None:
-            return theta_ref
-        return self.align_symmetry(theta_ref, np.asarray(theta, dtype=float))
 
 
 def evaluate_batch(model: Model, design: Design, thetas) -> np.ndarray:
@@ -387,19 +379,56 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read :func:`save_dataset` output, rejecting rows that do not fit the design.
+def _is_number(x) -> bool:
+    """A finite JSON number; booleans are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the range of a double
+        return False
 
-    Each row gives a design time exactly and a replicate in 0..replicates-1, once;
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# What each field of a dataset's JSON sidecar must hold.
+_SIDECAR_FIELDS = {
+    "time_points": (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
+    "noise_sd": (_is_number, "a number"),
+    "replicates": (_is_integer, "an integer"),
+    "seed": (lambda x: x is None or _is_integer(x), "an integer or null"),
+    "theta_true": (lambda x: x is None or isinstance(x, list) and all(map(_is_number, x)),
+                   "a list of numbers or null"),
+}
+
+
+def _parse(kind, text: str, where: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {text!r} is not {'an integer' if kind is int else 'a finite number'}")
+    return value
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read :func:`save_dataset` output, rejecting anything else, never repairing it.
+
+    Each sidecar field must hold its JSON type, numbers finite.  Each row gives a
+    design time exactly, a replicate in 0..replicates-1, once, and a finite value;
     any other row raises :class:`ValueError` naming its line and field.
     """
     path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
-    design = Design(
-        np.asarray(meta["time_points"], dtype=float),
-        float(meta["noise_sd"]),
-        int(meta["replicates"]),
-    )
+    sidecar = path.with_suffix(path.suffix + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    meta = meta if isinstance(meta, dict) else {}
+    for key, (ok, kind) in _SIDECAR_FIELDS.items():
+        if not ok(meta.get(key)):
+            raise ValueError(f"{sidecar} field {key}: must be {kind}, got {meta.get(key)!r}")
+    design = Design(np.array(meta["time_points"], dtype=float), meta["noise_sd"], meta["replicates"])
     obs = np.full((design.size, design.replicates), np.nan)
     rows = {t: i for i, t in enumerate(design.time_points.tolist())}
     with path.open() as fh:
@@ -407,16 +436,19 @@ def load_dataset(path: str | Path) -> Dataset:
         if header != "time,replicate,value":
             raise ValueError(f"unexpected dataset header: {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            t_str, r_str, v_str = line.strip().split(",")
-            where = f"{path} line {lineno}, field"
-            i, r = rows.get(float(t_str)), int(r_str)
+            row = line.strip().split(",")
+            if len(row) != 3:
+                raise ValueError(f"{path} line {lineno}: expected the 3 fields time,replicate,value, got {len(row)}")
+            (t_str, r_str, v_str), where = row, f"{path} line {lineno}, field"
+            i = rows.get(_parse(float, t_str, f"{where} time"))
             if i is None:
                 raise ValueError(f"{where} time: {t_str} is not a design time")
+            r = _parse(int, r_str, f"{where} replicate")
             if not 0 <= r < design.replicates:
                 raise ValueError(f"{where} replicate: {r_str} is outside 0..{design.replicates - 1}")
             if not np.isnan(obs[i, r]):
                 raise ValueError(f"{where} (time, replicate): ({t_str}, {r_str}) appears twice")
-            obs[i, r] = float(v_str)
+            obs[i, r] = _parse(float, v_str, f"{where} value")
     if not np.all(np.isfinite(obs)):
         raise ValueError("dataset file is missing observations")
     theta = meta.get("theta_true")

@@ -4,8 +4,8 @@ For parameter i, each grid value of theta_i is held fixed while the remaining
 parameters are re-optimized, warm-started from the neighbouring grid point and
 sweeping outward from the fit in both directions (on the default grid, until
 one refit past the likelihood level set).  Flat curves indicate
-structural unidentifiability; likelihood-ratio intervals that run into the
-admissible-set boundary indicate poor practical identifiability.
+structural unidentifiability; likelihood-ratio intervals that run into the end
+of the profiled range indicate poor practical identifiability.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import (
-    EstimateResult,
-    ParameterMask,
-    fit,
-    log_likelihood,
-    multi_start_fit,
-)
+from .estimation import EstimateResult, fit, log_likelihood, multi_start_fit
 from .fim import IDENTIFIABLE, FimReport, chi2_quantile, combination_variance, fim_report
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError
 
@@ -36,7 +30,8 @@ DEFAULT_SPAN_SD = 5.0
 
 @dataclass(frozen=True)
 class ProfileInterval:
-    """Likelihood-ratio interval; an open side ran into the grid boundary."""
+    """Likelihood-ratio interval; an open side ran into the end of the profiled range, not
+    the admissible bound (on the default grid, the fit +/- ``span_sd`` FIM sds, clipped)."""
 
     lower: float
     upper: float
@@ -128,8 +123,8 @@ def profile_parameter(
     at the first refit whose value lies more than :func:`drop_threshold`
     below both ``loglik_hat`` and the highest value so far.  The points it
     computes are those of the full sweep, bit for bit.  An explicit ``grid``
-    is swept in full.  The curve, and its ``total_variation``, cover only the
-    computed points.
+    must be strictly increasing, and is swept in full.  The curve, and its
+    ``total_variation``, cover only the computed points.
     """
     space = model.space
     p = space.dimension
@@ -143,8 +138,10 @@ def profile_parameter(
     if grid is None:
         grid = _default_grid(model, dataset, fit_result, index, points, span_sd, report)
     else:
+        grid = np.asarray(grid, dtype=float)
+        if not np.all(np.diff(grid) > 0):
+            raise ValueError("profile grid must be strictly increasing")
         drop = np.inf  # an explicit grid is swept in full
-    grid = np.asarray(grid, dtype=float)
     if np.any(grid < space.lower[index]) or np.any(grid > space.upper[index]):
         raise OutOfBoundsError("profile grid exits the admissible slice")
 
@@ -155,18 +152,18 @@ def profile_parameter(
     computed = np.zeros(m, dtype=bool)
 
     def refit(k: int, warm: np.ndarray) -> np.ndarray | None:
-        mask = ParameterMask.fixing(p, {index: float(grid[k])})
+        fixed = {index: float(grid[k])}
         start = warm.copy()
         start[index] = grid[k]
         best = None
         try:
-            if space.contains(mask.pin(start)):
-                best = fit(model, dataset, start, mask=mask)
+            if space.contains(start):
+                best = fit(model, dataset, start, fixed)
         except EvaluationError:
             best = None
         if multistart > 0:
             point_seed = int(np.random.SeedSequence([seed, index, k]).generate_state(1)[0])
-            for res in multi_start_fit(model, dataset, multistart, point_seed, mask=mask):
+            for res in multi_start_fit(model, dataset, multistart, point_seed, fixed):
                 if res.converged and (best is None or res.objective < best.objective):
                     best = res
         if best is None:
@@ -251,9 +248,10 @@ def classify_profile(curve: ProfileCurve, level: float) -> str:
 
     Completely flat (total variation below ``curve.flatness_tol``) means a
     structurally unidentifiable direction; a likelihood-ratio interval that
-    runs into the admissible boundary on either side means the parameter is
-    practically unidentifiable at this design; otherwise a finite interval
-    exists and the parameter is identifiable.
+    runs into the end of the profiled range on either side (see
+    :class:`ProfileInterval`) means the parameter is practically
+    unidentifiable at this design; otherwise a finite interval exists and the
+    parameter is identifiable.
     """
     interval = likelihood_interval(curve, level)
     if curve.total_variation < curve.flatness_tol:

@@ -92,7 +92,7 @@ def recover_once(
     converged = [r for r in results if r.converged]
     best = converged[0] if converged else results[0]
     errors, success = _errors_and_success(theta_star, best.theta, tolerance)
-    aligned = model.align_to_orbit(theta_star, best.theta)
+    aligned = theta_star if model.align_symmetry is None else model.align_symmetry(theta_star, best.theta)
     _, success_sym = _errors_and_success(aligned, best.theta, tolerance)
     return RecoveryTrial(
         seed=int(seed),

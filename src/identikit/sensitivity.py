@@ -47,14 +47,14 @@ def default_step(theta) -> np.ndarray:
     return np.cbrt(np.finfo(float).eps) * np.maximum(np.abs(theta), 1.0)
 
 
-def fd_jacobian(model: Model, design: Design, theta, step_rule=None) -> SensitivityMatrix:
+def fd_jacobian(model: Model, design: Design, theta) -> SensitivityMatrix:
     """Central-difference Jacobian, all perturbed points evaluated in one batch.
 
     Columns whose +/- h step would exit the admissible set fall back to a
     one-sided difference against theta itself and are flagged.
     """
     theta = model.space.require(theta)
-    h = np.asarray((step_rule or default_step)(theta), dtype=float)
+    h = default_step(theta)
     p = theta.size
     step = np.eye(p, dtype=bool)  # row j moves parameter j
     up, dn = np.where(step, theta + h, theta), np.where(step, theta - h, theta)
@@ -104,28 +104,22 @@ def forward_ode_jacobian(model: Model, design: Design, theta) -> SensitivityMatr
     return SensitivityMatrix(sens, np.asarray(theta, dtype=float), FORWARD_ODE)
 
 
-def resolve_method(model: Model, method: str = "auto") -> str:
-    """The route ``"auto"`` stands for: analytic if registered, else forward-ODE, else FD."""
-    if method != "auto":
-        return method
+def resolve_method(model: Model) -> str:
+    """The model's own route: analytic if registered, else forward-ODE, else FD."""
     if model.jacobian is not None:
         return ANALYTIC
     return FORWARD_ODE if model.ode is not None else FD
 
 
-def sensitivity_matrix(model: Model, design: Design, theta, method: str = "auto") -> SensitivityMatrix:
-    """Jacobian by the given route; see :func:`resolve_method` for ``"auto"``."""
-    method = resolve_method(model, method)
+def sensitivity_matrix(model: Model, design: Design, theta) -> SensitivityMatrix:
+    """Jacobian by the model's own route; see :func:`resolve_method`."""
+    method = resolve_method(model)
     if method == ANALYTIC:
-        if model.jacobian is None:
-            raise ValueError(f"model {model.name} has no analytic Jacobian")
         theta = model.space.require(theta)
         return SensitivityMatrix(model.jacobian(design.time_points, theta), theta, ANALYTIC)
     if method == FORWARD_ODE:
         return forward_ode_jacobian(model, design, theta)
-    if method == FD:
-        return fd_jacobian(model, design, theta)
-    raise ValueError(f"unknown sensitivity method {method!r}")
+    return fd_jacobian(model, design, theta)
 
 
 def relative_difference(candidate: np.ndarray, reference: np.ndarray) -> float:
@@ -145,7 +139,7 @@ def cross_check(model: Model, design: Design, theta) -> float:
     if model.ode is not None:
         other = forward_ode_jacobian(model, design, theta)
     elif model.jacobian is not None:
-        other = sensitivity_matrix(model, design, theta, method=ANALYTIC)
+        other = sensitivity_matrix(model, design, theta)
     else:
         raise ValueError(f"model {model.name} has only the finite-difference route")
     return relative_difference(fd.values, other.values)

@@ -82,6 +82,11 @@ class TestValidation:
         diags = validate_config(cfg)
         assert any(d.field == "profile.grid" for d in diags)
 
+    @pytest.mark.parametrize("grid", [[3.0, 2.0, 1.0], [1.0, 3.0, 2.0], [1.0, 1.0, 2.0]])
+    def test_profile_grid_not_strictly_increasing(self, grid):
+        diags = validate_config(with_field(FULL_CONFIG, ("profile", "grid"), grid))
+        assert [str(d) for d in diags] == ["profile.grid: must be strictly increasing"]
+
     def test_zero_trials_named(self):
         cfg = {
             "model": {"name": "reciprocal"},

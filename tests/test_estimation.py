@@ -1,9 +1,9 @@
-"""Closed-form and trust-region least squares, masks, multi-start."""
+"""Closed-form and trust-region least squares, fixed parameters, multi-start."""
 
 import subprocess
 import sys
 import textwrap
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,17 +75,22 @@ class TestFit:
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         y = ik.evaluate(model, design, [2.0, 1.0])
         data = ik.Dataset(design, y[:, None])
-        mask = ik.ParameterMask.fixing(2, {1: 1.0})
-        res = ik.fit(model, data, [0.5, 5.0], mask=mask)
+        res = ik.fit(model, data, [0.5, 5.0], fixed={1: 1.0})
         assert res.theta[1] == 1.0
         assert res.theta[0] == pytest.approx(2.0, abs=1e-6)
+
+    def test_fixed_value_outside_the_box_rejected(self):
+        model = ik.get_model("biexponential")  # box [0.01, 10]^2
+        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
+        data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
+        with pytest.raises(ik.OutOfBoundsError, match="fixed parameters"):
+            ik.fit(model, data, [0.5, 5.0], fixed={1: 20.0})
 
     def test_all_fixed_mask_returns_objective_at_point(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.05)
         data = ik.generate_data(model, design, [0.5], seed=1)
-        mask = ik.ParameterMask.fixing(1, {0: 0.7})
-        res = ik.fit(model, data, [0.5], mask=mask)
+        res = ik.fit(model, data, [0.5], fixed={0: 0.7})
         assert res.converged and res.iterations == 0
         assert res.theta[0] == 0.7
 
@@ -155,10 +160,11 @@ def ramp_problem():
 
 
 class TestFitTermination:
-    def test_exhausted_budget_is_max_iter(self):
+    def test_exhausted_budget_is_max_iter(self, monkeypatch):
         X, model, design = make_linear()
         data = ik.Dataset(design, (X @ [20.0, 1.0])[:, None])
-        res = ik.fit(model, data, [0.0, 0.0], options=ik.FitOptions(max_iterations=3))
+        monkeypatch.setattr(ik.estimation, "MAX_EVALUATIONS", 3)
+        res = ik.fit(model, data, [0.0, 0.0])
         assert not res.converged and res.reason == "max-iter"
         assert res.iterations <= 3
 
@@ -197,7 +203,7 @@ class TestFitTermination:
         design = ik.Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
         data = ik.generate_data(model, design, [6.0, 9.0], seed=11)
         res = ik.fit(model, data, [6.0, 9.25])
-        pinned = ik.fit(model, data, res.theta, mask=ik.ParameterMask.fixing(2, {1: 10.0}))
+        pinned = ik.fit(model, data, res.theta, fixed={1: 10.0})
         assert res.converged and res.reason == "small-gradient"
         assert res.theta[1] == pytest.approx(10.0, abs=1e-9)
         assert res.objective <= pinned.objective * (1.0 + 1e-9)
@@ -214,31 +220,6 @@ class TestFitTermination:
         model, data = ramp_problem()
         with pytest.raises(ik.EvaluationError):
             ik.fit(model, data, [3.0])
-
-
-@pytest.mark.parametrize("field, value", [
-    ("max_iterations", 0), ("max_iterations", -5), ("max_iterations", 2.5),
-    ("max_iterations", True), ("gradient_tol", 0.0), ("gradient_tol", -1e-8),
-    ("gradient_tol", float("nan")), ("step_tol", float("inf")), ("step_tol", 0),
-    ("jacobian_method", "newton"),
-])
-def test_fit_options_reject_invalid_fields(field, value):
-    with pytest.raises(ValueError, match=field):
-        ik.FitOptions(**{field: value})
-
-
-def test_fit_options_are_immutable():
-    """A field set after construction would skip the checks (max_iterations = 0 made
-    fit loop for ever), so FitOptions is frozen and a changed copy is checked."""
-    options = ik.FitOptions()
-    with pytest.raises(FrozenInstanceError):
-        options.max_iterations = 0
-    with pytest.raises(FrozenInstanceError):
-        options.gradient_tol = float("nan")
-    with pytest.raises(ValueError, match="max_iterations"):
-        replace(options, max_iterations=0)
-    assert replace(options, max_iterations=3).max_iterations == 3
-    assert options == ik.FitOptions()
 
 
 def decay_problem():
@@ -327,9 +308,10 @@ class TestForwardOdeRoute:
         assert 0 < solves["augmented"] <= run.nfev
 
     def test_finite_difference_option_keeps_the_plain_route(self, solves, solver_runs):
+        # without its sensitivity system the model's own route is finite differences
         model, data = self.logistic_data()
         solves["plain"] = 0
-        res = ik.fit(model, data, [2.0, 3.0, 0.5], options=ik.FitOptions(jacobian_method="finite-difference"))
+        res = ik.fit(replace(model, ode=None), data, [2.0, 3.0, 0.5])
         (run,) = solver_runs
         assert res.converged
         assert solves["augmented"] == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import identikit as ik
+from identikit.estimation import GRADIENT_TOL, MAX_EVALUATIONS, STEP_TOL
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -81,14 +82,14 @@ REFERENCE_DESIGNS = {
 }
 
 
-def _trf_objective(model, data, start, options):
+def _trf_objective(model, data, start):
     """scipy's trf from ``start`` with fit's settings; inf unless it converges."""
     y = data.observations.ravel()
     sol = least_squares(
         lambda x: ik.evaluate(model, data.design, x, check_bounds=False) - y, start,
         jac=lambda x: ik.sensitivity_matrix(model, data.design, x).values, method="trf",
-        bounds=(model.space.lower, model.space.upper), gtol=options.gradient_tol,
-        xtol=options.step_tol, ftol=None, max_nfev=options.max_iterations,
+        bounds=(model.space.lower, model.space.upper), gtol=GRADIENT_TOL,
+        xtol=STEP_TOL, ftol=None, max_nfev=MAX_EVALUATIONS,
     )
     return 0.5 * float(sol.fun @ sol.fun) if sol.status > 0 else np.inf
 
@@ -102,9 +103,8 @@ def test_best_optimum_is_no_worse_than_trf(name, unit, data_seed, start_seed):
     space = model.space
     theta_true = space.lower + np.array(unit[: space.dimension]) * (space.upper - space.lower)
     data = ik.generate_data(model, REFERENCE_DESIGNS[name], theta_true, seed=data_seed)
-    options = ik.FitOptions()
     ours = min((r.objective for r in ik.multi_start_fit(model, data, 8, seed=start_seed)
                 if r.converged), default=np.inf)
     starts = ik.latin_hypercube_starts(model, 8, start_seed)
-    reference = min(_trf_objective(model, data, s, options) for s in starts)
+    reference = min(_trf_objective(model, data, s) for s in starts)
     assert ours <= reference * (1.0 + 1e-9)

@@ -1,5 +1,6 @@
 """Model abstractions, designs, noisy data generation, and the registry."""
 
+import json
 import re
 
 import numpy as np
@@ -321,6 +322,55 @@ class TestDatasetIO:
         ik.save_dataset(ds, path)
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"line 6, field {field}:")):
+            ik.load_dataset(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        """A saved 2-time, 2-replicate data set: rows on lines 2-5, the last "1,1,1"."""
+        path = tmp_path / "dataset.csv"
+        ik.save_dataset(ik.Dataset(ik.Design(np.array([0.5, 1.0]), 0.2, replicates=2), np.ones((2, 2))), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,abc", "line 5, field value: 'abc' is not a finite number"),
+            ("x,1,1", "line 5, field time: 'x' is not a finite number"),
+            ("1,1.0,1", "line 5, field replicate: '1.0' is not an integer"),
+            ("1,1", "line 5: expected the 3 fields time,replicate,value, got 2"),
+            ("1,1,1,7", "line 5: expected the 3 fields time,replicate,value, got 4"),
+            ("", "line 5: expected the 3 fields time,replicate,value, got 1"),
+            ("1,1,nan", "line 5, field value: 'nan' is not a finite number"),
+            ("1,1,inf", "line 5, field value: 'inf' is not a finite number"),
+        ],
+    )
+    def test_unparsable_row_rejected_with_line_and_field(self, tmp_path, row, message):
+        # formerly a bare float/int conversion or unpacking error, or for a blank line,
+        # nan or inf, "dataset file is missing observations"
+        path = self.saved(tmp_path)
+        lines = path.read_text().splitlines()
+        assert lines[4] == "1,1,1"
+        path.write_text("\n".join(lines[:4] + [row]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ik.load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("replicates", 2.7, "an integer"),                  # formerly loaded as 2
+            ("noise_sd", "0.2", "a number"),                    # formerly converted
+            ("time_points", ["0.5", "1.0"], "a list of numbers"),  # formerly converted
+            ("time_points", [0.5, float("inf")], "a list of numbers"),
+            ("theta_true", ["2.0"], "a list of numbers or null"),
+            ("seed", 1.5, "an integer or null"),
+        ],
+    )
+    def test_malformed_sidecar_rejected_not_repaired(self, tmp_path, key, value, kind):
+        path = self.saved(tmp_path)
+        sidecar = path.with_suffix(".csv.meta.json")
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"field {key}: must be {kind}, got {value!r}")):
             ik.load_dataset(path)
 
     def test_shape_validation(self):

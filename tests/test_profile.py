@@ -230,6 +230,19 @@ class TestProfileParameter:
         with pytest.raises(ik.OutOfBoundsError):
             ik.profile_parameter(model, data, fit, 0, grid=np.array([-1.0, 0.5, 2.0]))
 
+    @pytest.mark.parametrize("order", [[5, 4, 3, 2, 1, 0], [4, 0, 2, 1, 5, 3], [0, 1, 1, 2]])
+    def test_grid_not_strictly_increasing_rejected(self, order, monkeypatch):
+        # formerly swept as given: the descending grid gave the interval (2.215, 0.976),
+        # lower above upper, and the shuffled one another interval than the sorted grid
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
+        data = ik.generate_data(model, design, [2.0, 1.0], seed=11)
+        fit = best_fit(model, data)
+        grid = np.linspace(0.5, 3.0, 6)[order]
+        monkeypatch.setattr("identikit.profile.fit", lambda *args: pytest.fail("refit an unchecked grid"))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ik.profile_parameter(model, data, fit, 0, grid=grid)
+
     def test_requires_converged_fit(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)

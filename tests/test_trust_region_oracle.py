@@ -2,7 +2,9 @@
 
 The reference below is the solver and the residual/Jacobian set-up as they
 stood before the kernel was rewritten to make fewer numpy calls, copied
-verbatim (only ``ParameterMask.none(p)``, since removed, is spelled out).  The
+verbatim (only the parameter mask, since replaced by ``fit``'s ``fixed``, and the
+route and budget options, since replaced by the model's own route and the
+module's constants, are spelled out).  The
 rewrite must do the same floating-point operations, so on every draw
 :func:`identikit.fit` must hand its solver the same points, in the same order,
 and get back the same bytes and status as the reference does.
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 import identikit as ik
 from identikit import estimation
 from identikit.models import evaluate
+from identikit.estimation import GRADIENT_TOL, STEP_TOL
 from identikit.sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
 
 ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -133,17 +136,18 @@ def reference_lm_parameter(suf, s, delta, alpha, full_rank):
     return alpha
 
 
-def reference_problem(model, dataset, start, mask, options):
+def reference_problem(model, dataset, start, fixed):
     """The residuals, Jacobian, start and box that ``fit`` handed the reference solver."""
     space = model.space
     start = space.require(start)
-    mask = mask or ik.ParameterMask(np.zeros(start.size, dtype=bool), np.zeros(start.size))
-    theta = mask.pin(start)
-    free = mask.free_indices
+    pinned = np.isin(np.arange(start.size), list(fixed or {}))  # the mask's flags
+    theta = start.copy()
+    theta[pinned] = [fixed[i] for i in np.flatnonzero(pinned)]
+    free = np.flatnonzero(~pinned)
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=())) if space.orderings else model
-    joint = resolve_method(model, options.jacobian_method) == FORWARD_ODE
+    joint = resolve_method(model) == FORWARD_ODE
     solved = None
 
     def at(x):
@@ -166,7 +170,7 @@ def reference_problem(model, dataset, start, mask, options):
         if solved is not None and solved[0].tobytes() == point.tobytes():
             V = solved[1]
         else:
-            V = sensitivity_matrix(box, design, point, method=options.jacobian_method).values
+            V = sensitivity_matrix(box, design, point).values
         return np.repeat(V, design.replicates, axis=0)[:, free]
 
     return residuals, jacobian, theta[free], space.lower[free], space.upper[free]
@@ -191,36 +195,37 @@ def recorded(fun, jac, calls):
     return logged_fun, logged_jac
 
 
-def run(solver, fun, jac, x0, lower, upper, options):
+def run(solver, fun, jac, x0, lower, upper, budget):
     """The solver's (x, f, status) and a record of it: (x bytes, f bytes, status) and
     the calls, or the evaluation error and the calls up to it."""
     calls = []
     logged_fun, logged_jac = recorded(fun, jac, calls)
     try:
-        out = solver(logged_fun, logged_jac, x0, lower, upper,
-                     options.gradient_tol, options.step_tol, options.max_iterations)
+        out = solver(logged_fun, logged_jac, x0, lower, upper, GRADIENT_TOL, STEP_TOL, budget)
     except ik.EvaluationError as exc:
         return exc, (("raised", str(exc)), calls)
     x, f, status = out
     return out, ((x.tobytes(), f.tobytes(), status), calls)
 
 
-def kernel_runs_of_fit(model, dataset, start, mask, options):
-    """The record of every solver run inside ``ik.fit``, as :func:`run` gives it, and the fit."""
+def kernel_runs_of_fit(model, dataset, start, fixed, budget):
+    """The record of every solver run inside ``ik.fit`` with ``budget`` evaluations, as
+    :func:`run` gives it, and the fit."""
     runs = []
     kernel = estimation._solve_trust_region
 
     def spy(fun, jac, x0, lower, upper, gtol, xtol, max_nfev):
-        assert (gtol, xtol, max_nfev) == (options.gradient_tol, options.step_tol, options.max_iterations)
-        out, record = run(kernel, fun, jac, x0, lower, upper, options)
+        assert (gtol, xtol, max_nfev) == (GRADIENT_TOL, STEP_TOL, budget)
+        out, record = run(kernel, fun, jac, x0, lower, upper, budget)
         runs.append(record)
         if isinstance(out, ik.EvaluationError):
             raise out
         return out
 
-    with mock.patch.object(estimation, "_solve_trust_region", spy):
+    with mock.patch.object(estimation, "_solve_trust_region", spy), \
+            mock.patch.object(estimation, "MAX_EVALUATIONS", budget):
         try:
-            result = ik.fit(model, dataset, start, mask=mask, options=options)
+            result = ik.fit(model, dataset, start, fixed)
         except ik.EvaluationError as exc:
             result = exc
     return runs, result
@@ -243,7 +248,7 @@ MODELS = {
 @st.composite
 def problems(draw):
     """A model, a data set on it, a start (each entry interior or on a bound), an
-    optional profile mask, and options with a full or a 1-3 evaluation budget."""
+    optional profiled parameter held fixed, and a full or a 1-3 evaluation budget."""
     name = draw(st.sampled_from(sorted(MODELS)))
     model, times = MODELS[name]
     space = model.space
@@ -265,50 +270,49 @@ def problems(draw):
         if side != "interior":
             start[i] = getattr(space, side)[i]
     assume(space.contains(start))
-    mask = None
+    fixed = None
     if p > 1 and draw(st.booleans()):
-        fixed = draw(st.integers(0, p - 1))
-        mask = ik.ParameterMask.fixing(p, {fixed: float(start[fixed])})
+        index = draw(st.integers(0, p - 1))
+        fixed = {index: float(start[index])}
     budget = draw(st.sampled_from([1, 2, 3, 500, 500, 500]))
-    options = ik.FitOptions(max_iterations=budget)
-    return name, model, dataset, start, mask, options
+    return name, model, dataset, start, fixed, budget
 
 
 @ORACLE_SETTINGS
 @given(problem=problems())
 def test_fit_drives_its_solver_bit_for_bit_as_the_reference(problem):
-    name, model, dataset, start, mask, options = problem
-    runs, result = kernel_runs_of_fit(model, dataset, start, mask, options)
+    name, model, dataset, start, fixed, budget = problem
+    runs, result = kernel_runs_of_fit(model, dataset, start, fixed, budget)
     if isinstance(result, ik.EvaluationError) and not runs:
         return  # raised at the first evaluation, before the solver ran
     assert len(runs) == 1, name
     new, new_calls = runs[0]
-    fun, jac, x0, lower, upper = reference_problem(model, dataset, start, mask, options)
-    _, (expected, expected_calls) = run(reference_solve_trust_region, fun, jac, x0, lower, upper, options)
+    fun, jac, x0, lower, upper = reference_problem(model, dataset, start, fixed)
+    _, (expected, expected_calls) = run(reference_solve_trust_region, fun, jac, x0, lower, upper, budget)
     assert new_calls == expected_calls, name
     assert new == expected, name
-    assert len([c for c in new_calls if c[0] == "fun"]) <= options.max_iterations
-    if mask is None and not isinstance(result, ik.EvaluationError):
-        all_free = ik.ParameterMask(np.zeros(start.size, dtype=bool), np.zeros(start.size))
-        masked = ik.fit(model, dataset, start, mask=all_free, options=options)
+    assert len([c for c in new_calls if c[0] == "fun"]) <= budget
+    if fixed is None and not isinstance(result, ik.EvaluationError):
+        with mock.patch.object(estimation, "MAX_EVALUATIONS", budget):
+            masked = ik.fit(model, dataset, start, fixed={})
         for field in ("theta", "objective", "sigma2", "converged", "iterations", "reason", "start"):
             assert np.asarray(getattr(result, field)).tobytes() == np.asarray(getattr(masked, field)).tobytes()
 
 
 def test_every_case_is_drawn():
-    """The draws above reach every model, a mask, two replicates, a start on a
-    bound and each short budget."""
+    """The draws above reach every model, a fixed parameter, two replicates, a start
+    on a bound and each short budget."""
     seen = set()
 
     @ORACLE_SETTINGS
     @given(problem=problems())
     def collect(problem):
-        name, model, dataset, start, mask, options = problem
+        name, model, dataset, start, fixed, budget = problem
         space = model.space
         seen.add(name)
-        seen.add("mask" if mask is not None else "no mask")
+        seen.add("mask" if fixed is not None else "no mask")
         seen.add(f"replicates {dataset.design.replicates}")
-        seen.add(f"budget {options.max_iterations}")
+        seen.add(f"budget {budget}")
         if np.any((start == space.lower) | (start == space.upper)):
             seen.add("on a bound")
 
