@@ -50,13 +50,7 @@ from .models import (
     redundant_exponential_model,
     save_dataset,
 )
-from .profile import (
-    ProfileCurve,
-    ProfileInterval,
-    classify_profile,
-    likelihood_interval,
-    profile_parameter,
-)
+from .profile import ProfileCurve, ProfileInterval, profile_parameter
 from .recovery import RecoveryReport, RecoveryTrial, global_recovery, recover_once
 from .sensitivity import (
     SensitivityMatrix,

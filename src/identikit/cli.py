@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, Diagnostic, RunConfig, build_config, load_raw
 from .estimation import estimates_csv, multi_start_fit
-from .fim import DEFAULT_RANK_TOL, DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, fim_report
+from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
 from .profile import profile_parameter
 from .recovery import global_recovery
@@ -79,17 +79,9 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         write_csv(out_dir / "fit.csv", header, rows)
         results["fit"] = {"starts": config.fit.starts, "best": best, "estimates": fits}
 
-    reports = {}  # information matrices of the design by (theta, rank tolerance), each built once
-
-    def report_at(theta, rank_tolerance=DEFAULT_RANK_TOL):
-        key = (np.asarray(theta, dtype=float).tobytes(), rank_tolerance)
-        if key not in reports:
-            reports[key] = fim_report(model, design, theta, rank_tolerance=rank_tolerance)
-        return reports[key]
-
     if "fim" in selection:
         theta = config.fim.theta if config.fim.theta is not None else best.theta
-        report = report_at(theta, config.fim.rank_tolerance)
+        report = fim_report(model, design, theta, rank_tolerance=config.fim.rank_tolerance)
         block = {"theta": np.asarray(theta, dtype=float), **to_jsonable(report)}
         block["scores"] = {c: report.score(c) for c in DESIGN_CRITERIA}
         if report.classification == IDENTIFIABLE:
@@ -98,11 +90,10 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
 
     if "design_score" in selection:
         theta = config.design_score.theta if config.design_score.theta is not None else best.theta
-        score = report_at(theta).score(config.design_score.criterion)
         results["design_score"] = {
             "criterion": config.design_score.criterion,
             "theta": np.asarray(theta, dtype=float),
-            "score": score,
+            "score": design_score(model, design, theta, config.design_score.criterion),
         }
 
     if "profile" in selection:
@@ -115,7 +106,6 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
                 grid=psec.grid, points=psec.points, span_sd=psec.span_sd,
                 level=psec.level, flatness_tol=psec.flatness_tol,
                 multistart=psec.multistart, seed=config.seed,
-                report=report_at(best.theta) if psec.grid is None else None,
             )
             write_csv(
                 out_dir / f"profile_{curve.index}.csv",

@@ -194,6 +194,12 @@ def _n_samples(value):
     return value
 
 
+def _bootstrap(value):
+    if not _is_integer(value) or value < 0 or value == 1:
+        raise ValueError("must be 0 or an integer >= 2")
+    return value
+
+
 def _grid(value):
     return None if value is None else _increasing(value, 3, "must be a list of at least 3 numbers")
 
@@ -317,7 +323,7 @@ def build_config(raw: dict) -> RunConfig:
             "grid": _grid,
         }),
         "sobol": (SobolSection, {
-            "n_samples": _n_samples, "bootstrap": _integer(0), "prior": _prior(space),
+            "n_samples": _n_samples, "bootstrap": _bootstrap, "prior": _prior(space),
         }),
         "recover": (RecoverSection, {
             "k_trials": _integer(1), "n_starts": _integer(1), "tolerance": _POSITIVE,

@@ -142,6 +142,8 @@ class Design:
         times = np.asarray(self.time_points, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("design needs at least one time point")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("time points must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("time points must be strictly increasing")
         if not np.isfinite(self.noise_sd) or self.noise_sd < MIN_NOISE_SD:
@@ -274,9 +276,7 @@ class Model:
 
     ``f(times, thetas)`` maps n times and an (m, p) stack of parameter vectors
     to the (m, n) outputs; a parameter vector that cannot be evaluated gets
-    non-finite outputs in its row.  Models with several outputs are
-    represented by stacking outputs into an extended design, one row per
-    (time, output) pair.
+    non-finite outputs in its row.  The output is scalar: one value per time.
     """
 
     name: str
@@ -596,17 +596,15 @@ def logistic_model(
     rate_bounds: tuple[float, float] = (0.1, 5.0),
     capacity_bounds: tuple[float, float] = (0.2, 5.0),
     initial_bounds: tuple[float, float] = (0.01, 2.0),
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> Model:
     """Logistic growth x' = r x (1 - x/K), x(0) = x0, solved numerically by
     LSODA through :class:`OdeSystem` (scipy's compiled binding, at most 500
     steps per output interval), so design times must be >= 0.
 
     Parameters are (r, K, x0); the observed output is the state itself.
-    Integration tolerances must stay several orders below the central
-    finite-difference step (~6e-6), otherwise solver noise divided by the
-    step masquerades as sensitivity.
+    It integrates at :class:`OdeSystem`'s default tolerances, several orders
+    below the central finite-difference step (~6e-6), so that solver noise
+    divided by the step does not masquerade as sensitivity.
     """
     space = ParameterSpace(
         np.array([rate_bounds[0], capacity_bounds[0], initial_bounds[0]]),
@@ -628,8 +626,6 @@ def logistic_model(
         augmented=_augmented,
         initial=lambda theta: np.array([theta[2]]),
         initial_jac=lambda theta: np.array([[0.0, 0.0, 1.0]]),
-        rtol=rtol,
-        atol=atol,
     )
 
     return Model(

@@ -10,12 +10,12 @@ of the profiled range indicate poor practical identifiability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import EstimateResult, fit, log_likelihood, multi_start_fit
-from .fim import IDENTIFIABLE, FimReport, chi2_quantile, combination_variance, fim_report
+from .fim import IDENTIFIABLE, chi2_quantile, combination_variance, fim_report
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError
 
 FLATNESS_TOL = 1e-6
@@ -41,6 +41,8 @@ class ProfileInterval:
 
 @dataclass(frozen=True)
 class ProfileCurve:
+    """The computed points of a profile; its interval, classification and total variation derive from them."""
+
     index: int
     grid: np.ndarray
     values: np.ndarray            # profile log-likelihood, -S/sigma^2 scale
@@ -48,11 +50,43 @@ class ProfileCurve:
     converged: np.ndarray
     loglik_hat: float
     level: float
-    interval: ProfileInterval
-    classification: str
-    total_variation: float
     flatness_tol: float
     truncated: bool
+
+    @property
+    def total_variation(self) -> float:
+        return float(np.sum(np.abs(np.diff(self.values))))
+
+    @property
+    def interval(self) -> ProfileInterval:
+        """Likelihood-ratio interval at ``level``, interpolating the crossings.
+
+        A side with no crossing before the grid end is open: the interval is
+        unbounded within the profiled range.
+        """
+        target = float(np.max(self.values)) - drop_threshold(self.level)
+        peak = int(np.argmax(self.values))
+        upper, upper_open = _side(self.grid[peak:], self.values[peak:], target)
+        lower, lower_open = _side(self.grid[peak::-1], self.values[peak::-1], target)
+        return ProfileInterval(lower, upper, lower_open, upper_open)
+
+    @property
+    def classification(self) -> str:
+        """Curve-shape classification.
+
+        Completely flat (total variation below ``flatness_tol``) means a
+        structurally unidentifiable direction; a likelihood-ratio interval that
+        runs into the end of the profiled range on either side (see
+        :class:`ProfileInterval`) means the parameter is practically
+        unidentifiable at this design; otherwise a finite interval exists and
+        the parameter is identifiable.
+        """
+        interval = self.interval
+        if self.total_variation < self.flatness_tol:
+            return CLASS_FLAT
+        if interval.lower_open or interval.upper_open:
+            return CLASS_PRACTICAL
+        return CLASS_IDENTIFIABLE
 
     def csv_rows(self) -> list[list]:
         return [
@@ -81,16 +115,13 @@ def drop_threshold(level: float) -> float:
     return chi2_quantile(level, 1) / 2.0
 
 
-def _default_grid(model, dataset, fit_result, index, points, span_sd, report) -> np.ndarray:
+def _default_grid(model, dataset, fit_result, index, points, span_sd) -> np.ndarray:
     space = model.space
     lo, hi = space.lower[index], space.upper[index]
     center = float(fit_result.theta[index])
-    if report is None:
-        report = fim_report(model, dataset.design, fit_result.theta)
+    report = fim_report(model, dataset.design, fit_result.theta)
     if report.classification == IDENTIFIABLE:
-        e = np.zeros(space.dimension)
-        e[index] = 1.0
-        sd = float(np.sqrt(combination_variance(report, e)))
+        sd = float(np.sqrt(combination_variance(report, np.eye(space.dimension)[index])))
         lo = max(lo, center - span_sd * sd)
         hi = min(hi, center + span_sd * sd)
     return np.linspace(lo, hi, points)
@@ -108,35 +139,32 @@ def profile_parameter(
     flatness_tol: float = FLATNESS_TOL,
     multistart: int = 0,
     seed: int = 0,
-    report: FimReport | None = None,
 ) -> ProfileCurve:
     """Profile log-likelihood of parameter ``index``.
 
     The default grid spans the fit plus/minus ``span_sd`` information-matrix
     standard deviations (clipped to the admissible slice), falling back to the
-    full slice when the information matrix is rank-deficient.  ``report``, if
-    given, is that matrix: ``fim_report`` of the dataset's design at the fit,
-    with the default rank tolerance.  ``multistart`` adds that many cold
-    Latin-hypercube refits per grid point on top of the warm-started one.
+    full slice when the information matrix is rank-deficient.  ``multistart``
+    adds that many cold Latin-hypercube refits per grid point on top of the
+    warm-started one.
 
     On the default grid each outward sweep ends one refit past the level set:
     at the first refit whose value lies more than :func:`drop_threshold`
     below both ``loglik_hat`` and the highest value so far.  The points it
     computes are those of the full sweep, bit for bit.  An explicit ``grid``
-    must be strictly increasing, and is swept in full.  The curve, and its
-    ``total_variation``, cover only the computed points.
+    must be strictly increasing, and is swept in full.  The curve holds only
+    the computed points.
     """
     space = model.space
-    p = space.dimension
-    if not 0 <= index < p:
-        raise ValueError(f"parameter index {index} out of range for p={p}")
+    if not 0 <= index < space.dimension:
+        raise ValueError(f"parameter index {index} out of range for p={space.dimension}")
     drop = drop_threshold(level)  # rejects a level outside (0, 1) before any refit
     if not fit_result.converged:
         raise ValueError("profile requires a converged fit result")
     sigma = dataset.design.noise_sd
     loglik_hat = log_likelihood(fit_result.objective, sigma)
     if grid is None:
-        grid = _default_grid(model, dataset, fit_result, index, points, span_sd, report)
+        grid = _default_grid(model, dataset, fit_result, index, points, span_sd)
     else:
         grid = np.asarray(grid, dtype=float)
         if not np.all(np.diff(grid) > 0):
@@ -145,20 +173,12 @@ def profile_parameter(
     if np.any(grid < space.lower[index]) or np.any(grid > space.upper[index]):
         raise OutOfBoundsError("profile grid exits the admissible slice")
 
-    m = grid.size
-    values = np.full(m, -np.inf)
-    theta_opt = np.tile(fit_result.theta, (m, 1))
-    converged = np.zeros(m, dtype=bool)
-    computed = np.zeros(m, dtype=bool)
-
-    def refit(k: int, warm: np.ndarray) -> np.ndarray | None:
+    def refit(k: int, warm: np.ndarray) -> EstimateResult | None:
         fixed = {index: float(grid[k])}
         start = warm.copy()
         start[index] = grid[k]
-        best = None
         try:
-            if space.contains(start):
-                best = fit(model, dataset, start, fixed)
+            best = fit(model, dataset, start, fixed) if space.contains(start) else None
         except EvaluationError:
             best = None
         if multistart > 0:
@@ -166,74 +186,48 @@ def profile_parameter(
             for res in multi_start_fit(model, dataset, multistart, point_seed, fixed):
                 if res.converged and (best is None or res.objective < best.objective):
                     best = res
-        if best is None:
-            return None
-        values[k] = log_likelihood(best.objective, sigma)
-        theta_opt[k] = best.theta
-        converged[k] = best.converged
-        computed[k] = True
-        return best.theta
+        return best
 
-    def sweep(ks, warm) -> bool:
-        """Refit along ``ks``, each from the last; True if a refit failed."""
+    highest = -np.inf  # over both sides
+
+    def sweep(ks, warm) -> tuple[list, bool]:
+        """Rows (k, log-likelihood, refit) along ``ks``, each warm from the last; True if one failed."""
+        nonlocal highest
+        rows = []
         for k in ks:
-            warm = refit(k, warm)
-            if warm is None:
-                return True
-            if values[k] < min(loglik_hat, values.max()) - drop:
-                return False
-        return False
+            best = refit(k, warm)
+            if best is None:
+                return rows, True
+            value = log_likelihood(best.objective, sigma)
+            rows.append((k, value, best))
+            highest = max(highest, value)
+            if value < min(loglik_hat, highest) - drop:
+                break
+            warm = best.theta
+        return rows, False
 
     start_index = int(np.argmin(np.abs(grid - fit_result.theta[index])))
-    upper_failed = sweep(range(start_index, m), fit_result.theta)
-    warm = theta_opt[start_index] if computed[start_index] else fit_result.theta
-    lower_failed = sweep(range(start_index - 1, -1, -1), warm)
-    truncated = upper_failed or lower_failed
-
-    keep = computed
-    grid, values = grid[keep], values[keep]
-    theta_opt, converged = theta_opt[keep], converged[keep]
-    if grid.size == 0:
+    upper, upper_failed = sweep(range(start_index, grid.size), fit_result.theta)
+    warm = upper[0][2].theta if upper else fit_result.theta
+    lower, lower_failed = sweep(range(start_index - 1, -1, -1), warm)
+    if not lower and not upper:
         raise EvaluationError("every profile refit failed")
-
-    total_variation = float(np.sum(np.abs(np.diff(values)))) if values.size > 1 else 0.0
-    curve = ProfileCurve(
-        index=index, grid=grid, values=values, theta_opt=theta_opt,
-        converged=converged, loglik_hat=loglik_hat, level=level,
-        interval=ProfileInterval(float(grid[0]), float(grid[-1]), True, True),
-        classification="", total_variation=total_variation,
-        flatness_tol=flatness_tol, truncated=truncated,
-    )
-    return replace(
-        curve,
-        interval=likelihood_interval(curve, level),
-        classification=classify_profile(curve, level),
+    ks, values, refits = zip(*(lower[::-1] + upper))
+    return ProfileCurve(
+        index=index, grid=grid[list(ks)], values=np.array(values),
+        theta_opt=np.array([r.theta for r in refits]),
+        converged=np.array([r.converged for r in refits]),
+        loglik_hat=loglik_hat, level=level, flatness_tol=flatness_tol,
+        truncated=upper_failed or lower_failed,
     )
 
 
-def likelihood_interval(curve: ProfileCurve, level: float) -> ProfileInterval:
-    """Likelihood-ratio interval from the curve, interpolating the crossings.
-
-    A side with no crossing before the grid end is open: the interval is
-    unbounded within the profiled range.
-    """
-    target = float(np.max(curve.values)) - drop_threshold(level)
-    peak = int(np.argmax(curve.values))
-    grid, values = curve.grid, curve.values
-
-    upper, upper_open = float(grid[-1]), True
-    for k in range(peak + 1, grid.size):
+def _side(grid, values, target) -> tuple[float, bool]:
+    """Interval end and openness on the side of the peak ``grid[0]`` that ``grid`` runs to."""
+    for k in range(1, grid.size):
         if values[k] < target:
-            upper = _crossing(grid[k - 1], values[k - 1], grid[k], values[k], target)
-            upper_open = False
-            break
-    lower, lower_open = float(grid[0]), True
-    for k in range(peak - 1, -1, -1):
-        if values[k] < target:
-            lower = _crossing(grid[k + 1], values[k + 1], grid[k], values[k], target)
-            lower_open = False
-            break
-    return ProfileInterval(lower, upper, lower_open, upper_open)
+            return _crossing(grid[k - 1], values[k - 1], grid[k], values[k], target), False
+    return float(grid[-1]), True
 
 
 def _crossing(x_in, v_in, x_out, v_out, target) -> float:
@@ -241,21 +235,3 @@ def _crossing(x_in, v_in, x_out, v_out, target) -> float:
         return float(x_out)
     w = (v_in - target) / (v_in - v_out)
     return float(x_in + w * (x_out - x_in))
-
-
-def classify_profile(curve: ProfileCurve, level: float) -> str:
-    """Curve-shape classification.
-
-    Completely flat (total variation below ``curve.flatness_tol``) means a
-    structurally unidentifiable direction; a likelihood-ratio interval that
-    runs into the end of the profiled range on either side (see
-    :class:`ProfileInterval`) means the parameter is practically
-    unidentifiable at this design; otherwise a finite interval exists and the
-    parameter is identifiable.
-    """
-    interval = likelihood_interval(curve, level)
-    if curve.total_variation < curve.flatness_tol:
-        return CLASS_FLAT
-    if interval.lower_open or interval.upper_open:
-        return CLASS_PRACTICAL
-    return CLASS_IDENTIFIABLE

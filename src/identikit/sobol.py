@@ -185,17 +185,19 @@ def sobol_indices(
     non-finite output are redrawn from the prior (A row, then B row, in index
     order; the count is reported) and evaluated again in one call per round.
 
-    The bootstrap draws each round's n resample indices as the per-round
-    estimator would, but turns them into resample counts: with the outputs
-    centred once on the full-sample centre, every resampled mean is then a
-    count-weighted mean, and one matrix product gives the means of
-    BOOTSTRAP_BLOCK rounds.  This matches re-estimating on each resample up
-    to rounding (about 1e-14 relative).  Everything, bootstrap included, is
-    deterministic in ``seed``.
+    The bootstrap runs ``bootstrap`` rounds: 0 for none, else at least 2.  It
+    draws each round's n resample indices as the per-round estimator would,
+    but turns them into resample counts: with the outputs centred once on the
+    full-sample centre, every resampled mean is then a count-weighted mean,
+    and one matrix product gives the means of BOOTSTRAP_BLOCK rounds.  This
+    matches re-estimating on each resample up to rounding (about 1e-14
+    relative).  Everything, bootstrap included, is deterministic in ``seed``.
     """
     n = int(n_samples)
     if n < MIN_SAMPLES or n & (n - 1):
         raise ValueError(f"n_samples must be a power of two >= {MIN_SAMPLES}")
+    if bootstrap < 0 or bootstrap == 1:
+        raise ValueError("bootstrap must be 0 or an integer >= 2")
     if not prior.contained_in(model.space):
         raise ValueError("prior support must be contained in the parameter box")
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import identikit as ik
 from identikit.cli import main
 from identikit.config import ConfigError, build_config, validate_config
-from identikit.serialize import write_json
+from identikit.serialize import to_jsonable, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -130,6 +130,25 @@ class TestValidation:
         assert not out.exists()
         # a closed-form model is defined at negative times
         assert validate_config(with_field(FULL_CONFIG, ("design", "times"), [-1.0, 0.5, 1.0])) == []
+
+    @pytest.mark.parametrize("rounds", [1, -1, -200])
+    def test_bootstrap_of_one_or_below_zero_exits_2(self, tmp_path, capsys, rounds):
+        # one round formerly ran, warned twice and wrote null standard errors
+        doc = with_field(FULL_CONFIG, ("sobol", "bootstrap"), rounds)
+        assert [str(d) for d in validate_config(doc)] == ["sobol.bootstrap: must be 0 or an integer >= 2"]
+        out = tmp_path / "out"
+        assert main(["sobol", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "sobol.bootstrap: must be 0 or an integer >= 2" in capsys.readouterr().err
+        assert validate_config(with_field(FULL_CONFIG, ("sobol", "bootstrap"), 0)) == []
+        assert validate_config(with_field(FULL_CONFIG, ("sobol", "bootstrap"), 2)) == []
+
+    @pytest.mark.parametrize("constants", [{"rtol": -1.0}, {"atol": 1e-8}])
+    def test_logistic_tolerances_are_not_constants(self, tmp_path, constants):
+        # a negative rtol formerly passed validation and failed the analysis with exit 3
+        doc = json.loads((ROOT / "bench" / "configs" / "logistic_ode.json").read_text())
+        doc["model"]["constants"] = constants
+        assert [d.field for d in validate_config(doc)] == ["model.constants"]
+        assert main(["all", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("path, value, field", [
         (("profile", "span_sd"), 0, "profile.span_sd"),
@@ -320,23 +339,22 @@ class TestRun:
             assert float(row["objective"]) == fblock[i]["objective"]
             assert float(row["theta_rate1"]) == fblock[i]["theta"][0]
 
-    @pytest.mark.parametrize("fim, builds", [({}, 1), ({"rank_tolerance": 1e-8}, 2)])
-    def test_information_matrix_at_the_fit_is_built_once(self, tmp_path, monkeypatch, fim, builds):
-        # fim, design_score and both default profile grids ask for it at the best fit;
-        # a fim block with its own rank tolerance gets its own
-        from identikit import cli, fim as fim_module, profile
-
-        calls = []
-        counted = lambda *a, **k: calls.append(1) or ik.fim_report(*a, **k)  # noqa: E731
-        for module in (cli, fim_module, profile):
-            monkeypatch.setattr(module, "fim_report", counted)
+    @pytest.mark.parametrize("fim", [{}, {"rank_tolerance": 1e-8}])
+    def test_fim_blocks_match_the_library_at_the_fit(self, tmp_path, fim):
+        # the fim block is fim_report at the best fit with the configured rank tolerance,
+        # and the design_score block is design_score there
         config = {k: v for k, v in FULL_CONFIG.items() if k not in ("sobol", "recover")}
         config.update(fim=fim, profile={"parameters": [0, 1], "points": 9})
         out = tmp_path / "out"
         assert main(["all", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
-        assert len(calls) == builds
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["results"]["fim"]["rank_tolerance"] == fim.get("rank_tolerance", 1e-10)
+        results = json.loads((out / "summary.json").read_text())["results"]
+        theta = np.array(results["fit"]["best"]["theta"])
+        parsed = build_config(config)
+        report = ik.fim_report(parsed.model, parsed.design, theta, rank_tolerance=fim.get("rank_tolerance", 1e-10))
+        expected = to_jsonable(report)
+        assert {key: results["fim"][key] for key in expected} == expected
+        assert results["fim"]["scores"] == {c: report.score(c) for c in ("D", "A", "E")}
+        assert results["design_score"]["score"] == ik.design_score(parsed.model, parsed.design, theta, "D")
 
     def test_cli_matches_library_numbers(self, tmp_path):
         cfg = write_config(tmp_path, FULL_CONFIG)

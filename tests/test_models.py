@@ -144,6 +144,12 @@ class TestDesign:
             ik.Design(np.array([1.0]), 1e-300)
         ik.Design(np.array([1.0]), MIN_NOISE_SD)
 
+    @pytest.mark.parametrize("times", [[np.nan], [1.0, np.inf], [-np.inf, 0.0], [0.0, np.nan, 2.0]])
+    def test_non_finite_time_points_rejected(self, times):
+        # a lone NaN and a trailing inf formerly passed the increasing check
+        with pytest.raises(ValueError, match="time points must be finite"):
+            ik.Design(np.array(times), 0.1)
+
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             ik.Design(np.array([1.0]), 0.1, replicates=0)

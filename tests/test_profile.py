@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.config import build_config
@@ -36,8 +38,6 @@ def make_curve(grid, values, level=0.95):
         theta_opt=np.zeros((grid.size, 1)),
         converged=np.ones(grid.size, dtype=bool),
         loglik_hat=float(values.max()), level=level,
-        interval=ProfileInterval(grid[0], grid[-1], True, True),
-        classification="", total_variation=float(np.sum(np.abs(np.diff(values)))),
         flatness_tol=1e-6, truncated=False,
     )
 
@@ -45,13 +45,13 @@ def make_curve(grid, values, level=0.95):
 class TestClassifyProfile:
     def test_flat_curve(self):
         curve = make_curve(np.linspace(0, 1, 11), np.full(11, -3.0) + 1e-13)
-        assert ik.classify_profile(curve, 0.95) == CLASS_FLAT
+        assert curve.classification == CLASS_FLAT
 
     def test_tight_quadratic(self):
         grid = np.linspace(-1, 1, 41)
         curve = make_curve(grid, -50.0 * grid**2)
-        assert ik.classify_profile(curve, 0.95) == CLASS_IDENTIFIABLE
-        interval = ik.likelihood_interval(curve, 0.95)
+        assert curve.classification == CLASS_IDENTIFIABLE
+        interval = curve.interval
         # drop of 1.920729 at 50 x^2 -> x = sqrt(1.920729 / 50)
         expect = np.sqrt(drop_threshold(0.95) / 50.0)
         assert interval.lower == pytest.approx(-expect, rel=1e-2)
@@ -64,8 +64,8 @@ class TestClassifyProfile:
         grid = np.linspace(0, 10, 41)
         values = -3.0 * np.exp(-grid)
         curve = make_curve(grid, values)
-        assert ik.classify_profile(curve, 0.95) == CLASS_PRACTICAL
-        interval = ik.likelihood_interval(curve, 0.95)
+        assert curve.classification == CLASS_PRACTICAL
+        interval = curve.interval
         assert interval.upper_open and not interval.lower_open
 
 
@@ -81,12 +81,12 @@ class TestLevelValidation:
     @pytest.mark.parametrize("level", BAD_LEVELS)
     def test_interval_and_classification_reject_level(self, level):
         grid = np.linspace(-1, 1, 41)
-        curves = (make_curve(grid, -50.0 * grid**2), make_curve(grid, np.full(41, -3.0)))
+        curves = (make_curve(grid, -50.0 * grid**2, level), make_curve(grid, np.full(41, -3.0), level))
         for curve in curves:
             with pytest.raises(ValueError, match="level"):
-                ik.likelihood_interval(curve, level)
+                curve.interval
             with pytest.raises(ValueError, match="level"):
-                ik.classify_profile(curve, level)
+                curve.classification
 
     @pytest.mark.parametrize("level", BAD_LEVELS)
     def test_profile_rejects_level_before_any_refit(self, level, monkeypatch):
@@ -318,7 +318,7 @@ class TestLevelSetStop:
         model, data, fit, indices, points = CASES[name]()
         for i in indices:
             stopped = ik.profile_parameter(model, data, fit, i, points=points)
-            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD, None)
+            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD)
             full = ik.profile_parameter(model, data, fit, i, grid=grid)
             assert full.grid.size == points and stopped.grid.size < points
             start = int(np.flatnonzero(full.grid == stopped.grid[0])[0])
@@ -344,6 +344,103 @@ class TestLevelSetStop:
         assert len(calls) == 18
         calls.clear()
         for i in indices:
-            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD, None)
+            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD)
             ik.profile_parameter(model, data, fit, i, grid=grid)
         assert len(calls) == 42
+
+
+# The interval and classification as they were computed before a curve derived them:
+# two mirrored crossing loops over a stored curve, with the level passed beside it.
+
+
+def reference_interval(curve, level):
+    target = float(np.max(curve.values)) - drop_threshold(level)
+    peak = int(np.argmax(curve.values))
+    grid, values = curve.grid, curve.values
+
+    upper, upper_open = float(grid[-1]), True
+    for k in range(peak + 1, grid.size):
+        if values[k] < target:
+            upper = reference_crossing(grid[k - 1], values[k - 1], grid[k], values[k], target)
+            upper_open = False
+            break
+    lower, lower_open = float(grid[0]), True
+    for k in range(peak - 1, -1, -1):
+        if values[k] < target:
+            lower = reference_crossing(grid[k + 1], values[k + 1], grid[k], values[k], target)
+            lower_open = False
+            break
+    return ProfileInterval(lower, upper, lower_open, upper_open)
+
+
+def reference_crossing(x_in, v_in, x_out, v_out, target):
+    if v_out == v_in:
+        return float(x_out)
+    w = (v_in - target) / (v_in - v_out)
+    return float(x_in + w * (x_out - x_in))
+
+
+def reference_total_variation(values):
+    return float(np.sum(np.abs(np.diff(values)))) if values.size > 1 else 0.0
+
+
+def reference_classification(curve, level):
+    interval = reference_interval(curve, level)
+    if reference_total_variation(curve.values) < curve.flatness_tol:
+        return CLASS_FLAT
+    if interval.lower_open or interval.upper_open:
+        return CLASS_PRACTICAL
+    return CLASS_IDENTIFIABLE
+
+
+@st.composite
+def drawn_curves(draw):
+    """Curves of 1-41 strictly increasing points whose values repeat a few levels
+    often (equal neighbours, plateaus, tied maxima), sometimes sorted so that the
+    peak sits at an end."""
+    n = draw(st.integers(1, 41))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    grid = sorted(draw(st.lists(st.floats(-100.0, 100.0, **finite), min_size=n, max_size=n, unique=True)))
+    pool = draw(st.lists(st.floats(-10.0, 0.0, **finite), min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(-10.0, 0.0, **finite), min_size=n, max_size=n))
+    order = draw(st.sampled_from(["drawn", "rising", "falling"]))
+    if order != "drawn":
+        values = sorted(values, reverse=order == "falling")
+    values = np.array(values) * draw(st.sampled_from([1e-9, 1.0, 100.0]))
+    curve = make_curve(grid, values, level=draw(st.sampled_from([0.5, 0.9, 0.95, 0.99]) | st.floats(0.01, 0.99)))
+    return ProfileCurve(**{**vars(curve), "flatness_tol": draw(st.sampled_from([1e-6, 1e-3, 1.0]))})
+
+
+def interval_bits(interval):
+    return interval.lower.hex(), interval.upper.hex(), interval.lower_open, interval.upper_open
+
+
+def curve_features(curve) -> set:
+    values = curve.values
+    peak = int(np.argmax(values))
+    features = {curve.classification, "single" if values.size == 1 else "several"}
+    if np.any(values[1:] == values[:-1]):
+        features.add("equal neighbours")
+    if np.sum(values == values.max()) > 1:
+        features.add("tied maximum")
+    if values.size > 2 and peak in (0, values.size - 1):
+        features.add("peak first" if peak == 0 else "peak last")
+    return features
+
+
+def test_derived_verdicts_match_the_reference():
+    """A curve's interval, classification and total variation equal those of the
+    stored-verdict code, over draws that reach every edge case named below."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_curves())
+    def check(curve):
+        assert interval_bits(curve.interval) == interval_bits(reference_interval(curve, curve.level))
+        assert curve.classification == reference_classification(curve, curve.level)
+        assert curve.total_variation == reference_total_variation(curve.values)
+        seen.update(curve_features(curve))
+
+    check()
+    assert seen >= {"single", "several", "equal neighbours", "tied maximum", "peak first", "peak last",
+                    CLASS_FLAT, CLASS_PRACTICAL, CLASS_IDENTIFIABLE}

@@ -127,6 +127,14 @@ class TestSobolIndices:
         with pytest.raises(ValueError):
             sobol_indices(model, ONE_TIME, prior, 512, seed=0)
 
+    @pytest.mark.parametrize("rounds", [1, -1])
+    def test_bootstrap_needs_zero_or_two_rounds(self, rounds):
+        # one round has no standard deviation, and a negative count formerly gave zero errors
+        space = ParameterSpace(np.zeros(2), np.ones(2))
+        model = Model(name="unevaluated", space=space, f=lambda *args: pytest.fail("evaluated before the check"))
+        with pytest.raises(ValueError, match="bootstrap must be 0 or an integer >= 2"):
+            sobol_indices(model, ONE_TIME, Prior.uniform_box(model.space), 1024, seed=0, bootstrap=rounds)
+
     def test_prior_must_fit_the_space(self):
         model = algebraic_model("additive", lambda th: th[0] + th[1], [0, 0], [1, 1])
         wide = Prior(("uniform",) * 2, np.zeros(2), np.full(2, 2.0))
