@@ -25,9 +25,9 @@ from .estimation import estimates_csv, multi_start_fit
 from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
 from .profile import profile_parameter
-from .recovery import global_recovery
+from .recovery import DEFAULT_STARTS, global_recovery
 from .serialize import to_jsonable, write_csv, write_json
-from .sobol import Prior, sobol_indices
+from .sobol import sobol_indices
 
 SUBCOMMANDS = ("fim", "profile", "sobol", "recover", "design-score", "all")
 
@@ -49,8 +49,9 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
 
     dataset = None
     if config.data is not None:
-        if config.data.path is not None:
-            dataset = load_dataset(config.data.path)
+        path = config.data.get("path")
+        if path is not None:
+            dataset = load_dataset(path)
             found = dataset.design  # every analysis must see one design
             for field, theirs, ours in (
                 ("times", found.time_points.tolist(), design.time_points.tolist()),
@@ -58,55 +59,52 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
                 ("replicates", found.replicates, design.replicates),
             ):
                 if theirs != ours:
-                    raise ValueError(f"data.path {config.data.path}: {field} is {theirs}, but design.{field} is {ours}")
+                    raise ValueError(f"data.path {path}: {field} is {theirs}, but design.{field} is {ours}")
         else:
-            data_seed = config.seed if config.data.seed is None else config.data.seed
-            dataset = generate_data(model, design, config.data.theta_true, data_seed)
+            dataset = generate_data(model, design, config.data["theta_true"], config.data.get("seed", config.seed))
         save_dataset(dataset, out_dir / "dataset.csv")
 
     needs_fit = (
         "profile" in selection
-        or ("fim" in selection and config.fim.theta is None)
-        or ("design_score" in selection and config.design_score.theta is None)
+        or ("fim" in selection and "theta" not in config.fim)
+        or ("design_score" in selection and "theta" not in config.design_score)
     )
     best = None
     if needs_fit:
         if dataset is None:
             raise ValueError("fit requested but no data section is configured")
-        fits = multi_start_fit(model, dataset, config.fit.starts, config.seed)
+        fits = multi_start_fit(model, dataset, config.fit.get("starts", DEFAULT_STARTS), config.seed)
         best = next((r for r in fits if r.converged), fits[0])
         header, rows = estimates_csv(fits, names)
         write_csv(out_dir / "fit.csv", header, rows)
-        results["fit"] = {"starts": config.fit.starts, "best": best, "estimates": fits}
+        results["fit"] = {"starts": len(fits), "best": best, "estimates": fits}
 
     if "fim" in selection:
-        theta = config.fim.theta if config.fim.theta is not None else best.theta
-        report = fim_report(model, design, theta, rank_tolerance=config.fim.rank_tolerance)
+        options = dict(config.fim)
+        theta = options.pop("theta") if "theta" in options else best.theta
+        level = options.pop("level", 0.95)
+        report = fim_report(model, design, theta, **options)
         block = {"theta": np.asarray(theta, dtype=float), **to_jsonable(report)}
         block["scores"] = {c: report.score(c) for c in DESIGN_CRITERIA}
         if report.classification == IDENTIFIABLE:
-            block["ellipsoid"] = confidence_ellipsoid(report, theta, config.fim.level)
+            block["ellipsoid"] = confidence_ellipsoid(report, theta, level)
         results["fim"] = block
 
     if "design_score" in selection:
-        theta = config.design_score.theta if config.design_score.theta is not None else best.theta
+        theta = config.design_score["theta"] if "theta" in config.design_score else best.theta
+        criterion = config.design_score.get("criterion", "D")
         results["design_score"] = {
-            "criterion": config.design_score.criterion,
+            "criterion": criterion,
             "theta": np.asarray(theta, dtype=float),
-            "score": design_score(model, design, theta, config.design_score.criterion),
+            "score": design_score(model, design, theta, criterion),
         }
 
     if "profile" in selection:
-        psec = config.profile
-        indices = psec.parameters if psec.parameters is not None else list(range(model.space.dimension))
+        options = dict(config.profile)
+        indices = options.pop("parameters", None)
         block = {}
-        for i in indices:
-            curve = profile_parameter(
-                model, dataset, best, i,
-                grid=psec.grid, points=psec.points, span_sd=psec.span_sd,
-                level=psec.level, flatness_tol=psec.flatness_tol,
-                multistart=psec.multistart, seed=config.seed,
-            )
+        for i in range(model.space.dimension) if indices is None else indices:
+            curve = profile_parameter(model, dataset, best, i, seed=config.seed, **options)
             write_csv(
                 out_dir / f"profile_{curve.index}.csv",
                 ["theta_i", "profile_loglik", "converged"],
@@ -116,12 +114,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         results["profile"] = block
 
     if "sobol" in selection:
-        ssec = config.sobol
-        prior = ssec.prior or Prior.uniform_box(model.space)
-        report = sobol_indices(
-            model, design, prior, ssec.n_samples,
-            seed=config.seed, bootstrap=ssec.bootstrap,
-        )
+        report = sobol_indices(model, design, seed=config.seed, **config.sobol)
         write_csv(
             out_dir / "sobol.csv",
             ["parameter", "S_first", "S_first_se", "S_total", "S_total_se"],
@@ -134,13 +127,9 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         results["sobol"] = {"parameters": list(names), **report.to_dict()}
 
     if "recover" in selection:
-        rsec = config.recover
-        report = global_recovery(
-            model, design, rsec.k_trials, prior=rsec.prior, seed=config.seed,
-            n_starts=rsec.n_starts, tolerance=rsec.tolerance,
-        )
+        report = global_recovery(model, design, seed=config.seed, **config.recover)
         write_csv(out_dir / "recovery.csv", report.csv_header(names), report.csv_rows())
-        results["recovery"] = {"k_trials": rsec.k_trials, **to_jsonable(report)}
+        results["recovery"] = {"k_trials": len(report.trials), **to_jsonable(report)}
 
     return results
 

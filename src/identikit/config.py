@@ -3,11 +3,15 @@
 Sections mirror the analysis modules: ``model``, ``design``, ``data``, then
 ``fit``, ``fim``, ``design_score``, ``profile``, ``sobol``, ``recover``.
 :func:`build_config` is the one reader of the document.  It reads each field
-once, checks it, then converts it; a field left out takes the default of its
-section dataclass, and an optional section given as ``null`` counts as left
-out.  Numbers must be finite, booleans are not numbers, and a key that names
-no field is an error.  Every bad field becomes a :class:`Diagnostic` that
-names it, and all of them are raised together as a :class:`ConfigError`.
+once, checks it, then converts it.  Each section of :class:`RunConfig` is the
+dict of its checked fields, which the CLI passes on as keyword arguments, so a
+field left out takes the default of the analysis it feeds (the signature of
+``profile_parameter``, ``sobol_indices``, ``global_recovery``, ...); the few
+fields only the CLI reads take theirs where it reads them.  An optional
+section given as ``null`` counts as left out.  Numbers must be finite,
+booleans are not numbers, and a key that names no field is an error.  Every
+bad field becomes a :class:`Diagnostic` that names it, and all of them are
+raised together as a :class:`ConfigError`.
 :func:`validate_config` returns those diagnostics instead of raising.
 """
 
@@ -19,10 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fim import DEFAULT_RANK_TOL, DESIGN_CRITERIA
+from .fim import DESIGN_CRITERIA
 from .models import MIN_NOISE_SD, Design, Model, UnknownModelError, _is_integer, _is_number, get_model
-from .profile import DEFAULT_GRID_POINTS, DEFAULT_SPAN_SD, FLATNESS_TOL
-from .recovery import DEFAULT_STARTS, DEFAULT_TOLERANCE
 from .sobol import MIN_SAMPLES, Prior
 
 ANALYSIS_SECTIONS = ("fim", "design_score", "profile", "sobol", "recover")
@@ -46,68 +48,17 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class DataSection:
-    theta_true: np.ndarray | None = None
-    path: str | None = None
-    seed: int | None = None
-
-
-@dataclass
-class FitSection:
-    starts: int = DEFAULT_STARTS
-
-
-@dataclass
-class FimSection:
-    theta: np.ndarray | None = None
-    rank_tolerance: float = DEFAULT_RANK_TOL
-    level: float = 0.95
-
-
-@dataclass
-class DesignScoreSection:
-    criterion: str = "D"
-    theta: np.ndarray | None = None
-
-
-@dataclass
-class ProfileSection:
-    parameters: list[int] | None = None
-    points: int = DEFAULT_GRID_POINTS
-    span_sd: float = DEFAULT_SPAN_SD
-    level: float = 0.95
-    flatness_tol: float = FLATNESS_TOL
-    multistart: int = 0
-    grid: np.ndarray | None = None
-
-
-@dataclass
-class SobolSection:
-    n_samples: int = 4096
-    bootstrap: int = 200
-    prior: Prior | None = None
-
-
-@dataclass
-class RecoverSection:
-    k_trials: int = 20
-    n_starts: int = DEFAULT_STARTS
-    tolerance: float = DEFAULT_TOLERANCE
-    prior: Prior | None = None
-
-
-@dataclass
 class RunConfig:
     model: Model
     design: Design
     seed: int = 0
-    data: DataSection | None = None
-    fit: FitSection = field(default_factory=FitSection)
-    fim: FimSection | None = None
-    design_score: DesignScoreSection | None = None
-    profile: ProfileSection | None = None
-    sobol: SobolSection | None = None
-    recover: RecoverSection | None = None
+    data: dict | None = None
+    fit: dict = field(default_factory=dict)
+    fim: dict | None = None
+    design_score: dict | None = None
+    profile: dict | None = None
+    sobol: dict | None = None
+    recover: dict | None = None
     raw: dict = field(default_factory=dict)
 
     def sections_present(self) -> list[str]:
@@ -313,28 +264,25 @@ def build_config(raw: dict) -> RunConfig:
     space = None if model is None else model.space
     theta = _theta(space)
     section_rules = {
-        "data": (DataSection, {"theta_true": theta, "path": _string, "seed": _integer(0)}),
-        "fit": (FitSection, {"starts": _integer(1)}),
-        "fim": (FimSection, {"theta": theta, "rank_tolerance": _FRACTION, "level": _FRACTION}),
-        "design_score": (DesignScoreSection, {"criterion": _criterion, "theta": theta}),
-        "profile": (ProfileSection, {
+        "data": {"theta_true": theta, "path": _string, "seed": _integer(0)},
+        "fit": {"starts": _integer(1)},
+        "fim": {"theta": theta, "rank_tolerance": _FRACTION, "level": _FRACTION},
+        "design_score": {"criterion": _criterion, "theta": theta},
+        "profile": {
             "parameters": _indices(space), "points": _integer(3), "span_sd": _POSITIVE,
             "level": _FRACTION, "flatness_tol": _POSITIVE, "multistart": _integer(0),
             "grid": _grid,
-        }),
-        "sobol": (SobolSection, {
-            "n_samples": _n_samples, "bootstrap": _bootstrap, "prior": _prior(space),
-        }),
-        "recover": (RecoverSection, {
+        },
+        "sobol": {"n_samples": _n_samples, "bootstrap": _bootstrap, "prior": _prior(space)},
+        "recover": {
             "k_trials": _integer(1), "n_starts": _integer(1), "tolerance": _POSITIVE,
             "prior": _prior(space),
-        }),
+        },
     }
-    for name, (section_type, rules) in section_rules.items():
+    for name, rules in section_rules.items():
         section = top.pop(name, None)
-        fields = None if section is None else _fields(diags, name, section, rules)
-        if fields is not None:
-            top[name] = section_type(**fields)
+        if section is not None:
+            top[name] = _fields(diags, name, section, rules)
 
     # Fields that depend on one another; each section here is a JSON object.
     if model is not None and model.ode is not None and design is not None and design.time_points[0] < 0:
@@ -349,11 +297,12 @@ def build_config(raw: dict) -> RunConfig:
     profile = top.get("profile")
     if profile is not None and data is None:
         diags.append(Diagnostic("profile", "requires a data section"))
-    if profile is not None and profile.grid is not None and space is not None:
-        indices = profile.parameters if profile.parameters is not None else range(space.dimension)
-        for i in indices:
+    grid = None if profile is None else profile.get("grid")
+    if grid is not None and space is not None:
+        indices = profile.get("parameters")
+        for i in range(space.dimension) if indices is None else indices:
             lo, hi = space.lower[i], space.upper[i]
-            if profile.grid.min() < lo or profile.grid.max() > hi:
+            if grid.min() < lo or grid.max() > hi:
                 diags.append(Diagnostic(
                     "profile.grid", f"exits the admissible slice [{lo:g}, {hi:g}] of parameter {i}"
                 ))

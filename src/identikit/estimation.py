@@ -369,23 +369,35 @@ def multi_start_fit(
 ) -> list[EstimateResult]:
     """Independent fits from dispersed starts, ``fixed`` as in :func:`fit`, sorted by objective.
 
-    Individual failures are flagged per start, never raised.
+    Individual failures are flagged per start, never raised: a start that the
+    ``fixed`` values put outside an ordering is flagged without a run.  A
+    ``fixed`` value outside the box raises :class:`OutOfBoundsError`.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
+    space = model.space
     starts = latin_hypercube_starts(model, k_starts, seed)
     if fixed:
         starts[:, list(fixed)] = list(fixed.values())
+        if not replace(space, orderings=()).contains(starts[0]):
+            raise OutOfBoundsError("fixed parameters lie outside the box")
+    names = space.parameter_names()
+
+    def failed(start, failure: str) -> EstimateResult:
+        return EstimateResult(
+            theta=np.asarray(start, dtype=float), objective=float("inf"),
+            sigma2=float("nan"), converged=False, iterations=0,
+            reason=MAX_ITER, start=np.asarray(start, dtype=float), failure=failure,
+        )
 
     def run(start):
+        broken = [f"{names[i]} > {names[j]}" for i, j in space.orderings if not start[i] > start[j]]
+        if broken:
+            return failed(start, "start breaks the ordering " + " and ".join(broken))
         try:
             return fit(model, dataset, start, fixed)
         except EvaluationError as exc:
-            return EstimateResult(
-                theta=np.asarray(start, dtype=float), objective=float("inf"),
-                sigma2=float("nan"), converged=False, iterations=0,
-                reason=MAX_ITER, start=np.asarray(start, dtype=float), failure=str(exc),
-            )
+            return failed(start, str(exc))
 
     return sorted((run(s) for s in starts), key=lambda r: r.objective)
 

@@ -469,6 +469,13 @@ LOCALLY_NOT_GLOBALLY = "locally-not-globally"
 STRUCTURALLY_UNIDENTIFIABLE = "structurally-unidentifiable"
 
 
+def _bounds(name: str, value) -> tuple[float, float]:
+    """A factory's ``*bounds`` constant, rejected unless it is a pair of finite numbers."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(map(_is_number, value)):
+        raise ValueError(f"{name} must be a pair of finite numbers")
+    return float(value[0]), float(value[1])
+
+
 def linear_model(design_matrix=None, bounds: tuple[float, float] = (-10.0, 10.0)) -> Model:
     """y = X theta.  Design times index the rows of X (t_i = i).
 
@@ -478,11 +485,12 @@ def linear_model(design_matrix=None, bounds: tuple[float, float] = (-10.0, 10.0)
     if design_matrix is None:
         t = np.arange(4.0)
         design_matrix = np.column_stack([np.ones_like(t), t])
-    X = np.asarray(design_matrix, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("design matrix must be 2-D with at least one row")
+    X = np.asarray(design_matrix, dtype=object)  # keeps booleans apart from numbers
+    if X.ndim != 2 or X.size == 0 or not all(map(_is_number, X.ravel().tolist())):
+        raise ValueError("design matrix must be a non-empty 2-D array of finite numbers")
+    X = X.astype(float)
     n, p = X.shape
-    lo, hi = bounds
+    lo, hi = _bounds("bounds", bounds)
     space = ParameterSpace(np.full(p, lo), np.full(p, hi),
                            names=tuple(f"coef{i + 1}" for i in range(p)))
 
@@ -515,7 +523,9 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
     Swapping the two rates leaves the output unchanged, so the model is only
     locally identifiable unless the space is restricted to rate1 > rate2.
     """
-    lo, hi = bounds
+    if not isinstance(ordered, bool):
+        raise ValueError("ordered must be true or false")
+    lo, hi = _bounds("bounds", bounds)
     space = ParameterSpace(
         np.array([lo, lo]), np.array([hi, hi]),
         orderings=((0, 1),) if ordered else (),
@@ -555,11 +565,9 @@ def redundant_exponential_model(
     amplitude * exp(offset), so the model carries one redundant parameter and
     is structurally unidentifiable.
     """
-    space = ParameterSpace(
-        np.array([amplitude_bounds[0], rate_bounds[0], offset_bounds[0]]),
-        np.array([amplitude_bounds[1], rate_bounds[1], offset_bounds[1]]),
-        names=("amplitude", "rate", "offset"),
-    )
+    lower, upper = zip(_bounds("amplitude_bounds", amplitude_bounds), _bounds("rate_bounds", rate_bounds),
+                       _bounds("offset_bounds", offset_bounds))
+    space = ParameterSpace(np.array(lower), np.array(upper), names=("amplitude", "rate", "offset"))
 
     def _jac(times, theta):
         e = np.exp(theta[1] * times + theta[2])
@@ -581,7 +589,8 @@ def reciprocal_model(bounds: tuple[float, float] = (0.01, 1000.0)) -> Model:
     Globally identifiable everywhere, but the sensitivity 1/theta^2 collapses
     as theta grows, so practical identifiability is lost at large theta.
     """
-    space = ParameterSpace(np.array([bounds[0]]), np.array([bounds[1]]), names=("theta",))
+    lo, hi = _bounds("bounds", bounds)
+    space = ParameterSpace(np.array([lo]), np.array([hi]), names=("theta",))
 
     return Model(
         name="reciprocal",
@@ -606,11 +615,9 @@ def logistic_model(
     below the central finite-difference step (~6e-6), so that solver noise
     divided by the step does not masquerade as sensitivity.
     """
-    space = ParameterSpace(
-        np.array([rate_bounds[0], capacity_bounds[0], initial_bounds[0]]),
-        np.array([rate_bounds[1], capacity_bounds[1], initial_bounds[1]]),
-        names=("growth_rate", "capacity", "initial_state"),
-    )
+    lower, upper = zip(_bounds("rate_bounds", rate_bounds), _bounds("capacity_bounds", capacity_bounds),
+                       _bounds("initial_bounds", initial_bounds))
+    space = ParameterSpace(np.array(lower), np.array(upper), names=("growth_rate", "capacity", "initial_state"))
 
     def _augmented(t, z, theta):
         # dg/dx = r (1 - 2x/K), dg/dtheta = [x (1 - x/K), r x^2/K^2, 0], combined

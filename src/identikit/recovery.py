@@ -109,7 +109,7 @@ def recover_once(
 def global_recovery(
     model: Model,
     design: Design,
-    k_trials: int,
+    k_trials: int = 20,
     prior: Prior | None = None,
     seed: int = 0,
     n_starts: int = DEFAULT_STARTS,

@@ -173,12 +173,12 @@ def _aggregate(per_time, var_t):
 def sobol_indices(
     model: Model,
     design: Design,
-    prior: Prior,
-    n_samples: int,
+    prior: Prior | None = None,
+    n_samples: int = 4096,
     seed: int = 0,
     bootstrap: int = 200,
 ) -> SobolReport:
-    """Monte-Carlo Sobol indices of the noiseless output under the prior.
+    """Monte-Carlo Sobol indices of the noiseless output under the prior (default: the uniform box).
 
     ``n_samples`` must be a power of two of at least 2^10.  The n (p + 2) rows
     of A, B and A_B^(i) are evaluated in one model call.  Points with any
@@ -198,6 +198,7 @@ def sobol_indices(
         raise ValueError(f"n_samples must be a power of two >= {MIN_SAMPLES}")
     if bootstrap < 0 or bootstrap == 1:
         raise ValueError("bootstrap must be 0 or an integer >= 2")
+    prior = prior or Prior.uniform_box(model.space)
     if not prior.contained_in(model.space):
         raise ValueError("prior support must be contained in the parameter box")
 

@@ -150,6 +150,25 @@ class TestValidation:
         assert [d.field for d in validate_config(doc)] == ["model.constants"]
         assert main(["all", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("model, message", [
+        # formerly the ordered model
+        ({"name": "biexponential", "constants": {"ordered": "no"}}, "ordered must be true or false"),
+        ({"name": "biexponential", "constants": {"ordered": 1}}, "ordered must be true or false"),
+        # formerly a lower bound of 1.0, then an upper bound of 10.0
+        ({"name": "biexponential", "constants": {"bounds": [True, 10]}}, "bounds must be a pair of finite numbers"),
+        ({"name": "biexponential", "constants": {"bounds": [0.01, "10"]}}, "bounds must be a pair of finite numbers"),
+        # formerly "SVD did not converge"
+        ({"name": "linear", "constants": {"design_matrix": [[1.0, float("nan")], [1.0, 1.0]]}},
+         "design matrix must be a non-empty 2-D array of finite numbers"),
+    ])
+    def test_malformed_model_constants_exit_2_without_output(self, tmp_path, capsys, model, message):
+        doc = {**FULL_CONFIG, "model": model}
+        assert [str(d) for d in validate_config(doc)] == [f"model.constants: {message}"]
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"config error - model.constants: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("path, value, field", [
         (("profile", "span_sd"), 0, "profile.span_sd"),
         (("profile", "span_sd"), -1, "profile.span_sd"),
@@ -303,6 +322,19 @@ class TestRun:
         assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("analysis failed: ") and "rate1 > rate2 never held" in err
+
+    def test_profile_multistart_on_an_ordered_space_runs(self, tmp_path, capsys):
+        # a cold start that the profiled value put outside rate1 > rate2 formerly ended the run with exit 3
+        cfg = write_config(tmp_path, {
+            **{k: FULL_CONFIG[k] for k in ("design", "seed", "data", "fit")},
+            "model": {"name": "biexponential", "constants": {"ordered": True}},
+            "profile": {"parameters": [0, 1], "points": 9, "multistart": 4},
+        })
+        out = tmp_path / "out"
+        assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        profile = json.loads((out / "summary.json").read_text())["results"]["profile"]
+        assert all(all(block["converged"]) for block in profile.values())
 
     def test_csv_values_round_trip_to_summary(self, tmp_path):
         cfg = write_config(tmp_path, FULL_CONFIG)
@@ -470,17 +502,65 @@ class TestListModels:
 
 
 class TestBuildConfig:
-    def test_defaults_applied(self):
-        cfg = build_config({
+    def test_defaults_applied(self, tmp_path):
+        doc = {
             "model": {"name": "reciprocal"},
             "design": {"times": [1.0, 2.0], "noise_sd": 0.1},
+            "data": {"theta_true": [0.5]},
+            "fim": {},
             "recover": {},
-        })
+        }
+        cfg = build_config(doc)
         assert cfg.seed == 0
-        assert cfg.recover.k_trials == 20
-        assert cfg.recover.tolerance == pytest.approx(0.1)
-        assert cfg.fit.starts == 16
-        assert cfg.sections_present() == ["recover"]
+        assert cfg.sections_present() == ["fim", "recover"]
+        # the defaults apply where the analyses run, so read them in the run's summary
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["recovery"]["k_trials"] == 20 == len(results["recovery"]["trials"])
+        assert results["recovery"]["tolerance"] == 0.1
+        assert results["fit"]["starts"] == 16 == len(results["fit"]["estimates"])
+
+    def test_omitted_fields_take_the_documented_defaults(self, tmp_path):
+        """Every optional field left out writes the files that README's "Fields and defaults" values write."""
+        omitted = {
+            "model": {"name": "biexponential"},
+            "design": {"times": [0.25, 0.5, 1.0, 2.0, 3.0], "noise_sd": 0.05},
+            "seed": 5,
+            "data": {"theta_true": [2.0, 1.0]},
+            **dict.fromkeys(("fit", "fim", "design_score", "profile", "sobol", "recover"), {}),
+        }
+        first = tmp_path / "omitted"
+        assert main(["all", "--config", str(write_config(tmp_path, omitted, "omitted.json")),
+                     "--out", str(first)]) == 0
+        best = json.loads((first / "summary.json").read_text())["results"]["fit"]["best"]["theta"]
+        box = [{"kind": "uniform", "lower": 0.01, "upper": 10.0}] * 2
+        spelled = {
+            **omitted,
+            "design": {**omitted["design"], "replicates": 1},
+            "data": {"theta_true": [2.0, 1.0], "seed": 5},
+            "fit": {"starts": 16},
+            "fim": {"theta": best, "rank_tolerance": 1e-10, "level": 0.95},
+            "design_score": {"criterion": "D", "theta": best},
+            "profile": {"parameters": [0, 1], "points": 41, "span_sd": 5.0, "grid": None,
+                        "level": 0.95, "flatness_tol": 1e-6, "multistart": 0},
+            "sobol": {"n_samples": 4096, "bootstrap": 200, "prior": box},
+            "recover": {"k_trials": 20, "n_starts": 16, "tolerance": 0.1, "prior": box},
+        }
+        second = tmp_path / "spelled"
+        assert main(["all", "--config", str(write_config(tmp_path, spelled, "spelled.json")),
+                     "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        assert {"fit.csv", "profile_1.csv", "sobol.csv", "recovery.csv"} <= set(names)
+        for name in names:
+            a, b = (out / name for out in (first, second))
+            if name == "summary.json":  # in file order, all but the config echo and the timestamp
+                a, b = (json.dumps({k: v for k, v in json.loads(p.read_text()).items()
+                                    if k not in ("config", "timestamp")}) for p in (a, b))
+                assert a == b
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
 
 
 def _field_paths(node, prefix=()):

@@ -400,6 +400,25 @@ class TestMultiStart:
         assert len(clusters) == 1
         np.testing.assert_allclose(clusters[0][0].theta, [2.0, 1.0], atol=1e-4)
 
+    def test_fixed_value_breaking_an_ordering_is_flagged_not_raised(self):
+        # formerly raised OutOfBoundsError for the starts with rate1 < 5
+        model = ik.get_model("biexponential", ordered=True)
+        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
+        data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
+        results = ik.multi_start_fit(model, data, 4, 0, fixed={1: 5.0})
+        assert len(results) == 4
+        broken = [r.start[0] <= 5.0 for r in results]
+        assert any(broken) and not all(broken), "the seed must give starts on both sides of the ordering"
+        for r, breaks in zip(results, broken):
+            assert r.theta[1] == 5.0
+            if breaks:
+                assert not r.converged and r.iterations == 0 and r.objective == float("inf")
+                assert r.failure == "start breaks the ordering rate1 > rate2"
+            else:
+                assert r.failure is None and model.space.contains(r.theta)
+        with pytest.raises(ik.OutOfBoundsError, match="outside the box"):
+            ik.multi_start_fit(model, data, 4, 0, fixed={1: 20.0})
+
     def test_starts_feasible_and_deterministic(self):
         model = ik.get_model("biexponential", ordered=True)
         a = ik.latin_hypercube_starts(model, 16, seed=3)

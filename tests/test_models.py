@@ -293,6 +293,33 @@ class TestRegistry:
         assert model.space.contains([2.0, 1.0])
         assert not model.space.contains([1.0, 2.0])
 
+    # each formerly built a model: "no" an ordered one, true a bound of 1.0, "10" a bound of 10.0
+    @pytest.mark.parametrize("name, constants, message", [
+        ("biexponential", {"ordered": "no"}, "ordered must be true or false"),
+        ("biexponential", {"ordered": 1}, "ordered must be true or false"),
+        ("biexponential", {"bounds": [True, 10]}, "bounds must be a pair of finite numbers"),
+        ("biexponential", {"bounds": [0.01, "10"]}, "bounds must be a pair of finite numbers"),
+        ("biexponential", {"bounds": [0.01, 5.0, 10.0]}, "bounds must be a pair of finite numbers"),
+        ("reciprocal", {"bounds": [0.01, float("nan")]}, "bounds must be a pair of finite numbers"),
+        ("redundant-exponential", {"rate_bounds": [-1, False]}, "rate_bounds must be a pair"),
+        ("logistic", {"capacity_bounds": 5.0}, "capacity_bounds must be a pair"),
+        ("linear", {"bounds": ["-10", 10]}, "bounds must be a pair of finite numbers"),
+        ("linear", {"design_matrix": [[1.0, float("nan")], [1.0, 1.0]]}, "design matrix must be"),
+        ("linear", {"design_matrix": [[1.0, True], [1.0, 2.0]]}, "design matrix must be"),
+        ("linear", {"design_matrix": [[]]}, "design matrix must be"),
+        ("linear", {"design_matrix": [1.0, 2.0]}, "design matrix must be"),
+        ("linear", {"design_matrix": [[1.0], [1.0, 2.0]]}, "design matrix must be"),
+    ])
+    def test_malformed_constants_rejected_not_repaired(self, name, constants, message):
+        with pytest.raises(ValueError, match=message):
+            ik.get_model(name, **constants)
+
+    def test_well_formed_constants_accepted(self):
+        assert ik.get_model("biexponential", ordered=False, bounds=[0, 10]).space.orderings == ()
+        model = ik.get_model("linear", design_matrix=[[1, 0], [1, 1]], bounds=(-1, 1))
+        assert model.space.upper.tolist() == [1.0, 1.0]
+        assert ik.get_model("linear", design_matrix=np.eye(2)).identifiability == "globally-identifiable"
+
 
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path):

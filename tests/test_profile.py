@@ -269,10 +269,10 @@ class TestProfileParameter:
 def config_case(path):
     """Model, data, best fit and profile settings of a run configuration, as the CLI builds them."""
     config = build_config(json.loads((ROOT / path).read_text()))
-    data = ik.generate_data(config.model, config.design, config.data.theta_true, config.data.seed)
-    fits = ik.multi_start_fit(config.model, data, config.fit.starts, config.seed)
+    data = ik.generate_data(config.model, config.design, config.data["theta_true"], config.data["seed"])
+    fits = ik.multi_start_fit(config.model, data, config.fit["starts"], config.seed)
     best = next(r for r in fits if r.converged)
-    return config.model, data, best, config.profile.parameters, config.profile.points
+    return config.model, data, best, config.profile["parameters"], config.profile["points"]
 
 
 def linear_case():
