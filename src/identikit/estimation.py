@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
 from .sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
@@ -23,10 +24,12 @@ SMALL_GRADIENT = "small-gradient"
 SMALL_STEP = "small-step"
 MAX_ITER = "max-iter"
 BOUNDARY = "boundary"
+NOT_RUN = "not-run"  # a multi-start start that was never fitted; see multi_start_fit
 GRADIENT_TOL = 1e-8
 STEP_TOL = 1e-10
 MAX_EVALUATIONS = 500  # residual evaluations per fit
 _EPS = np.finfo(float).eps
+_SVD = getattr(_umath_linalg, "svd_s", None) or _umath_linalg.svd_n_s  # see _svd
 
 
 class UnidentifiableDesignError(ValueError):
@@ -93,6 +96,17 @@ def _norm(a) -> np.float64:  # np.linalg.norm of a contiguous 1-D float array: i
     return np.float64(math.sqrt(a.dot(a)))
 
 
+def _svd_failed(error, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _svd(a):
+    """np.linalg.svd(a, full_matrices=False) of a tall float a: the gufunc it calls, ``svd_s`` on numpy
+    >= 2 and ``svd_n_s`` on 1.26 (private to numpy, see README "Dependencies"), in its errstate."""
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _SVD(a, signature="d->ddd")
+
+
 def _clip(value: float, low: float, high: float) -> float:  # np.clip's: NaN passes, a tie gives the bound
     value = value if value > low or value != value else low
     return value if value < high or value != value else high
@@ -116,10 +130,11 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     0 the budget spent.
 
     With so few parameters numpy's per-call cost outweighs the arithmetic, so p-vector
-    elementwise work runs on Python floats, the same IEEE operations.  Two traps move
-    the last digits: ``np.sum(a**2)`` (pairwise) and ``a.dot(a)`` (BLAS, as in
-    ``np.linalg.norm``) round differently, and so does ``J.T @ f`` on a C-contiguous J
-    against the F-contiguous copy that ``fit``'s ``[:, free]`` makes.
+    elementwise work runs on Python floats, the same IEEE operations, and array work
+    calls array methods (``a.sum()``) and the SVD gufunc (:func:`_svd`), not the ``np.*``
+    wrappers.  Two traps move the last digits: ``a.sum()`` (pairwise) and ``a.dot(a)``
+    (BLAS, as in ``np.linalg.norm``) round differently, and so does ``J.T @ f`` on a
+    C-contiguous J against the F-contiguous copy that ``fit``'s ``[:, free]`` makes.
     """
     lo, hi = lower.tolist(), upper.tolist()
     x = np.array([_clip(xi, l + 1e-10 * max(1.0, abs(l)), u - 1e-10 * max(1.0, abs(u)))
@@ -140,7 +155,7 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
                     for xi, pi, l, u in zip(x.tolist(), p.tolist(), lo, hi)])
 
     def model(p_h):  # the quadratic model's change along the scaled step p_h
-        return 0.5 * (np.sum((J_h @ p_h) ** 2) + p_h @ (c * p_h)) + g_h @ p_h
+        return 0.5 * (((J_h @ p_h) ** 2).sum() + p_h @ (c * p_h)) + g_h @ p_h
 
     delta = float(_norm(x / np.sqrt(scaling(x, g)))) or 1.0
     alpha = 0.0  # LM parameter, carried between subproblems
@@ -155,7 +170,7 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
         d, c = np.sqrt(v), np.abs(g)
         J_h, g_h = J * d, d * g
         augmented[:n], diagonal[:] = J_h, np.sqrt(c)
-        U, s, Vt = np.linalg.svd(augmented, full_matrices=False)
+        U, s, Vt = _svd(augmented)
         suf = s * (U[:n].T @ f)
         full_rank = s[-1] > _EPS * n * s[0]
         gauss_newton = -Vt.T @ (suf / s**2) if full_rank else None
@@ -209,7 +224,7 @@ def _lm_parameter(suf, s, delta, alpha, full_rank):
     def phi(alpha):
         denom = s**2 + alpha
         p_norm = _norm(suf / denom)
-        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+        return p_norm - delta, -(suf**2 / denom**3).sum() / p_norm
 
     upper = _norm(suf) / delta
     lower = 0.0
@@ -369,9 +384,10 @@ def multi_start_fit(
 ) -> list[EstimateResult]:
     """Independent fits from dispersed starts, ``fixed`` as in :func:`fit`, sorted by objective.
 
-    Individual failures are flagged per start, never raised: a start that the
-    ``fixed`` values put outside an ordering is flagged without a run.  A
-    ``fixed`` value outside the box raises :class:`OutOfBoundsError`.
+    Individual failures are flagged per start, never raised: a start that the ``fixed``
+    values put outside an ordering, or whose first evaluation fails, is not run, and is
+    flagged ``not-run`` with the cause in ``failure``.  A ``fixed`` value outside the box
+    raises :class:`OutOfBoundsError`.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
@@ -384,11 +400,9 @@ def multi_start_fit(
     names = space.parameter_names()
 
     def failed(start, failure: str) -> EstimateResult:
-        return EstimateResult(
-            theta=np.asarray(start, dtype=float), objective=float("inf"),
-            sigma2=float("nan"), converged=False, iterations=0,
-            reason=MAX_ITER, start=np.asarray(start, dtype=float), failure=failure,
-        )
+        start = np.asarray(start, dtype=float)
+        return EstimateResult(theta=start, objective=math.inf, sigma2=math.nan, converged=False,
+                              iterations=0, reason=NOT_RUN, start=start, failure=failure)
 
     def run(start):
         broken = [f"{names[i]} > {names[j]}" for i, j in space.orderings if not start[i] > start[j]]

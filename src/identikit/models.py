@@ -79,6 +79,7 @@ class ParameterSpace:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "orderings", tuple((int(i), int(j)) for i, j in self.orderings))
+        object.__setattr__(self, "_box", tuple(zip(lower.tolist(), upper.tolist())))  # for contains
 
     @property
     def dimension(self) -> int:
@@ -91,12 +92,11 @@ class ParameterSpace:
 
     def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dimension,):
+        if theta.shape != (len(self._box),):
             return False
         values = theta.tolist()  # NaN fails both comparisons and the finite bounds exclude +/-inf
-        if not all(lo <= v <= hi for lo, v, hi in zip(self.lower.tolist(), values, self.upper.tolist())):
-            return False
-        return all(values[i] > values[j] for i, j in self.orderings)
+        return (all(lo <= v <= hi for v, (lo, hi) in zip(values, self._box))
+                and all(values[i] > values[j] for i, j in self.orderings))
 
     def require(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -289,6 +289,11 @@ class Model:
     align_symmetry: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()``, cheaper: a finite sum of squares rules out inf and NaN."""
+    return math.isfinite(np.vdot(values, values)) or bool(np.isfinite(values).all())
+
+
 def evaluate_batch(model: Model, design: Design, thetas) -> np.ndarray:
     """Outputs (m, n) for the m rows of ``thetas``, without bounds or finiteness
     checks; raises :class:`EvaluationError` if the model returns another shape."""
@@ -309,7 +314,7 @@ def evaluate(model: Model, design: Design, theta, *, check_bounds: bool = True) 
     if check_bounds:
         model.space.require(theta)
     values = evaluate_batch(model, design, theta.reshape(1, -1))[0]
-    if not np.isfinite(values).all():
+    if not all_finite(values):
         bad = design.time_points[~np.isfinite(values)]
         raise EvaluationError(f"model {model.name} non-finite at t={bad.tolist()}")
     return values
@@ -532,15 +537,11 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
         names=("rate1", "rate2"),
     )
 
-    def _jac(times, theta):
-        return np.column_stack([-times * np.exp(-theta[0] * times),
-                                -times * np.exp(-theta[1] * times)])
-
     return Model(
         name="biexponential",
         space=space,
         f=lambda times, thetas: np.exp(-thetas[:, :1] * times) + np.exp(-thetas[:, 1:] * times),
-        jacobian=_jac,
+        jacobian=lambda times, theta: -times[:, None] * np.exp(-theta * times[:, None]),  # C-contiguous
         identifiability=GLOBALLY_IDENTIFIABLE if ordered else LOCALLY_NOT_GLOBALLY,
         align_symmetry=None if ordered else _swap_align,
     )
@@ -571,7 +572,7 @@ def redundant_exponential_model(
 
     def _jac(times, theta):
         e = np.exp(theta[1] * times + theta[2])
-        return np.column_stack([e, theta[0] * times * e, theta[0] * e])
+        return np.array([e, theta[0] * times * e, theta[0] * e]).T.copy()  # C-contiguous (n, 3)
 
     return Model(
         name="redundant-exponential",

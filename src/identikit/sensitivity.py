@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Design, EvaluationError, Model, evaluate, evaluate_batch
+from .models import Design, EvaluationError, Model, all_finite, evaluate, evaluate_batch
 
 FD = "finite-difference"
 FORWARD_ODE = "forward-ode"
@@ -35,7 +35,7 @@ class SensitivityMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("sensitivity matrix must be 2-D")
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise EvaluationError("sensitivity matrix has non-finite entries")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))

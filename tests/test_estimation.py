@@ -8,8 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 import identikit as ik
+from identikit import estimation
 
 
 def make_linear(n=10, seed=4):
@@ -143,6 +147,60 @@ class TestFit:
 def objective_at(model, data, theta):
     residual = data.observations[:, 0] - ik.evaluate(model, data.design, theta, check_bounds=False)
     return 0.5 * float(residual @ residual)
+
+
+@st.composite
+def solver_matrices(draw):
+    """An (n + k) x k float matrix as the solver builds it for k = 1..3: n rows of J D over k
+    diagonal rows; sometimes with a zero column, two equal columns, or all zeros."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    entries = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300, 1e300])
+    a = np.zeros((n + k, k))
+    a[:n] = np.reshape([draw(entries) for _ in range(n * k)], (n, k))
+    a[n:][np.diag_indices(k)] = [abs(draw(entries)) for _ in range(k)]
+    kind = draw(st.sampled_from(["full", "full", "zero column", "equal columns", "zeros"]))
+    j = draw(st.integers(0, k - 1))
+    if kind == "zero column":
+        a[:, j] = 0.0
+    elif kind == "equal columns":
+        a[:, j] = a[:, 0]
+    elif kind == "zeros":
+        a[:] = 0.0
+    return a
+
+
+class TestSvdBinding:
+    """The solver calls numpy's reduced-SVD gufunc directly; it must be the one that
+    ``np.linalg.svd(a, full_matrices=False)`` calls, with the same bits out and the same error."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(a=solver_matrices())
+    def test_equals_np_linalg_svd_bitwise(self, a):
+        for ours, theirs in zip(estimation._svd(a), np.linalg.svd(a, full_matrices=False)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.strides == theirs.strides and ours.tobytes() == theirs.tobytes()
+
+    def test_is_the_gufunc_np_linalg_svd_dispatches_to(self, monkeypatch):
+        name, calls = estimation._SVD.__name__, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return estimation._SVD(*args, **kwargs)
+
+        assert getattr(_umath_linalg, name) is estimation._SVD
+        monkeypatch.setattr(_umath_linalg, name, spy)
+        np.linalg.svd(np.ones((5, 2)), full_matrices=False)
+        assert calls == [(5, 2)]
+
+    def test_nan_raises_lin_alg_error_and_inf_gives_the_same_nans(self):
+        a = np.ones((5, 2))
+        a[1, 0] = np.nan
+        for svd in (estimation._svd, lambda a: np.linalg.svd(a, full_matrices=False)):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                svd(a)
+        a[1, 0] = np.inf  # LAPACK converges to NaNs, with no error and no warning
+        ours, theirs = estimation._svd(a), np.linalg.svd(a, full_matrices=False)
+        assert np.isnan(ours[1]).all() and [x.tobytes() for x in ours] == [x.tobytes() for x in theirs]
 
 
 def ramp_problem():
@@ -413,11 +471,25 @@ class TestMultiStart:
             assert r.theta[1] == 5.0
             if breaks:
                 assert not r.converged and r.iterations == 0 and r.objective == float("inf")
-                assert r.failure == "start breaks the ordering rate1 > rate2"
+                assert r.reason == "not-run" and r.failure == "start breaks the ordering rate1 > rate2"
             else:
                 assert r.failure is None and model.space.contains(r.theta)
         with pytest.raises(ik.OutOfBoundsError, match="outside the box"):
             ik.multi_start_fit(model, data, 4, 0, fixed={1: 20.0})
+
+    def test_start_whose_first_evaluation_fails_is_not_run(self):
+        # the ramp is non-finite above theta = 2: such a start is never fitted, while a
+        # start below it is fitted and ends max-iter at the first failure mid-run
+        model, data = ramp_problem()
+        results = ik.multi_start_fit(model, data, 8, 0)
+        unrun = [r for r in results if r.start[0] > 2.0]
+        assert unrun and len(unrun) < len(results), "the seed must give starts on both sides of 2"
+        for r in results:
+            if r.start[0] > 2.0:
+                assert r.reason == "not-run" and not r.converged and r.iterations == 0
+                assert r.objective == float("inf") and "non-finite" in r.failure
+            else:
+                assert r.reason == "max-iter" and r.iterations > 0 and r.objective < float("inf")
 
     def test_starts_feasible_and_deterministic(self):
         model = ik.get_model("biexponential", ordered=True)

@@ -34,26 +34,53 @@ def array_contains(space, theta) -> bool:
     return all(theta[i] > theta[j] for i, j in space.orderings)
 
 
+def tolist_contains(space, theta) -> bool:
+    """Membership with both bounds turned into lists by ``tolist()`` on every call, the
+    formula ``contains`` used before it kept its bounds as Python floats."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (space.dimension,):
+        return False
+    values = theta.tolist()
+    if not all(lo <= v <= hi for lo, v, hi in zip(space.lower.tolist(), values, space.upper.tolist())):
+        return False
+    return all(values[i] > values[j] for i, j in space.orderings)
+
+
 @st.composite
 def spaces_and_points(draw):
-    """A space of 1-3 overlapping intervals with some orderings, and a point
-    whose entries are often NaN, +/-inf, a bound, or a tie across an ordering,
-    and whose shape is sometimes wrong; sometimes a plain list."""
+    """A space of 1-3 overlapping (or shared) intervals, bounds often 0 or -0, with some
+    orderings, and a point whose entries are often NaN, +/-inf, a signed zero, a bound,
+    or a tie across an ordering (signed zeros included), or are integers, and whose
+    shape is sometimes wrong; sometimes a plain list."""
     p = draw(st.integers(1, 3))
-    lower = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
+    edges = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    lower = np.array(draw(st.lists(edges, min_size=p, max_size=p)))
     upper = lower + np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=p, max_size=p)))
+    shared = draw(st.booleans())  # one interval for all, as the biexponential's rates share theirs
+    if shared:
+        lower, upper = np.full(p, lower[0]), np.full(p, upper[0])
     pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
     orderings = tuple(draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))) if pairs else ()
     space = ik.ParameterSpace(lower, upper, orderings)
     bounds = sorted(set(lower.tolist() + upper.tolist()))
-    special = st.sampled_from([float("nan"), float("inf"), -float("inf")] + bounds)
-    theta = np.array([
-        draw(st.one_of(special, st.floats(-10.0, 10.0), st.floats(lower[i], upper[i])))
-        for i in range(p)
-    ])
-    if orderings and draw(st.booleans()):
+    special = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0] + bounds)
+    inside = draw(st.booleans())  # each entry drawn from its interval
+    if draw(st.booleans()):
+        theta = np.array([
+            draw(st.floats(lower[i], upper[i]) if inside else
+                 st.one_of(special, st.floats(-10.0, 10.0), st.floats(lower[i], upper[i])))
+            for i in range(p)
+        ])
+    else:
+        theta = np.array([draw(st.integers(int(lower[i]) - 1, int(upper[i]) + 1)) for i in range(p)])
+    order = draw(st.sampled_from(["as drawn", "tie", "held"])) if orderings else "as drawn"
+    if order == "tie":
         i, j = orderings[0]
-        theta[i] = theta[j]
+        theta[i] = -theta[j] if theta[j] == 0 else theta[j]
+    elif order == "held" and shared:  # a swap keeps the point in the box
+        for i, j in orderings:
+            if theta[i] < theta[j]:
+                theta[i], theta[j] = theta[j], theta[i]
     shape = draw(st.sampled_from(["vector", "vector", "vector", "short", "long", "row", "column", "scalar"]))
     if shape == "short":
         theta = theta[:-1]
@@ -90,11 +117,13 @@ class TestParameterSpace:
         assert not space.contains([1.2, 0.2])   # box violated
         assert not space.contains([0.8])        # wrong length
 
-    @settings(max_examples=500, deadline=None, derandomize=True)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(case=spaces_and_points())
     def test_contains_matches_reference(self, case):
         space, theta = case
-        assert space.contains(theta) is reference_contains(space, theta) is array_contains(space, theta)
+        inside = space.contains(theta)
+        assert inside is tolist_contains(space, theta)
+        assert inside is reference_contains(space, theta) is array_contains(space, theta)
 
     @pytest.mark.parametrize("theta, inside", [
         ([0.8, 0.2], True),
@@ -223,6 +252,51 @@ class TestEvaluate:
             shifted = np.array([theta[0] * np.exp(c), theta[1], theta[2] - c])
             assert model.space.contains(shifted)
             np.testing.assert_allclose(ik.evaluate(model, design, shifted), base, rtol=1e-12)
+
+
+@st.composite
+def outputs_with_non_finite_entries(draw):
+    """1-12 floats, some huge enough that their squares overflow, with NaN, +inf or -inf
+    put at any subset of the positions (often none)."""
+    n = draw(st.integers(1, 12))
+    finite = st.sampled_from([0.0, -0.0, 1e200, -1e200, 1.7e308, -1.7e308, 5e-324]) | st.floats(-1e3, 1e3)
+    values = np.array([draw(finite) for _ in range(n)])
+    bad = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    values[bad] = [draw(st.sampled_from([float("nan"), float("inf"), -float("inf")])) for _ in bad]
+    return values
+
+
+class TestFiniteChecks:
+    """``evaluate`` and ``SensitivityMatrix`` raise exactly as ``np.isfinite(values).all()``
+    decides, with the same exception and message, and return the values untouched."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=outputs_with_non_finite_entries())
+    def test_evaluate(self, values):
+        model = ik.Model(name="table", space=ik.ParameterSpace(np.array([0.0]), np.array([1.0])),
+                         f=lambda times, thetas: values[None, :].copy())
+        design = ik.Design(np.arange(1.0, values.size + 1.0), 0.1)
+        if np.isfinite(values).all():
+            assert ik.evaluate(model, design, [0.5]).tobytes() == values.tobytes()
+            return
+        with pytest.raises(ik.EvaluationError) as err:
+            ik.evaluate(model, design, [0.5])
+        bad = design.time_points[~np.isfinite(values)].tolist()
+        assert type(err.value) is ik.EvaluationError
+        assert str(err.value) == f"model table non-finite at t={bad}"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=outputs_with_non_finite_entries(), layout=st.sampled_from(["C", "F", "strided"]))
+    def test_sensitivity_matrix(self, values, layout):
+        matrix = {"C": values[:, None], "F": np.asfortranarray(np.column_stack([values, values])),
+                  "strided": np.column_stack([values, values, values])[:, ::2]}[layout]
+        if np.isfinite(values).all():
+            assert ik.SensitivityMatrix(matrix, np.zeros(1), "analytic").values.tobytes() == matrix.tobytes()
+            return
+        with pytest.raises(ik.EvaluationError) as err:
+            ik.SensitivityMatrix(matrix, np.zeros(1), "analytic")
+        assert type(err.value) is ik.EvaluationError
+        assert str(err.value) == "sensitivity matrix has non-finite entries"
 
 
 class TestGenerateData:

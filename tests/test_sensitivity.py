@@ -286,3 +286,29 @@ class TestDispatcher:
         model = ik.get_model("logistic")
         design = ik.Design(np.linspace(0.5, 4.0, 6), 0.1)
         assert ik.cross_check(model, design, [1.0, 2.0, 0.2]) < 1e-4
+
+
+class TestAnalyticJacobians:
+    """The built-in Jacobians give the values and the C-contiguous layout of the
+    ``np.column_stack`` of their columns, so ``fit``'s ``[:, free]`` copy and the FIM's
+    ``V.T @ V`` see the same bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_equal_the_column_stack_formulas_bitwise(self, n, data):
+        times = np.sort(np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n,
+                                                    unique=True))))
+
+        def redundant(t, th):
+            e = np.exp(th[1] * t + th[2])
+            return np.column_stack([e, th[0] * t * e, th[0] * e])
+
+        def biexponential(t, th):
+            return np.column_stack([-t * np.exp(-th[0] * t), -t * np.exp(-th[1] * t)])
+
+        for name, formula in (("biexponential", biexponential), ("redundant-exponential", redundant)):
+            space = ik.get_model(name).space
+            theta = np.array([data.draw(st.floats(lo, hi)) for lo, hi in zip(space.lower, space.upper)])
+            ours, theirs = ik.get_model(name).jacobian(times, theta), formula(times, theta)
+            assert ours.flags.c_contiguous and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
