@@ -112,6 +112,10 @@ def _clip(value: float, low: float, high: float) -> float:  # np.clip's: NaN pas
     return value if value < high or value != value else high
 
 
+def _divide(a: float, b: float) -> float:  # numpy's: a zero divisor gives inf or NaN (with its warning)
+    return a / b if b else float(np.divide(a, b))
+
+
 def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     """Bounded trust-region Levenberg-Marquardt for min 0.5 ||fun(x)||^2, dense, small n.
 
@@ -135,7 +139,10 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     wrappers.  Two traps move the last digits: ``a.sum()`` (pairwise) and ``a.dot(a)``
     (BLAS, as in ``np.linalg.norm``) round differently, and so does ``J.T @ f`` on a
     C-contiguous J against the F-contiguous copy that ``fit``'s ``[:, free]`` makes.
+    A run with one free parameter goes to :func:`_solve_one`, the same loop on floats.
     """
+    if x.size == 1:
+        return _solve_one(fun, jac, x, lower, upper, gtol, xtol, max_nfev)
     lo, hi = lower.tolist(), upper.tolist()
     x = np.array([_clip(xi, l + 1e-10 * max(1.0, abs(l)), u - 1e-10 * max(1.0, abs(u)))
                   for xi, l, u in zip(x.tolist(), lo, hi)])
@@ -215,6 +222,101 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
             x, f, cost = x_new, f_new, cost_new
             J = jac(x)
             g = J.T @ f
+
+
+def _solve_one(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
+    """:func:`_solve_trust_region` for one free parameter: the same IEEE operations in the
+    same order, on Python floats.  Every product over the parameter axis has a single term,
+    so it rounds once, as the float operation does.  Numpy stays where it decides the
+    rounding: the SVD of the (n+1)x1 matrix, the n-row products ``J.T @ f``, ``U[:n].T @ f``
+    and ``f @ f``, the model's pairwise sum and :func:`_lm_parameter`.  A norm is
+    sqrt(a * a), numpy's dot, which overflows where abs(a) would not and is 0 below about
+    1e-162, so a division by a norm goes through :func:`_divide`; ``0.0 - vt * q`` is
+    ``-Vt.T @ q``, whose sum starts at +0, so a zero step is +0.  No other divisor can be 0:
+    x stays strictly inside the box (``fit``'s Jacobian rejects a point outside), so v > 0,
+    and a full-rank s^2 >= |g| > 0 while |g v| >= gtol.
+    """
+    (l,), (u,) = lower.tolist(), upper.tolist()
+    x = _clip(x.item(), l + 1e-10 * max(1.0, abs(l)), u - 1e-10 * max(1.0, abs(u)))
+    inside = math.nextafter(l, u), math.nextafter(u, l)
+    x_array = np.array([x])
+    f, J = fun(x_array), jac(x_array)
+    n, nfev, status = f.size, 1, None
+    cost, g = 0.5 * float(f @ f), (J.T @ f).item()
+    augmented = np.zeros((n + 1, 1))  # [J d; sqrt(c)], refilled for each step's SVD
+    J_h = augmented[:n, 0]
+    rank_tol = float(_EPS * n)
+
+    def scaling(x, g):
+        return u - x if g < 0 else x - l if g > 0 else 1.0
+
+    def to_bound(p):  # the multiple of p that reaches the bound
+        return (u - x) / p if p > 0 else (l - x) / p if p < 0 else math.inf
+
+    def model(p_h):  # the quadratic model's change along the scaled step p_h
+        return 0.5 * (float(((J_h * p_h) ** 2).sum()) + p_h * (c * p_h)) + g_h * p_h
+
+    q = x / math.sqrt(scaling(x, g))
+    delta = math.sqrt(q * q) or 1.0
+    alpha = 0.0  # LM parameter, carried between subproblems
+    while True:
+        v = scaling(x, g)
+        g_norm = abs(g * v)
+        if g_norm < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            return x_array, f, status or 0
+        d, c = math.sqrt(v), abs(g)
+        g_h = d * g
+        np.multiply(J[:, 0], d, out=J_h)
+        augmented[n, 0] = math.sqrt(c)
+        U, s, Vt = _svd(augmented)
+        s0, vt = s.item(), Vt.item()
+        suf = s0 * (U[:n].T @ f).item()
+        full_rank = s0 > rank_tol * s0
+        gauss_newton = 0.0 - vt * (suf / (s0 * s0)) if full_rank else None
+        back_off = max(0.995, 1.0 - g_norm)
+        reduction = -1.0
+        while reduction <= 0 and nfev < max_nfev:
+            if gauss_newton is not None and math.sqrt(gauss_newton * gauss_newton) <= delta:
+                p_h, alpha = gauss_newton, 0.0
+            else:
+                alpha = _lm_parameter(np.array([suf]), s, delta, alpha, full_rank)
+                p_h = 0.0 - vt * float(suf / (s0 * s0 + alpha))  # alpha is numpy's float
+                p_h *= _divide(delta, math.sqrt(p_h * p_h))
+            cut = to_bound(d * p_h)
+            if cut < 1.0:  # back off inside the box, or go along -g_h if the model prefers
+                p_h = back_off * cut * p_h
+                a_h = -g_h
+                a_bound, a_radius = to_bound(d * a_h), _divide(delta, math.sqrt(a_h * a_h))
+                reach = back_off * a_bound if a_bound < a_radius else a_radius
+                curvature = model(a_h) - g_h * a_h  # model(t a_h) = curvature t^2 - |g_h|^2 t
+                t = min(reach, 0.5 * (g_h * g_h) / curvature) if curvature > 0 else reach
+                if model(t * a_h) < model(p_h):
+                    p_h = t * a_h
+            p = d * p_h
+            x_new = _clip(x + p, *inside)
+            new_array = np.array([x_new])
+            f_new = fun(new_array)
+            nfev += 1
+            cost_new = 0.5 * float(f_new @ f_new)
+            reduction, predicted = cost - cost_new, -model(p_h)
+            ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
+            step_h_norm = math.sqrt(p_h * p_h)
+            new_delta = delta
+            if ratio < 0.25:
+                new_delta = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * delta:
+                new_delta = 2.0 * delta
+            if math.sqrt(p * p) < xtol * (xtol + math.sqrt(x * x)):
+                status = 3
+                break
+            alpha *= delta / new_delta
+            delta = new_delta
+        if reduction > 0:
+            x, x_array, f, cost = x_new, new_array, f_new, cost_new
+            J = jac(x_array)
+            g = (J.T @ f).item()
 
 
 def _lm_parameter(suf, s, delta, alpha, full_rank):

@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -218,7 +218,9 @@ class OdeSystem:
 
     ``augmented(t, z, theta)`` returns [g; vec((dg/dx) s + dg/dtheta)], length
     d + d p, for z = [x; vec(s)]: the d states, then the (d, p) sensitivities
-    s = dx/dtheta row by row; ``initial_jac`` is s at t = 0.  The observed
+    s = dx/dtheta row by row; ``initial_jac`` is s at t = 0.  ``rhs`` and
+    ``augmented`` may return any sequence of floats of their state's length
+    (a list is cheapest), which LSODA's binding converts.  The observed
     output is the first state component, and the state is given at t = 0, so
     the output times must not be negative.  LSODA integrates both, called
     through scipy's compiled ODEPACK binding with the arguments that
@@ -229,8 +231,8 @@ class OdeSystem:
     sensitivity.
     """
 
-    rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    augmented: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    rhs: Callable[[float, np.ndarray, np.ndarray], Sequence[float]]
+    augmented: Callable[[float, np.ndarray, np.ndarray], Sequence[float]]
     initial: Callable[[np.ndarray], np.ndarray]
     initial_jac: Callable[[np.ndarray], np.ndarray]
     rtol: float = 1e-11
@@ -627,10 +629,14 @@ def logistic_model(
         r, k, _ = theta.tolist()
         a = r * (1.0 - 2.0 * x / k)
         u = 1.0 - x / k
-        return np.array([r * x * u, a * s_r + x * u, a * s_k + r * x ** 2 / k ** 2, a * s_x0 + 0.0])
+        return [r * x * u, a * s_r + x * u, a * s_k + r * x ** 2 / k ** 2, a * s_x0 + 0.0]
+
+    def _rhs(t, x, theta):
+        (x,), (r, k, _) = x.tolist(), theta.tolist()
+        return [r * x * (1.0 - x / k)]
 
     ode = OdeSystem(
-        rhs=lambda t, x, theta: np.array([theta[0] * x[0] * (1.0 - x[0] / theta[1])]),
+        rhs=_rhs,
         augmented=_augmented,
         initial=lambda theta: np.array([theta[2]]),
         initial_jac=lambda theta: np.array([[0.0, 0.0, 1.0]]),

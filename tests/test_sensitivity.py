@@ -163,6 +163,17 @@ class TestForwardOde:
             own = ik.forward_ode_jacobian(self.model, self.design, theta).values
             assert own.tobytes() == ik.forward_ode_jacobian(generic, self.design, theta).values.tobytes()
 
+    def test_rhs_matches_an_array_returning_rhs_bitwise(self):
+        # the plain-state route: the built-in rhs returns a list, this one an array of numpy scalars
+        def reference(t, x, theta):
+            return np.array([theta[0] * x[0] * (1.0 - x[0] / theta[1])])
+
+        ode = replace(self.model.ode, rhs=reference)
+        generic = replace(self.model, f=ode.outputs, ode=ode)
+        for theta in interior_points(self.model.space, 20, seed=5):
+            own = ik.evaluate(self.model, self.design, theta)
+            assert own.tobytes() == ik.evaluate(generic, self.design, theta).tobytes()
+
     def test_requires_ode_partials(self):
         model = ik.get_model("reciprocal")
         with pytest.raises(ValueError):

@@ -13,7 +13,9 @@ The draws are derandomised by ``hypothesis`` so that a failure reproduces
 exactly.
 """
 
+import inspect
 import itertools
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -231,6 +233,36 @@ def kernel_runs_of_fit(model, dataset, start, fixed, budget):
     return runs, result
 
 
+BRANCHES = {  # a line of each branch of estimation._solve_one, by name
+    "Gauss-Newton step": "p_h, alpha = gauss_newton, 0.0",
+    "LM step": "alpha = _lm_parameter(",
+    "cut at the bound": "p_h = back_off * cut * p_h",
+}
+
+
+def branches_taken(call):
+    """The names of the BRANCHES of ``estimation._solve_one`` that ``call()`` runs, by
+    tracing the lines that run in it."""
+    lines, first = inspect.getsourcelines(estimation._solve_one)
+    where = {first + i: name for i, line in enumerate(lines)
+             for name, text in BRANCHES.items() if text in line}
+    assert sorted(where.values()) == sorted(BRANCHES)
+    code, taken = estimation._solve_one.__code__, set()
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno in where:
+            taken.add(where[frame.f_lineno])
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return taken
+
+
 # ---------------------------------------------------------------------------
 # the draws
 # ---------------------------------------------------------------------------
@@ -241,21 +273,35 @@ MODELS = {
     "biexponential-ordered": (ik.get_model("biexponential", ordered=True), [0.25, 0.5, 1.0, 2.0, 3.0]),
     "redundant-exponential": (ik.get_model("redundant-exponential"), [0.0, 0.6, 1.2, 1.8, 2.4, 3.0]),
     "reciprocal": (ik.get_model("reciprocal"), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    # steep: Gauss-Newton's last steps can fall below STEP_TOL while the gradient is not small
+    "reciprocal-steep": (ik.get_model("reciprocal", bounds=(1e-5, 1e-3)), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
     "logistic": (ik.get_model("logistic"), [0.5, 1.0, 2.0, 4.0, 6.0, 10.0]),
 }
 
 
 @st.composite
 def problems(draw):
-    """A model, a data set on it, a start (each entry interior or on a bound), an
-    optional profiled parameter held fixed, and a full or a 1-3 evaluation budget."""
+    """A model, a truth and a data set on it, a start (each entry of truth and start
+    interior or on a bound), an optional profiled parameter held fixed, and a full or a
+    1-3 evaluation budget.  A truth on a bound puts the optimum outside the box for about
+    half the noise draws, so some fits end on the bound."""
     name = draw(st.sampled_from(sorted(MODELS)))
     model, times = MODELS[name]
     space = model.space
     p = space.dimension
     width = space.upper - space.lower
     fractions = st.lists(st.floats(0.02, 0.98), min_size=p, max_size=p)
-    theta_true = space.lower + np.array(draw(fractions)) * width
+    where = st.sampled_from(["interior", "interior", "lower", "upper"])
+
+    def point():
+        theta = space.lower + np.array(draw(fractions)) * width
+        for i in range(p):
+            side = draw(where)
+            if side != "interior":
+                theta[i] = getattr(space, side)[i]
+        return theta
+
+    theta_true = point()
     if space.orderings:
         theta_true = np.sort(theta_true)[::-1]
     assume(space.contains(theta_true))
@@ -263,12 +309,7 @@ def problems(draw):
     design = ik.Design(np.array(times), draw(st.sampled_from([0.01, 0.05])), replicates)
     dataset = ik.generate_data(model, design, theta_true,
                                seed=draw(st.integers(0, 2**16)))
-    where = st.sampled_from(["interior", "interior", "lower", "upper"])
-    start = space.lower + np.array(draw(fractions)) * width
-    for i in range(p):
-        side = draw(where)
-        if side != "interior":
-            start[i] = getattr(space, side)[i]
+    start = point()
     assume(space.contains(start))
     fixed = None
     if p > 1 and draw(st.booleans()):
@@ -301,8 +342,18 @@ def test_fit_drives_its_solver_bit_for_bit_as_the_reference(problem):
 
 def test_every_case_is_drawn():
     """The draws above reach every model, a fixed parameter, two replicates, a start
-    on a bound and each short budget."""
-    seen = set()
+    on a bound and each short budget, and with one free parameter (the solver's float
+    path) both kinds of step and every status.
+
+    They never reach that path's cut of a step that would leave the box.  In one
+    dimension the scaled Gauss-Newton step -v g / (v J'J + |g|) is shorter than the
+    distance v to the bound it heads for, and the LM step is shorter still, so only
+    rounding can make the cut, and its error in g is at most about eps |J| |f|.  That
+    must exceed v |J|^2 while |v g| <= v |J| |f| stays above GRADIENT_TOL, which takes
+    a residual sum of squares |f|^2 above GRADIENT_TOL / eps, about 5e7.  The next test
+    builds such problems.
+    """
+    seen, one_free = set(), []
 
     @ORACLE_SETTINGS
     @given(problem=problems())
@@ -315,10 +366,47 @@ def test_every_case_is_drawn():
         seen.add(f"budget {budget}")
         if np.any((start == space.lower) | (start == space.upper)):
             seen.add("on a bound")
+        if space.dimension - len(fixed or {}) == 1:
+            one_free.append(problem)
 
     collect()
+    for _, model, dataset, start, fixed, budget in one_free:
+        runs = []
+        taken = branches_taken(lambda: runs.extend(kernel_runs_of_fit(model, dataset, start, fixed, budget)[0]))
+        seen |= {f"one free: {branch}" for branch in taken}
+        if runs and runs[0][0][0] != "raised":
+            seen.add(f"one free: status {runs[0][0][2]}")
     assert set(MODELS) | {"mask", "no mask", "replicates 1", "replicates 2", "on a bound",
                           "budget 1", "budget 2", "budget 3", "budget 500"} <= seen
+    assert {"one free: status 0", "one free: status 1", "one free: status 3",
+            "one free: Gauss-Newton step", "one free: LM step"} <= seen
+
+
+def test_one_free_parameter_cut_at_the_bound_is_bit_for_bit():
+    """The float path's cut at the bound on problems built to reach it: a sensitivity far
+    below the residuals, whose sum J'f cancels, in a wide box.  Both kernels must make
+    the same calls and return the same bytes, and the cut must run."""
+    rng = np.random.default_rng(1)
+    taken = set()
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        a = rng.normal(size=n) * 10.0 ** rng.uniform(-25, -5)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(3, 8)
+        width = 10.0 ** rng.uniform(0, 12)
+        lower, upper = np.array([-width]), np.array([width * rng.uniform(0.1, 1.0)])
+        x0 = np.array([rng.uniform(lower[0], upper[0])])
+
+        def fun(x):
+            return a * x[0] - y
+
+        def jac(x):
+            return a[:, None].copy()
+
+        records = []
+        taken |= branches_taken(lambda: records.append(
+            run(estimation._solve_trust_region, fun, jac, x0, lower, upper, 50)[1]))
+        assert records[0] == run(reference_solve_trust_region, fun, jac, x0, lower, upper, 50)[1]
+    assert "cut at the bound" in taken
 
 
 def test_repeated_multi_start_is_bitwise_equal_around_a_fit_of_another_size():
