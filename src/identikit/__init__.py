@@ -9,12 +9,10 @@ synthetic-data recovery experiments.
 
 from .estimation import (
     EstimateResult,
-    UnidentifiableDesignError,
     cluster_optima,
     estimates_csv,
     fit,
     latin_hypercube_starts,
-    linear_least_squares,
     log_likelihood,
     multi_start_fit,
 )
@@ -54,11 +52,9 @@ from .profile import ProfileCurve, ProfileInterval, profile_parameter
 from .recovery import RecoveryReport, RecoveryTrial, global_recovery, recover_once
 from .sensitivity import (
     SensitivityMatrix,
-    cross_check,
     fd_jacobian,
     forward_ode_jacobian,
     forward_ode_solve,
-    relative_difference,
     sensitivity_matrix,
 )
 from .sobol import Prior, SobolReport, screen_unidentifiable, sobol_indices

@@ -4,9 +4,8 @@
 trust-region Levenberg-Marquardt solver with Coleman-Li scaling (the affine
 scaling of scipy's ``trf``; Coleman & Li 1996, Branch, Coleman & Li 1999),
 written in numpy for the few free parameters, with Latin-hypercube
-multi-start.  :func:`linear_least_squares` is the separate closed-form SVD
-solution for a plain design matrix.  Every fit ends with one of four reasons (see
-:func:`fit`).  The objective throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
+multi-start.  Every fit ends with one of four reasons (see :func:`fit`).  The
+objective throughout is S(theta) = 0.5 * ||y - f(theta)||^2.
 """
 
 from __future__ import annotations
@@ -32,14 +31,6 @@ _EPS = np.finfo(float).eps
 _SVD = getattr(_umath_linalg, "svd_s", None) or _umath_linalg.svd_n_s  # see _svd
 
 
-class UnidentifiableDesignError(ValueError):
-    """The normal equations are singular; carries a null-space direction."""
-
-    def __init__(self, message: str, null_direction: np.ndarray):
-        super().__init__(message)
-        self.null_direction = null_direction
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     theta: np.ndarray
@@ -55,41 +46,6 @@ class EstimateResult:
 def log_likelihood(objective: float, noise_sd: float) -> float:
     """Gaussian log-likelihood up to a constant: -S(theta) / sigma^2."""
     return -objective / noise_sd**2
-
-
-def linear_least_squares(X, y) -> EstimateResult:
-    """Closed-form solution of min 0.5 ||y - X theta||^2 by SVD.
-
-    Raises :class:`UnidentifiableDesignError` with a null-space direction when
-    X^T X is singular.  sigma^2 is estimated as 2 S / (n - p) when n > p.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    n, p = X.shape
-    if y.size != n:
-        raise ValueError("y length must match the row count of X")
-    _, s, vt = np.linalg.svd(X, full_matrices=True)
-    rank = int(np.sum(s > s[0] * n * np.finfo(float).eps)) if s.size and s[0] > 0 else 0
-    if rank < p:
-        direction = vt[-1]
-        raise UnidentifiableDesignError(
-            f"design matrix is rank-deficient (rank {rank} < {p}); "
-            f"no information along {direction.tolist()}",
-            null_direction=direction,
-        )
-    theta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    residual = y - X @ theta
-    objective = 0.5 * float(residual @ residual)
-    sigma2 = 2.0 * objective / (n - p) if n > p else float("nan")
-    return EstimateResult(
-        theta=theta,
-        objective=objective,
-        sigma2=sigma2,
-        converged=True,
-        iterations=0,
-        reason=SMALL_GRADIENT,
-        start=theta.copy(),
-    )
 
 
 def _norm(a) -> np.float64:  # np.linalg.norm of a contiguous 1-D float array: its sqrt(a.dot(a))
@@ -347,6 +303,15 @@ def _lm_parameter(suf, s, delta, alpha, full_rank):
     return alpha
 
 
+def _held(fixed: dict[int, float] | None, p: int) -> dict[int, float]:
+    """``fixed`` or {}; raises ValueError naming a key that is not an int index in [0, p)."""
+    fixed = fixed or {}
+    for key in fixed:
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < p:
+            raise ValueError(f"fixed key {key!r} is not a parameter index in [0, {p})")
+    return fixed
+
+
 def fit(
     model: Model,
     dataset: Dataset,
@@ -357,9 +322,13 @@ def fit(
 
     One :func:`_solve_trust_region` run on the free sub-vector: box bounds,
     residuals f(theta) - y stacked over replicates, and the model's own
-    sensitivity route as the Jacobian.  On the forward-ODE route one
-    integration of the augmented system gives both: a residual evaluation
-    keeps its sensitivities for a Jacobian at the same point.
+    sensitivity route as the Jacobian.  A fit that holds nothing runs its
+    solver directly on the parameter vector, with no copy per evaluation, and
+    its Jacobian in the F-contiguous layout of a ``[:, free]`` copy, so the
+    bytes are the same.  A ``fixed`` key that is not an int index in [0, p)
+    raises ValueError.  On the forward-ODE route one integration of the
+    augmented system gives both: a residual evaluation keeps its
+    sensitivities for a Jacobian at the same point.
     ``MAX_EVALUATIONS`` caps the residual evaluations, and ``iterations``
     counts Jacobians: one per accepted step, the start's included.  The run
     ends ``small-gradient`` when the gradient, scaled by the distance to the
@@ -378,11 +347,12 @@ def fit(
     """
     space = model.space
     start = space.require(start)
-    theta, fixed = start.copy(), fixed or {}
-    theta[list(fixed)] = list(fixed.values())
-    if fixed and not space.contains(theta):
-        raise OutOfBoundsError("fixed parameters lie outside the admissible set")
-    free = np.flatnonzero(~np.isin(np.arange(start.size), list(fixed)))
+    theta, fixed = start.copy(), _held(fixed, start.size)
+    if fixed:
+        theta[list(fixed)] = list(fixed.values())
+        if not space.contains(theta):
+            raise OutOfBoundsError("fixed parameters lie outside the admissible set")
+    free = np.array([i for i in range(start.size) if i not in fixed], dtype=np.intp)
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=())) if space.orderings else model
@@ -391,7 +361,9 @@ def fit(
     jacobians = 0
     solved = None  # (point, sensitivities) of the last joint solve
 
-    def at(x) -> np.ndarray:
+    def at(x) -> np.ndarray:  # the point at the solver's iterate x: x itself if nothing is held
+        if not fixed:
+            return x
         point = theta.copy()
         point[free] = x
         return point
@@ -406,6 +378,8 @@ def fit(
             outputs = evaluate(model, design, point, check_bounds=False)
         r = (np.repeat(outputs, design.replicates) if design.replicates > 1 else outputs) - y
         objective = 0.5 * float(r @ r)
+        # kept without orderings too: the solver's clip passes NaN, and a NaN point
+        # can improve the objective of a model that is finite at NaN
         if objective < best_objective and space.contains(point):
             best_theta, best_objective = point, objective
         return r
@@ -418,7 +392,8 @@ def fit(
             V = solved[1]  # bit for bit the point of the last residual evaluation
         else:
             V = sensitivity_matrix(box, design, point).values
-        return (np.repeat(V, design.replicates, axis=0) if design.replicates > 1 else V)[:, free]
+        V = np.repeat(V, design.replicates, axis=0) if design.replicates > 1 else V
+        return V[:, free] if fixed else np.asfortranarray(V)  # the same bytes and layout either way
 
     def result(theta, objective, converged, reason, failure=None):
         sigma2 = 2.0 * objective / (y.size - free.size) if y.size > free.size else float("nan")
@@ -431,10 +406,12 @@ def fit(
     if free.size == 0:
         residuals(theta[free])
         return result(best_theta, best_objective, True, SMALL_GRADIENT)
-    lower, upper = space.lower[free], space.upper[free]
+    x0, lower, upper = theta, space.lower, space.upper
+    if fixed:
+        x0, lower, upper = theta[free], lower[free], upper[free]
     try:
         x, r, status = _solve_trust_region(
-            residuals, jacobian, theta[free], lower, upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
+            residuals, jacobian, x0, lower, upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
         )
     except EvaluationError as exc:
         if best_theta is None:
@@ -443,7 +420,7 @@ def fit(
     theta_hat = at(x)
     if not space.contains(theta_hat):
         if best_theta is None:  # the start, nudged off a bound, already broke an ordering
-            residuals(theta[free])
+            residuals(x0)
         return result(best_theta, best_objective, False, BOUNDARY)
     objective = 0.5 * float(r @ r)
     if status == 0:
@@ -494,6 +471,7 @@ def multi_start_fit(
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
     space = model.space
+    fixed = _held(fixed, space.dimension)
     starts = latin_hypercube_starts(model, k_starts, seed)
     if fixed:
         starts[:, list(fixed)] = list(fixed.values())

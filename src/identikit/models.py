@@ -95,8 +95,10 @@ class ParameterSpace:
         if theta.shape != (len(self._box),):
             return False
         values = theta.tolist()  # NaN fails both comparisons and the finite bounds exclude +/-inf
-        return (all(lo <= v <= hi for v, (lo, hi) in zip(values, self._box))
-                and all(values[i] > values[j] for i, j in self.orderings))
+        for v, (lo, hi) in zip(values, self._box):  # a loop, not all(...): called on every fit step
+            if not lo <= v <= hi:
+                return False
+        return all(values[i] > values[j] for i, j in self.orderings) if self.orderings else True
 
     def require(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

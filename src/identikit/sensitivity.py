@@ -120,26 +120,3 @@ def sensitivity_matrix(model: Model, design: Design, theta) -> SensitivityMatrix
     if method == FORWARD_ODE:
         return forward_ode_jacobian(model, design, theta)
     return fd_jacobian(model, design, theta)
-
-
-def relative_difference(candidate: np.ndarray, reference: np.ndarray) -> float:
-    """Max-norm difference over max-norm of the reference, guarded against zero."""
-    candidate = np.asarray(candidate, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    return float(np.max(np.abs(candidate - reference)) / (np.max(np.abs(reference)) + 1e-12))
-
-
-def cross_check(model: Model, design: Design, theta) -> float:
-    """Relative disagreement between finite differences and the best other route.
-
-    For ODE models compares against forward sensitivities, otherwise against
-    the analytic Jacobian; raises if no second route exists.
-    """
-    fd = fd_jacobian(model, design, theta)
-    if model.ode is not None:
-        other = forward_ode_jacobian(model, design, theta)
-    elif model.jacobian is not None:
-        other = sensitivity_matrix(model, design, theta)
-    else:
-        raise ValueError(f"model {model.name} has only the finite-difference route")
-    return relative_difference(fd.values, other.values)

@@ -1,5 +1,6 @@
 """Closed-form and trust-region least squares, fixed parameters, multi-start."""
 
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,6 +15,8 @@ from numpy.linalg import _umath_linalg
 
 import identikit as ik
 from identikit import estimation
+from identikit.sensitivity import resolve_method
+from oracles import UnidentifiableDesignError, linear_least_squares
 
 
 def make_linear(n=10, seed=4):
@@ -26,14 +29,14 @@ def make_linear(n=10, seed=4):
 
 class TestLinearLeastSquares:
     def test_identity(self):
-        res = ik.linear_least_squares(np.eye(2), np.array([3.0, 4.0]))
+        res = linear_least_squares(np.eye(2), np.array([3.0, 4.0]))
         np.testing.assert_allclose(res.theta, [3.0, 4.0])
         assert res.converged
 
     def test_identical_columns_unidentifiable(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        with pytest.raises(ik.UnidentifiableDesignError) as err:
-            ik.linear_least_squares(X, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(UnidentifiableDesignError) as err:
+            linear_least_squares(X, np.array([1.0, 2.0, 3.0]))
         direction = err.value.null_direction
         np.testing.assert_allclose(np.abs(direction), np.sqrt(0.5), rtol=1e-10)
 
@@ -41,7 +44,7 @@ class TestLinearLeastSquares:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(5, 2))
         theta_star = np.array([1.0, 2.0])
-        res = ik.linear_least_squares(X, X @ theta_star)
+        res = linear_least_squares(X, X @ theta_star)
         np.testing.assert_allclose(res.theta, theta_star, atol=1e-10)
 
     def test_sigma2_uses_dof_correction(self):
@@ -51,7 +54,7 @@ class TestLinearLeastSquares:
         estimates = []
         for seed in range(1000):
             ds = ik.generate_data(model, design, [1.0, 2.0], seed=seed)
-            estimates.append(ik.linear_least_squares(X, ds.observations[:, 0]).sigma2)
+            estimates.append(linear_least_squares(X, ds.observations[:, 0]).sigma2)
         assert np.mean(estimates) == pytest.approx(sigma**2, rel=0.05)
 
 
@@ -82,6 +85,26 @@ class TestFit:
         res = ik.fit(model, data, [0.5, 5.0], fixed={1: 1.0})
         assert res.theta[1] == 1.0
         assert res.theta[0] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("key", [-1, 2, 5, True, 1.0, "1"])
+    def test_malformed_fixed_key_is_rejected_by_name(self, key):
+        # -1 used to be dropped without a word, so both rates were fitted
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
+        data = ik.Dataset(design, ik.evaluate(model, design, [2.0, 1.0])[:, None])
+        message = f"fixed key {re.escape(repr(key))} is not a parameter index in \\[0, 2\\)"
+        with pytest.raises(ValueError, match=message):
+            ik.fit(model, data, [0.5, 5.0], fixed={key: 1.0})
+        with pytest.raises(ValueError, match=message):
+            ik.multi_start_fit(model, data, 2, 0, fixed={key: 1.0})
+
+    def test_numpy_integer_fixed_key_is_an_index(self):
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
+        data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
+        a = ik.fit(model, data, [0.5, 5.0], fixed={np.int64(1): 1.0})
+        b = ik.fit(model, data, [0.5, 5.0], fixed={1: 1.0})
+        assert a.theta.tobytes() == b.theta.tobytes() and a.theta[1] == 1.0
 
     def test_fixed_value_outside_the_box_rejected(self):
         model = ik.get_model("biexponential")  # box [0.01, 10]^2
@@ -133,7 +156,7 @@ class TestFit:
     def test_agrees_with_closed_form_on_linear_models(self):
         X, model, design = make_linear()
         data = ik.generate_data(model, design, [1.0, 2.0], seed=5)
-        closed = ik.linear_least_squares(X, data.observations[:, 0])
+        closed = linear_least_squares(X, data.observations[:, 0])
         iterative = ik.fit(model, data, [0.0, 0.0])
         np.testing.assert_allclose(iterative.theta, closed.theta, atol=1e-8)
 
@@ -278,6 +301,66 @@ class TestFitTermination:
         model, data = ramp_problem()
         with pytest.raises(ik.EvaluationError):
             ik.fit(model, data, [3.0])
+
+
+class TestSolverHandOff:
+    """What ``fit`` hands its solver, on both of its paths: the parameter vector itself
+    when nothing is held, the free sub-vector otherwise."""
+
+    CASES = {  # model, truth, start, fixed
+        "nothing held, one parameter": (ik.get_model("reciprocal"), [0.5], [2.0], None),
+        "nothing held, two parameters": (ik.get_model("biexponential"), [2.0, 1.0], [0.9, 2.2], None),
+        "nothing held, ordered": (ik.get_model("biexponential", ordered=True), [2.0, 1.0], [2.2, 0.9], {}),
+        "one held, one free": (ik.get_model("biexponential"), [2.0, 1.0], [0.5, 5.0], {1: 1.0}),
+        "one held, two free": (ik.get_model("redundant-exponential"), [1.0, -0.5, 0.5],
+                               [2.0, 0.3, -1.0], {1: -0.5}),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def spied_fit(self, request, monkeypatch):
+        """The case's fit at 1 and 2 replicates, with counts of the model evaluations,
+        the Jacobians and the solver's own calls, and the layout of each Jacobian it got."""
+        model, truth, start, fixed = self.CASES[request.param]
+        assert resolve_method(model) == "analytic"
+        counts = {"evaluate": 0, "sensitivity_matrix": 0, "fun": 0, "jac": 0}
+        layouts = []
+        for name in ("evaluate", "sensitivity_matrix"):
+            def counted(*args, _original=getattr(estimation, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(estimation, name, counted)
+        solve = estimation._solve_trust_region
+
+        def spy(fun, jac, *args):
+            def counted_fun(x):
+                counts["fun"] += 1
+                return fun(x)
+
+            def counted_jac(x):
+                counts["jac"] += 1
+                J = jac(x)
+                layouts.append(J.flags.f_contiguous)
+                return J
+
+            return solve(counted_fun, counted_jac, *args)
+
+        monkeypatch.setattr(estimation, "_solve_trust_region", spy)
+        for replicates in (1, 2):
+            design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05, replicates)
+            ik.fit(model, ik.generate_data(model, design, truth, seed=3), start, fixed)
+        return counts, layouts
+
+    def test_one_evaluation_per_residual_and_one_sensitivity_per_jacobian(self, spied_fit):
+        counts, _ = spied_fit
+        assert counts["fun"] > 2 and counts["jac"] > 2
+        assert counts["evaluate"] == counts["fun"]
+        assert counts["sensitivity_matrix"] == counts["jac"]
+
+    def test_every_jacobian_is_f_contiguous(self, spied_fit):
+        # J.T @ f rounds differently on a C-contiguous J (see _solve_trust_region)
+        _, layouts = spied_fit
+        assert layouts and all(layouts)
 
 
 def decay_problem():

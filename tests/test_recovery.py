@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.recovery import VERDICT_BAD, VERDICT_OK
@@ -98,6 +100,23 @@ class TestGlobalRecovery:
         # the null direction mixes amplitude and offset; those coordinates blow up
         heavy = np.flatnonzero(np.abs(null[:, 0]) > 0.1)
         assert np.max(report.error_max[heavy]) > 1.0
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 4), more=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_a_shorter_run_is_a_prefix_bit_for_bit(self, k, more, seed):
+        # trials gathered in input order from a pool, or stopped early by a sequential
+        # look, are those of the full run only if each trial depends on its index alone
+        model = ik.get_model("reciprocal")
+        design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
+
+        def fields(report):
+            return [(t.seed, t.theta_true.tobytes(), t.theta_hat.tobytes(), t.objective,
+                     t.rel_errors.tobytes(), t.success, t.success_symmetry, t.converged)
+                    for t in report.trials]
+
+        short = ik.global_recovery(model, design, k, seed=seed, n_starts=3)
+        full = ik.global_recovery(model, design, k + more, seed=seed, n_starts=3)
+        assert fields(short) == fields(full)[:k]
 
     def test_prior_outside_the_ordering_raises(self):
         model = ik.get_model("biexponential", ordered=True)  # rate1 > rate2

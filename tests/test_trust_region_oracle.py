@@ -7,7 +7,9 @@ route and budget options, since replaced by the model's own route and the
 module's constants, are spelled out).  The
 rewrite must do the same floating-point operations, so on every draw
 :func:`identikit.fit` must hand its solver the same points, in the same order,
-and get back the same bytes and status as the reference does.
+and get back the same bytes and status as the reference does.  That holds on
+both of ``fit``'s paths: with nothing held it hands its solver the parameter
+vector itself, where the reference hands it the ``[free]`` copy.
 
 The draws are derandomised by ``hypothesis`` so that a failure reproduces
 exactly.
@@ -342,8 +344,9 @@ def test_fit_drives_its_solver_bit_for_bit_as_the_reference(problem):
 
 def test_every_case_is_drawn():
     """The draws above reach every model, a fixed parameter, two replicates, a start
-    on a bound and each short budget, and with one free parameter (the solver's float
-    path) both kinds of step and every status.
+    on a bound and each short budget, fits with nothing held and fits with a held
+    parameter on spaces with and without orderings, and with one free parameter (the
+    solver's float path) both kinds of step and every status.
 
     They never reach that path's cut of a step that would leave the box.  In one
     dimension the scaled Gauss-Newton step -v g / (v J'J + |g|) is shorter than the
@@ -362,6 +365,7 @@ def test_every_case_is_drawn():
         space = model.space
         seen.add(name)
         seen.add("mask" if fixed is not None else "no mask")
+        seen.add(("held" if fixed else "nothing held", "ordered" if space.orderings else "unordered"))
         seen.add(f"replicates {dataset.design.replicates}")
         seen.add(f"budget {budget}")
         if np.any((start == space.lower) | (start == space.upper)):
@@ -378,6 +382,7 @@ def test_every_case_is_drawn():
             seen.add(f"one free: status {runs[0][0][2]}")
     assert set(MODELS) | {"mask", "no mask", "replicates 1", "replicates 2", "on a bound",
                           "budget 1", "budget 2", "budget 3", "budget 500"} <= seen
+    assert set(itertools.product(["held", "nothing held"], ["ordered", "unordered"])) <= seen
     assert {"one free: status 0", "one free: status 1", "one free: status 3",
             "one free: Gauss-Newton step", "one free: LM step"} <= seen
 
