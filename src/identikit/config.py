@@ -2,17 +2,16 @@
 
 Sections mirror the analysis modules: ``model``, ``design``, ``data``, then
 ``fit``, ``fim``, ``design_score``, ``profile``, ``sobol``, ``recover``.
-:func:`build_config` is the one reader of the document.  It reads each field
-once, checks it, then converts it.  Each section of :class:`RunConfig` is the
-dict of its checked fields, which the CLI passes on as keyword arguments, so a
-field left out takes the default of the analysis it feeds (the signature of
-``profile_parameter``, ``sobol_indices``, ``global_recovery``, ...); the few
-fields only the CLI reads take theirs where it reads them.  An optional
-section given as ``null`` counts as left out.  Numbers must be finite,
-booleans are not numbers, and a key that names no field is an error.  Every
-bad field becomes a :class:`Diagnostic` that names it, and all of them are
-raised together as a :class:`ConfigError`.
-:func:`validate_config` returns those diagnostics instead of raising.
+:func:`build_config` is the one reader of the document.  A field passed to an
+analysis as an argument is checked and converted by that argument's own rule,
+which the analysis applies again at entry (``DESIGN_RULES``, ``FIM_RULES``,
+``profile_rules`` ...); this module checks only the JSON form, unknown and
+required keys, and rules across fields.  Each section of :class:`RunConfig` is
+the dict of its checked fields, passed on as keyword arguments, so a field left
+out takes the analysis's default.  A section given as ``null`` counts as left
+out.  Every bad field becomes a :class:`Diagnostic` that names it, and all of
+them are raised together as a :class:`ConfigError`; :func:`validate_config`
+returns them instead.
 """
 
 from __future__ import annotations
@@ -23,9 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fim import DESIGN_CRITERIA
-from .models import MIN_NOISE_SD, Design, Model, UnknownModelError, _is_integer, _is_number, get_model
-from .sobol import MIN_SAMPLES, Prior
+from .estimation import MULTI_START_RULES
+from .fim import FIM_RULES
+from .models import (DESIGN_RULES, Design, Model, UnknownModelError, _checked, _integer, _is_integer, _is_number,
+                     _rule, get_model)
+from .profile import _GRID, grid_rule, profile_rules
+from .recovery import RECOVERY_RULES
+from .sobol import SOBOL_RULES, Prior, prior_rule
 
 ANALYSIS_SECTIONS = ("fim", "design_score", "profile", "sobol", "recover")
 
@@ -79,80 +82,10 @@ def load_raw(path: str | Path) -> tuple[dict | None, list[Diagnostic]]:
     return raw, []
 
 
-# Field rules: each takes the raw JSON value and returns the converted value,
-# or raises ValueError with the message of the diagnostic.
-
-
-def _integer(minimum: int):
-    def rule(value):
-        if not _is_integer(value) or value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}")
-        return value
-    return rule
-
-
-def _number(ok, message: str):
-    def rule(value):
-        if not _is_number(value) or not ok(value):
-            raise ValueError(message)
-        return float(value)
-    return rule
-
-
-_FRACTION = _number(lambda x: 0 < x < 1, "must be in (0, 1)")
-_POSITIVE = _number(lambda x: x > 0, "must be a positive number")
-_NOISE_SD = _number(lambda x: x >= MIN_NOISE_SD, f"must be a number >= {MIN_NOISE_SD:g}")
-
-
-def _string(value):
-    if not isinstance(value, str):
-        raise ValueError("must be a string")
-    return value
-
-
-def _object(value):
-    if not isinstance(value, dict):
-        raise ValueError("must be an object")
-    return value
-
-
-def _unchecked(value):
-    """Top-level sections pass through here; their fields are read once the model is known."""
-    return value
-
-
-def _increasing(value, shortest: int, message: str):
-    if not isinstance(value, list) or len(value) < shortest or not all(_is_number(t) for t in value):
-        raise ValueError(message)
-    if not all(b > a for a, b in zip(value, value[1:])):
-        raise ValueError("must be strictly increasing")
-    return np.asarray(value, dtype=float)
-
-
-def _times(value):
-    return _increasing(value, 1, "must be a non-empty list of numbers")
-
-
-def _criterion(value):
-    if not isinstance(value, str) or value not in DESIGN_CRITERIA:
-        raise ValueError(f"must be one of {DESIGN_CRITERIA}")
-    return value
-
-
-def _n_samples(value):
-    if not _is_integer(value) or value < MIN_SAMPLES or value & (value - 1):
-        raise ValueError(f"must be a power of two >= {MIN_SAMPLES}")
-    return value
-
-
-def _bootstrap(value):
-    if not _is_integer(value) or value < 0 or value == 1:
-        raise ValueError("must be 0 or an integer >= 2")
-    return value
-
-
-def _grid(value):
-    return None if value is None else _increasing(value, 3, "must be a list of at least 3 numbers")
+# Rules of the JSON form of a field (see models._rule); a field that an analysis takes as
+# it is goes straight to the rule of that analysis's argument.
+_string = _rule(lambda value: isinstance(value, str), "must be a string")
+_object = _rule(lambda value: isinstance(value, dict), "must be an object")
 
 
 # Rules that depend on the parameter space; ``space`` is None when the model
@@ -172,14 +105,15 @@ def _theta(space):
     return rule
 
 
-def _indices(space):
+def _indices(index):
+    """A list of distinct indices, each one checked by profile_parameter's rule ``index``."""
     def rule(value):
         if value is None:
             return None
         if not isinstance(value, list) or not all(_is_integer(i) for i in value):
             raise ValueError("must be a list of indices")
-        if space is not None and any(not 0 <= i < space.dimension for i in value):
-            raise ValueError("index out of range")
+        for i in value:
+            _checked({"index": index}, index=i)
         if len(set(value)) != len(value):
             raise ValueError("repeats an index")
         return value
@@ -187,6 +121,8 @@ def _indices(space):
 
 
 def _prior(space):
+    inside = None if space is None else prior_rule(space)
+
     def rule(value):
         if not isinstance(value, list) or (space is not None and len(value) != space.dimension):
             raise ValueError("must list one entry per parameter")
@@ -199,9 +135,7 @@ def _prior(space):
             np.array([e["lower"] for e in value], dtype=float),
             np.array([e["upper"] for e in value], dtype=float),
         )
-        if space is not None and not prior.contained_in(space):
-            raise ValueError("support is not contained in the parameter box")
-        return prior
+        return prior if inside is None else inside(prior)
     return rule
 
 
@@ -243,7 +177,8 @@ def _model(diags: list[Diagnostic], section) -> Model | None:
 
 
 def _design(diags: list[Diagnostic], section) -> Design | None:
-    rules = {"times": _times, "noise_sd": _NOISE_SD, "replicates": _integer(1)}
+    rules = {"times": DESIGN_RULES["time_points"], "noise_sd": DESIGN_RULES["noise_sd"],
+             "replicates": DESIGN_RULES["replicates"]}
     fields = _fields(diags, "design", section, rules, ("times", "noise_sd"))
     if fields is None or "times" not in fields or "noise_sd" not in fields:
         return None
@@ -257,27 +192,27 @@ def build_config(raw: dict) -> RunConfig:
     """
     diags: list[Diagnostic] = []
     sections = ("model", "design", "data", "fit") + ANALYSIS_SECTIONS
-    top = _fields(diags, "", raw, {"seed": _integer(0), **dict.fromkeys(sections, _unchecked)})
+    # a section passes as it is here; its fields are read once the model is known
+    top = _fields(diags, "", raw, {"seed": _integer(0), **dict.fromkeys(sections, lambda section: section)})
     model = _model(diags, top.pop("model", None))
     design = _design(diags, top.pop("design", None))
 
+    # each analysis field takes the rule of the argument it is passed as
     space = None if model is None else model.space
     theta = _theta(space)
+    profiling = profile_rules(space)
+    index = profiling.pop("index")  # a profile section lists its indices as parameters
     section_rules = {
         "data": {"theta_true": theta, "path": _string, "seed": _integer(0)},
-        "fit": {"starts": _integer(1)},
-        "fim": {"theta": theta, "rank_tolerance": _FRACTION, "level": _FRACTION},
-        "design_score": {"criterion": _criterion, "theta": theta},
+        "fit": {"starts": MULTI_START_RULES["k_starts"]},
+        "fim": {"theta": theta, "rank_tolerance": FIM_RULES["rank_tolerance"], "level": FIM_RULES["level"]},
+        "design_score": {"criterion": FIM_RULES["criterion"], "theta": theta},
         "profile": {
-            "parameters": _indices(space), "points": _integer(3), "span_sd": _POSITIVE,
-            "level": _FRACTION, "flatness_tol": _POSITIVE, "multistart": _integer(0),
-            "grid": _grid,
+            **profiling, "parameters": _indices(index if space is not None else lambda i: i),
+            "grid": lambda value: None if value is None else _GRID(value),
         },
-        "sobol": {"n_samples": _n_samples, "bootstrap": _bootstrap, "prior": _prior(space)},
-        "recover": {
-            "k_trials": _integer(1), "n_starts": _integer(1), "tolerance": _POSITIVE,
-            "prior": _prior(space),
-        },
+        "sobol": {**SOBOL_RULES, "prior": _prior(space)},
+        "recover": {**RECOVERY_RULES, "prior": _prior(space)},
     }
     for name, rules in section_rules.items():
         section = top.pop(name, None)
@@ -285,9 +220,8 @@ def build_config(raw: dict) -> RunConfig:
             top[name] = _fields(diags, name, section, rules)
 
     # Fields that depend on one another; each section here is a JSON object.
-    if model is not None and model.ode is not None and design is not None and design.time_points[0] < 0:
-        # an ODE model's state is given at t = 0
-        diags.append(Diagnostic("design.times", "must be >= 0 for an ODE model"))
+    if model is not None and model.ode is not None and design is not None:
+        _fields(diags, "design", {"times": design.time_points}, {"times": model.ode.check_times})
     data = top.get("data")
     if data is not None and ("theta_true" in raw["data"]) == ("path" in raw["data"]):
         diags.append(Diagnostic("data", "give exactly one of theta_true or path"))
@@ -301,12 +235,8 @@ def build_config(raw: dict) -> RunConfig:
     if grid is not None and space is not None:
         indices = profile.get("parameters")
         for i in range(space.dimension) if indices is None else indices:
-            lo, hi = space.lower[i], space.upper[i]
-            if grid.min() < lo or grid.max() > hi:
-                diags.append(Diagnostic(
-                    "profile.grid", f"exits the admissible slice [{lo:g}, {hi:g}] of parameter {i}"
-                ))
-                break
+            if not _fields(diags, "profile", {"grid": grid}, {"grid": grid_rule(space, i)}):
+                break  # one diagnostic for the grid
 
     if diags:
         raise ConfigError(diags)

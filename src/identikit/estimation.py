@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .models import Dataset, EvaluationError, Model, OutOfBoundsError, evaluate
+from .models import Dataset, EvaluationError, Model, OutOfBoundsError, _checked, _integer, evaluate
 from .sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
 
 SMALL_GRADIENT = "small-gradient"
@@ -454,46 +454,25 @@ def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray
     return starts
 
 
-def multi_start_fit(
-    model: Model,
-    dataset: Dataset,
-    k_starts: int,
-    seed: int,
-    fixed: dict[int, float] | None = None,
-) -> list[EstimateResult]:
-    """Independent fits from dispersed starts, ``fixed`` as in :func:`fit`, sorted by objective.
+MULTI_START_RULES = {"k_starts": _integer(1)}
 
-    Individual failures are flagged per start, never raised: a start that the ``fixed``
-    values put outside an ordering, or whose first evaluation fails, is not run, and is
-    flagged ``not-run`` with the cause in ``failure``.  A ``fixed`` value outside the box
-    raises :class:`OutOfBoundsError`.
+
+def multi_start_fit(model: Model, dataset: Dataset, k_starts: int, seed: int) -> list[EstimateResult]:
+    """Independent fits from ``k_starts`` (an integer >= 1) Latin-hypercube starts, sorted by objective.
+
+    Individual failures are flagged per start, never raised: a start whose first
+    evaluation fails is not run, and is flagged ``not-run`` with the message in ``failure``.
     """
-    if k_starts < 1:
-        raise ValueError("k_starts must be >= 1")
-    space = model.space
-    fixed = _held(fixed, space.dimension)
-    starts = latin_hypercube_starts(model, k_starts, seed)
-    if fixed:
-        starts[:, list(fixed)] = list(fixed.values())
-        if not replace(space, orderings=()).contains(starts[0]):
-            raise OutOfBoundsError("fixed parameters lie outside the box")
-    names = space.parameter_names()
-
-    def failed(start, failure: str) -> EstimateResult:
-        start = np.asarray(start, dtype=float)
-        return EstimateResult(theta=start, objective=math.inf, sigma2=math.nan, converged=False,
-                              iterations=0, reason=NOT_RUN, start=start, failure=failure)
+    (k_starts,) = _checked(MULTI_START_RULES, k_starts=k_starts)
 
     def run(start):
-        broken = [f"{names[i]} > {names[j]}" for i, j in space.orderings if not start[i] > start[j]]
-        if broken:
-            return failed(start, "start breaks the ordering " + " and ".join(broken))
         try:
-            return fit(model, dataset, start, fixed)
+            return fit(model, dataset, start)
         except EvaluationError as exc:
-            return failed(start, str(exc))
+            return EstimateResult(theta=start, objective=math.inf, sigma2=math.nan, converged=False,
+                                  iterations=0, reason=NOT_RUN, start=start, failure=str(exc))
 
-    return sorted((run(s) for s in starts), key=lambda r: r.objective)
+    return sorted((run(s) for s in latin_hypercube_starts(model, k_starts, seed)), key=lambda r: r.objective)
 
 
 def estimates_csv(results: list[EstimateResult], names) -> tuple[list[str], list[list]]:

@@ -12,13 +12,12 @@ doubles the information bitwise.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Design, Model, _scipy_extension
+from .models import _FRACTION, Design, Model, _checked, _integer, _rule, _scipy_extension
 from .sensitivity import SensitivityMatrix, sensitivity_matrix
 
 DEFAULT_RANK_TOL = 1e-10
@@ -27,6 +26,11 @@ IDENTIFIABLE = "identifiable"
 RANK_DEFICIENT = "rank-deficient"
 
 DESIGN_CRITERIA = ("D", "A", "E")
+
+
+# rank_tolerance of assemble_fim, level of chi2_quantile and criterion of FimReport.score
+FIM_RULES = {"rank_tolerance": _FRACTION, "level": _FRACTION, "criterion": _rule(
+    lambda c: isinstance(c, str) and c in DESIGN_CRITERIA, f"must be one of {DESIGN_CRITERIA}")}
 
 
 class RankDeficientFimWarning(UserWarning):
@@ -72,9 +76,8 @@ class FimReport:
         return self.fim.shape[0]
 
     def score(self, criterion: str) -> float:
-        """Design score of this matrix; see :func:`design_score`."""
-        if criterion not in DESIGN_CRITERIA:
-            raise ValueError(f"criterion must be one of {DESIGN_CRITERIA}")
+        """Design score of this matrix for ``criterion``, one of ``DESIGN_CRITERIA``; see :func:`design_score`."""
+        (criterion,) = _checked(FIM_RULES, criterion=criterion)
         if self.classification != IDENTIFIABLE:
             # a singular matrix has determinant and smallest eigenvalue 0; the computed
             # null eigenvalue is round-off whose sign and size move with theta
@@ -117,11 +120,12 @@ def assemble_fim(
 ) -> FimReport:
     """I = replicates * sigma^-2 V^T V, with eigen-decomposition and rank.
 
-    The rank counts eigenvalues at least ``rank_tolerance`` times the largest
-    (0 if none is positive); the matrix is rank-deficient below full rank.
-    Accepts either a :class:`SensitivityMatrix` or a plain array with one row
-    per unique design time.
+    The rank counts eigenvalues at least ``rank_tolerance`` (in (0, 1)) times
+    the largest (0 if none is positive); the matrix is rank-deficient below full
+    rank.  Accepts either a :class:`SensitivityMatrix` or a plain array with one
+    row per unique design time.
     """
+    (rank_tolerance,) = _checked(FIM_RULES, rank_tolerance=rank_tolerance)
     V = sensitivity.values if isinstance(sensitivity, SensitivityMatrix) else np.asarray(sensitivity, dtype=float)
     if not np.all(np.isfinite(V)):
         raise ValueError("sensitivity matrix has non-finite entries")
@@ -144,7 +148,7 @@ def assemble_fim(
         eigenvectors=vecs,
         rank=rank,
         classification=classification,
-        rank_tolerance=float(rank_tolerance),
+        rank_tolerance=rank_tolerance,
         sloppiness=sloppiness,
     )
 
@@ -158,7 +162,7 @@ def fim_report(
     """Assemble the information matrix of a design at theta, on the model's own route.
 
     sigma is the design's noise level; replicates enter as the exact
-    multiplier on V^T V.
+    multiplier on V^T V; ``rank_tolerance`` as in :func:`assemble_fim`.
     """
     V = sensitivity_matrix(model, design, theta)
     return assemble_fim(V, design.noise_sd, design.replicates, rank_tolerance)
@@ -207,11 +211,10 @@ def chi2_quantile(level: float, df: int) -> float:
     ``gammaincinv`` is read from scipy's ``special/_special_ufuncs`` extension,
     loaded from its file; the one module that enters ``sys.modules`` is
     ``scipy.special._special_ufuncs`` itself, never ``scipy`` or ``scipy.special``.
+    ``level`` is a number in (0, 1), ``df`` an integer >= 1.
     """
-    if not 0 < level < 1:
-        raise ValueError("level must be in (0, 1)")
-    if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 1:
-        raise ValueError(f"df must be a positive integer, got {df!r}")
+    (level,) = _checked(FIM_RULES, level=level)
+    _checked({"df": _integer(1)}, df=df)
     return float(2.0 * _scipy_extension("special", "_special_ufuncs").gammaincinv(df / 2, level))
 
 

@@ -45,8 +45,67 @@ class UnknownModelError(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# parameter space and design
+# argument rules, parameter space and design
 # ---------------------------------------------------------------------------
+
+
+def _is_number(x) -> bool:
+    """A finite real number, numpy's included; booleans are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the range of a double
+        return False
+
+
+def _is_integer(x) -> bool:
+    """An integer, numpy's included; booleans are not integers."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _rule(ok, message: str, convert=None):
+    """A rule: it returns a value for which ``ok`` holds, converted by ``convert``, and raises
+    ValueError(``message``) for any other.  An analysis applies the rules of its arguments at entry
+    with :func:`_checked`; ``build_config`` applies the same rules to the fields it passes on."""
+    def rule(value):
+        if not ok(value):
+            raise ValueError(message)
+        return value if convert is None else convert(value)
+    return rule
+
+
+def _integer(minimum: int):
+    return _rule(lambda x: _is_integer(x) and x >= minimum, f"must be an integer >= {minimum}", int)
+
+
+_FRACTION = _rule(lambda x: _is_number(x) and 0 < x < 1, "must be in (0, 1)", float)
+_POSITIVE = _rule(lambda x: _is_number(x) and x > 0, "must be a positive number", float)
+
+
+def _increasing(shortest: int, message: str):
+    """The rule of a strictly increasing sequence of at least ``shortest`` numbers, as a float array."""
+    def rule(value) -> np.ndarray:
+        values = np.asarray(value, dtype=object).tolist()  # keeps booleans and strings apart from numbers
+        if not isinstance(values, list) or len(values) < shortest or not all(map(_is_number, values)):
+            raise ValueError(message)
+        values = np.array(values, dtype=float)
+        if not np.all(values[1:] > values[:-1]):
+            raise ValueError("must be strictly increasing")
+        return values
+    return rule
+
+
+def _checked(rules: dict, **arguments) -> list:
+    """Each argument converted by its rule in ``rules``, in order; the first that fails
+    raises its error again as "<name> <what it must be>"."""
+    values = []
+    for name, value in arguments.items():
+        try:
+            values.append(rules[name](value))
+        except ValueError as exc:
+            raise type(exc)(f"{name} {exc}") from None
+    return values
 
 
 @dataclass(frozen=True)
@@ -132,30 +191,27 @@ class ParameterSpace:
         raise RuntimeError(f"no feasible point in {MAX_DRAWS} draws: {what} never held")
 
 
+DESIGN_RULES = {
+    "time_points": _increasing(1, "must be a non-empty list of numbers"),
+    "noise_sd": _rule(lambda x: _is_number(x) and x >= MIN_NOISE_SD, f"must be a number >= {MIN_NOISE_SD:g}", float),
+    "replicates": _integer(1),
+}
+
+
 @dataclass(frozen=True)
 class Design:
-    """Observation schedule: strictly increasing times, noise level, replicates."""
+    """Observation schedule: a non-empty, strictly increasing sequence of finite times, a
+    ``noise_sd`` >= ``MIN_NOISE_SD`` and an integer >= 1 of ``replicates`` (``DESIGN_RULES``)."""
 
     time_points: np.ndarray
     noise_sd: float
     replicates: int = 1
 
     def __post_init__(self):
-        times = np.asarray(self.time_points, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise ValueError("design needs at least one time point")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("time points must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("time points must be strictly increasing")
-        if not np.isfinite(self.noise_sd) or self.noise_sd < MIN_NOISE_SD:
-            raise ValueError(f"noise_sd must be >= {MIN_NOISE_SD:g}")
-        count = self.replicates
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"replicates must be a positive integer, got {count!r}")
-        object.__setattr__(self, "time_points", times)
-        object.__setattr__(self, "noise_sd", float(self.noise_sd))
-        object.__setattr__(self, "replicates", int(self.replicates))
+        values = _checked(DESIGN_RULES, time_points=self.time_points, noise_sd=self.noise_sd,
+                          replicates=self.replicates)
+        for name, value in zip(DESIGN_RULES, values):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -240,15 +296,20 @@ class OdeSystem:
     rtol: float = 1e-11
     atol: float = 1e-13
 
+    @staticmethod
+    def check_times(times: np.ndarray) -> None:
+        """The rule of output times: >= 0, as the state is given at t = 0, and strictly increasing."""
+        if not (times[0] >= 0.0 and np.all(times[1:] > times[:-1])):
+            raise ValueError("must be strictly increasing" if times[0] >= 0.0 else "must be >= 0 for an ODE model")
+
     def integrate(self, fun, z0, times: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """States (n, len(z0)) of z' = fun(t, z, theta), z(0) = z0, at the n ``times``.
 
-        Raises :class:`ValueError` unless the times are >= 0 and strictly
-        increasing, and :class:`EvaluationError` with LSODA's message if it
-        fails (a success may be non-finite).
+        Raises :class:`ValueError` unless the times meet :meth:`check_times`, and
+        :class:`EvaluationError` with LSODA's message if it fails (a success may
+        be non-finite).
         """
-        if not (times[0] >= 0.0 and np.all(times[1:] > times[:-1])):
-            raise ValueError(f"ODE output times must be >= 0 and strictly increasing, got {times.tolist()}")
+        _checked({"times": self.check_times}, times=times)
         grid = times if times[0] == 0.0 else np.concatenate(([0.0], times))
         # odeint's positional arguments: func, y0, t, args, Dfun, col_deriv, ml, mu,
         # full_output, rtol, atol, tcrit, h0, hmax, hmin, ixpr, mxstep (0: 500), mxhnil,
@@ -386,20 +447,6 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         "theta_true": None if dataset.theta_true is None else [float(v) for v in dataset.theta_true],
     }
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number; booleans are not numbers."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the range of a double
-        return False
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # What each field of a dataset's JSON sidecar must hold.

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimateResult, fit, log_likelihood, multi_start_fit
+from .estimation import EstimateResult, fit, latin_hypercube_starts, log_likelihood
 from .fim import IDENTIFIABLE, chi2_quantile, combination_variance, fim_report
-from .models import Dataset, EvaluationError, Model, OutOfBoundsError
+from .models import (_FRACTION, _POSITIVE, Dataset, EvaluationError, Model, OutOfBoundsError, ParameterSpace,
+                     _checked, _increasing, _integer, _is_integer, _rule)
 
 FLATNESS_TOL = 1e-6
 
@@ -127,6 +128,29 @@ def _default_grid(model, dataset, fit_result, index, points, span_sd) -> np.ndar
     return np.linspace(lo, hi, points)
 
 
+def profile_rules(space: ParameterSpace) -> dict:
+    """The rule of each argument of :func:`profile_parameter` but the grid's (:func:`grid_rule`)."""
+    index = _rule(lambda i: _is_integer(i) and 0 <= i < space.dimension, "out of range", int)
+    return {"index": index, "points": _integer(3), "span_sd": _POSITIVE, "level": _FRACTION,
+            "flatness_tol": _POSITIVE, "multistart": _integer(0)}
+
+
+_GRID = _increasing(3, "must be a list of at least 3 numbers")
+
+
+def grid_rule(space: ParameterSpace, index: int):
+    """The rule of a grid for parameter ``index``: None (the default grid), or at least 3
+    numbers, strictly increasing, inside the parameter's admissible slice."""
+    lo, hi = space.lower[index], space.upper[index]
+
+    def rule(value) -> np.ndarray | None:
+        grid = None if value is None else _GRID(value)
+        if grid is not None and (grid[0] < lo or grid[-1] > hi):
+            raise OutOfBoundsError(f"exits the admissible slice [{lo:g}, {hi:g}] of parameter {index}")
+        return grid
+    return rule
+
+
 def profile_parameter(
     model: Model,
     dataset: Dataset,
@@ -140,51 +164,53 @@ def profile_parameter(
     multistart: int = 0,
     seed: int = 0,
 ) -> ProfileCurve:
-    """Profile log-likelihood of parameter ``index``.
+    """Profile log-likelihood of parameter ``index``, an integer in [0, p).
 
-    The default grid spans the fit plus/minus ``span_sd`` information-matrix
-    standard deviations (clipped to the admissible slice), falling back to the
-    full slice when the information matrix is rank-deficient.  ``multistart``
-    adds that many cold Latin-hypercube refits per grid point on top of the
-    warm-started one.
+    The default grid of ``points`` (an integer >= 3) spans the fit plus/minus
+    ``span_sd`` (a positive number) information-matrix standard deviations
+    (clipped to the admissible slice), falling back to the full slice when the
+    information matrix is rank-deficient.  ``multistart`` (an integer >= 0)
+    adds that many cold refits per grid point on top of the warm-started one,
+    from Latin-hypercube starts with the profiled parameter set, skipping a
+    start that then breaks an ordering.  ``level`` is in (0, 1) and
+    ``flatness_tol`` positive; a bad argument raises ValueError naming it.
 
     On the default grid each outward sweep ends one refit past the level set:
     at the first refit whose value lies more than :func:`drop_threshold`
     below both ``loglik_hat`` and the highest value so far.  The points it
     computes are those of the full sweep, bit for bit.  An explicit ``grid``
-    must be strictly increasing, and is swept in full.  The curve holds only
-    the computed points.
+    (see :func:`grid_rule`) is swept in full.  The curve holds only the
+    computed points.
     """
     space = model.space
-    if not 0 <= index < space.dimension:
-        raise ValueError(f"parameter index {index} out of range for p={space.dimension}")
-    drop = drop_threshold(level)  # rejects a level outside (0, 1) before any refit
+    index, points, span_sd, level, flatness_tol, multistart = _checked(profile_rules(space), index=index,
+        points=points, span_sd=span_sd, level=level, flatness_tol=flatness_tol, multistart=multistart)
+    (grid,) = _checked({"grid": grid_rule(space, index)}, grid=grid)
+    drop = drop_threshold(level) if grid is None else np.inf  # an explicit grid is swept in full
     if not fit_result.converged:
         raise ValueError("profile requires a converged fit result")
     sigma = dataset.design.noise_sd
     loglik_hat = log_likelihood(fit_result.objective, sigma)
     if grid is None:
         grid = _default_grid(model, dataset, fit_result, index, points, span_sd)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("profile grid must be strictly increasing")
-        drop = np.inf  # an explicit grid is swept in full
-    if np.any(grid < space.lower[index]) or np.any(grid > space.upper[index]):
-        raise OutOfBoundsError("profile grid exits the admissible slice")
 
     def refit(k: int, warm: np.ndarray) -> EstimateResult | None:
+        """The warm refit, or a converged cold one with a lower objective; None if neither ran."""
         fixed = {index: float(grid[k])}
-        start = warm.copy()
-        start[index] = grid[k]
-        try:
-            best = fit(model, dataset, start, fixed) if space.contains(start) else None
-        except EvaluationError:
-            best = None
+
+        def run(start) -> EstimateResult | None:
+            start[index] = grid[k]
+            try:
+                return fit(model, dataset, start, fixed) if space.contains(start) else None
+            except EvaluationError:
+                return None
+
+        best = run(warm.copy())
         if multistart > 0:
             point_seed = int(np.random.SeedSequence([seed, index, k]).generate_state(1)[0])
-            for res in multi_start_fit(model, dataset, multistart, point_seed, fixed):
-                if res.converged and (best is None or res.objective < best.objective):
+            for start in latin_hypercube_starts(model, multistart, point_seed):
+                res = run(start)
+                if res is not None and res.converged and (best is None or res.objective < best.objective):
                     best = res
         return best
 

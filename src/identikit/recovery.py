@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import multi_start_fit
-from .models import Design, Model, generate_data
-from .sobol import Prior
+from .estimation import MULTI_START_RULES, multi_start_fit
+from .models import _POSITIVE, Design, Model, _checked, _integer, generate_data
+from .sobol import Prior, prior_rule
 
 DEFAULT_STARTS = 16
 DEFAULT_TOLERANCE = 0.1
@@ -106,6 +106,10 @@ def recover_once(
     )
 
 
+# the rules of global_recovery's arguments, and the prior's, prior_rule
+RECOVERY_RULES = {"k_trials": _integer(1), "n_starts": MULTI_START_RULES["k_starts"], "tolerance": _POSITIVE}
+
+
 def global_recovery(
     model: Model,
     design: Design,
@@ -117,6 +121,8 @@ def global_recovery(
 ) -> RecoveryReport:
     """Many recovery trials at true parameters sampled widely over the space.
 
+    ``k_trials`` and ``n_starts`` are integers >= 1, ``tolerance`` is positive and ``prior``
+    None (the uniform box) or a :class:`Prior` inside the box; ValueError names a bad one.
     Noise is regenerated per trial from partitioned seeds, so each trial
     emulates an independent experiment and the whole report is reproducible
     bit for bit from (model, design, k_trials, prior, seed).  Each true
@@ -124,9 +130,9 @@ def global_recovery(
     none of ``MAX_DRAWS`` draws there raises RuntimeError
     (:meth:`ParameterSpace.draw_feasible`).
     """
-    if k_trials < 1:
-        raise ValueError("k_trials must be >= 1")
-    prior = prior or Prior.uniform_box(model.space)
+    k_trials, n_starts, tolerance = _checked(RECOVERY_RULES, k_trials=k_trials, n_starts=n_starts,
+                                             tolerance=tolerance)
+    (prior,) = _checked({"prior": prior_rule(model.space)}, prior=prior)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     truths = [model.space.draw_feasible(lambda: prior.sample(1, rng)[0]) for _ in range(k_trials)]
     trials = [
@@ -145,7 +151,7 @@ def global_recovery(
     else:
         verdict = VERDICT_BAD
     return RecoveryReport(
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         success_rate=success_rate,
         symmetry_success_rate=symmetry_rate,
         error_p50=np.quantile(errors, 0.5, axis=0),

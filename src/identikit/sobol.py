@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Design, EvaluationError, Model, ParameterSpace, evaluate_batch
+from .models import Design, EvaluationError, Model, ParameterSpace, _checked, _is_integer, _rule, evaluate_batch
 
 UNIFORM = "uniform"
 LOG_UNIFORM = "log-uniform"
@@ -73,6 +73,13 @@ class Prior:
                 log_lo, log_hi = np.log(self.lower[j]), np.log(self.upper[j])
                 out[:, j] = np.exp(log_lo + u[:, j] * (log_hi - log_lo))
         return out
+
+
+def prior_rule(space: ParameterSpace):
+    """The rule of a prior argument: None (the uniform box) or a :class:`Prior` inside the box."""
+    inside = _rule(lambda prior: isinstance(prior, Prior) and prior.contained_in(space),
+                   "support is not contained in the parameter box")
+    return lambda prior: Prior.uniform_box(space) if prior is None else inside(prior)
 
 
 @dataclass(frozen=True)
@@ -170,6 +177,12 @@ def _aggregate(per_time, var_t):
     return per_time.T @ (var_t / weight_sum)
 
 
+_N_SAMPLES = _rule(lambda n: _is_integer(n) and n >= MIN_SAMPLES and not n & (n - 1),
+                   f"must be a power of two >= {MIN_SAMPLES}", int)
+_BOOTSTRAP = _rule(lambda n: _is_integer(n) and (n == 0 or n >= 2), "must be 0 or an integer >= 2", int)
+SOBOL_RULES = {"n_samples": _N_SAMPLES, "bootstrap": _BOOTSTRAP}  # and the prior's, prior_rule
+
+
 def sobol_indices(
     model: Model,
     design: Design,
@@ -180,12 +193,13 @@ def sobol_indices(
 ) -> SobolReport:
     """Monte-Carlo Sobol indices of the noiseless output under the prior (default: the uniform box).
 
-    ``n_samples`` must be a power of two of at least 2^10.  The n (p + 2) rows
+    ``prior`` must lie inside the box and ``n_samples`` be an integer power of two
+    of at least 2^10; a bad argument raises ValueError naming it.  The n (p + 2) rows
     of A, B and A_B^(i) are evaluated in one model call.  Points with any
     non-finite output are redrawn from the prior (A row, then B row, in index
     order; the count is reported) and evaluated again in one call per round.
 
-    The bootstrap runs ``bootstrap`` rounds: 0 for none, else at least 2.  It
+    The bootstrap runs ``bootstrap`` rounds, an integer: 0 for none, else at least 2.  It
     draws each round's n resample indices as the per-round estimator would,
     but turns them into resample counts: with the outputs centred once on the
     full-sample centre, every resampled mean is then a count-weighted mean,
@@ -193,14 +207,8 @@ def sobol_indices(
     matches re-estimating on each resample up to rounding (about 1e-14
     relative).  Everything, bootstrap included, is deterministic in ``seed``.
     """
-    n = int(n_samples)
-    if n < MIN_SAMPLES or n & (n - 1):
-        raise ValueError(f"n_samples must be a power of two >= {MIN_SAMPLES}")
-    if bootstrap < 0 or bootstrap == 1:
-        raise ValueError("bootstrap must be 0 or an integer >= 2")
-    prior = prior or Prior.uniform_box(model.space)
-    if not prior.contained_in(model.space):
-        raise ValueError("prior support must be contained in the parameter box")
+    n, bootstrap = _checked(SOBOL_RULES, n_samples=n_samples, bootstrap=bootstrap)
+    (prior,) = _checked({"prior": prior_rule(model.space)}, prior=prior)
 
     p = prior.dimension
     ss = np.random.SeedSequence(seed)

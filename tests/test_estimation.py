@@ -95,8 +95,6 @@ class TestFit:
         message = f"fixed key {re.escape(repr(key))} is not a parameter index in \\[0, 2\\)"
         with pytest.raises(ValueError, match=message):
             ik.fit(model, data, [0.5, 5.0], fixed={key: 1.0})
-        with pytest.raises(ValueError, match=message):
-            ik.multi_start_fit(model, data, 2, 0, fixed={key: 1.0})
 
     def test_numpy_integer_fixed_key_is_an_index(self):
         model = ik.get_model("biexponential")
@@ -540,25 +538,6 @@ class TestMultiStart:
         clusters = ik.cluster_optima(results)
         assert len(clusters) == 1
         np.testing.assert_allclose(clusters[0][0].theta, [2.0, 1.0], atol=1e-4)
-
-    def test_fixed_value_breaking_an_ordering_is_flagged_not_raised(self):
-        # formerly raised OutOfBoundsError for the starts with rate1 < 5
-        model = ik.get_model("biexponential", ordered=True)
-        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
-        data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
-        results = ik.multi_start_fit(model, data, 4, 0, fixed={1: 5.0})
-        assert len(results) == 4
-        broken = [r.start[0] <= 5.0 for r in results]
-        assert any(broken) and not all(broken), "the seed must give starts on both sides of the ordering"
-        for r, breaks in zip(results, broken):
-            assert r.theta[1] == 5.0
-            if breaks:
-                assert not r.converged and r.iterations == 0 and r.objective == float("inf")
-                assert r.reason == "not-run" and r.failure == "start breaks the ordering rate1 > rate2"
-            else:
-                assert r.failure is None and model.space.contains(r.theta)
-        with pytest.raises(ik.OutOfBoundsError, match="outside the box"):
-            ik.multi_start_fit(model, data, 4, 0, fixed={1: 20.0})
 
     def test_start_whose_first_evaluation_fails_is_not_run(self):
         # the ramp is non-finite above theta = 2: such a start is never fitted, while a

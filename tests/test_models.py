@@ -176,7 +176,7 @@ class TestDesign:
     @pytest.mark.parametrize("times", [[np.nan], [1.0, np.inf], [-np.inf, 0.0], [0.0, np.nan, 2.0]])
     def test_non_finite_time_points_rejected(self, times):
         # a lone NaN and a trailing inf formerly passed the increasing check
-        with pytest.raises(ValueError, match="time points must be finite"):
+        with pytest.raises(ValueError, match="time_points must be a non-empty list of numbers"):
             ik.Design(np.array(times), 0.1)
 
     def test_replicates_positive(self):

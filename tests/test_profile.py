@@ -99,7 +99,6 @@ class TestLevelValidation:
             raise AssertionError("refit attempted")
 
         monkeypatch.setattr("identikit.profile.fit", no_refit)
-        monkeypatch.setattr("identikit.profile.multi_start_fit", no_refit)
         with pytest.raises(ValueError, match="level"):
             ik.profile_parameter(model, data, fit, 0, level=level, multistart=2)
 
