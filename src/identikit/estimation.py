@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .models import Dataset, EvaluationError, Model, OutOfBoundsError, _checked, _integer, evaluate
-from .sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
+from .models import Dataset, EvaluationError, Model, OutOfBoundsError, _checked, _integer, _outputs
+from .sensitivity import ANALYTIC, FORWARD_ODE, _matrix, forward_ode_solve, resolve_method, sensitivity_matrix
 
 SMALL_GRADIENT = "small-gradient"
 SMALL_STEP = "small-step"
@@ -322,13 +322,13 @@ def fit(
 
     One :func:`_solve_trust_region` run on the free sub-vector: box bounds,
     residuals f(theta) - y stacked over replicates, and the model's own
-    sensitivity route as the Jacobian.  A fit that holds nothing runs its
-    solver directly on the parameter vector, with no copy per evaluation, and
-    its Jacobian in the F-contiguous layout of a ``[:, free]`` copy, so the
-    bytes are the same.  A ``fixed`` key that is not an int index in [0, p)
-    raises ValueError.  On the forward-ODE route one integration of the
-    augmented system gives both: a residual evaluation keeps its
-    sensitivities for a Jacobian at the same point.
+    sensitivity route as the Jacobian.  It calls the model's ``f``, and its analytic ``jacobian``,
+    itself, with the checks and messages of :func:`evaluate` and :class:`SensitivityMatrix` (each
+    Jacobian point in the box); on the forward-ODE route one integration of the augmented system
+    gives both, and a residual evaluation keeps its sensitivities for a Jacobian at the same point.
+    A fit that holds nothing runs its solver directly on the parameter vector, with its Jacobian in
+    the F-contiguous layout of a ``[:, free]`` copy, so the bytes are the same.  A ``fixed`` key
+    that is not an int index in [0, p) raises ValueError.
     ``MAX_EVALUATIONS`` caps the residual evaluations, and ``iterations``
     counts Jacobians: one per accepted step, the start's included.  The run
     ends ``small-gradient`` when the gradient, scaled by the distance to the
@@ -356,7 +356,7 @@ def fit(
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=())) if space.orderings else model
-    joint = resolve_method(model) == FORWARD_ODE
+    route = resolve_method(model)
     best_theta, best_objective = None, np.inf
     jacobians = 0
     solved = None  # (point, sensitivities) of the last joint solve
@@ -371,11 +371,11 @@ def fit(
     def residuals(x) -> np.ndarray:
         nonlocal best_theta, best_objective, solved
         point = at(x)
-        if joint:
+        if route == FORWARD_ODE:
             outputs, V = forward_ode_solve(box, design, point)
             solved = (point, V)
         else:
-            outputs = evaluate(model, design, point, check_bounds=False)
+            outputs = _outputs(model, design, point)
         r = (np.repeat(outputs, design.replicates) if design.replicates > 1 else outputs) - y
         objective = 0.5 * float(r @ r)
         # kept without orderings too: the solver's clip passes NaN, and a NaN point
@@ -390,6 +390,8 @@ def fit(
         point = at(x)
         if solved is not None and solved[0].tobytes() == point.tobytes():
             V = solved[1]  # bit for bit the point of the last residual evaluation
+        elif route == ANALYTIC:  # sensitivity_matrix's checks, without its SensitivityMatrix
+            V = _matrix(model.jacobian(design.time_points, box.space.require(point)))
         else:
             V = sensitivity_matrix(box, design, point).values
         V = np.repeat(V, design.replicates, axis=0) if design.replicates > 1 else V

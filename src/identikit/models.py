@@ -369,20 +369,22 @@ def evaluate_batch(model: Model, design: Design, thetas) -> np.ndarray:
     return values
 
 
-def evaluate(model: Model, design: Design, theta, *, check_bounds: bool = True) -> np.ndarray:
-    """Model outputs at the design times for one parameter vector.
-
-    Raises :class:`OutOfBoundsError` for theta outside the admissible set and
-    :class:`EvaluationError` if any output is non-finite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if check_bounds:
-        model.space.require(theta)
+def _outputs(model: Model, design: Design, theta: np.ndarray) -> np.ndarray:
+    """:func:`evaluate` of a float parameter vector without its bounds check, as ``fit`` calls it."""
     values = evaluate_batch(model, design, theta.reshape(1, -1))[0]
     if not all_finite(values):
         bad = design.time_points[~np.isfinite(values)]
         raise EvaluationError(f"model {model.name} non-finite at t={bad.tolist()}")
     return values
+
+
+def evaluate(model: Model, design: Design, theta) -> np.ndarray:
+    """Model outputs at the design times for one parameter vector.
+
+    Raises :class:`OutOfBoundsError` for theta outside the admissible set and
+    :class:`EvaluationError` for outputs of another shape or not all finite.
+    """
+    return _outputs(model, design, model.space.require(theta))
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,8 @@ def _default_grid(model, dataset, fit_result, index, points, span_sd) -> np.ndar
 
 def profile_rules(space: ParameterSpace) -> dict:
     """The rule of each argument of :func:`profile_parameter` but the grid's (:func:`grid_rule`)."""
-    index = _rule(lambda i: _is_integer(i) and 0 <= i < space.dimension, "out of range", int)
+    in_range = _rule(lambda i: 0 <= i < space.dimension, "out of range")
+    index = _rule(_is_integer, "must be an integer", lambda i: in_range(int(i)))
     return {"index": index, "points": _integer(3), "span_sd": _POSITIVE, "level": _FRACTION,
             "flatness_tol": _POSITIVE, "multistart": _integer(0)}
 

@@ -67,9 +67,22 @@ def _errors_and_success(theta_true, theta_hat, tolerance):
     return errors, bool(np.all(ok))
 
 
+def _quantile(errors: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(errors, q, axis=0)`` of finite (m, p) errors without -0.0, bit for bit: numpy's linear
+    method on a sort, as ``np.quantile``'s partition calls ``np.unique``, which imports ``numpy.ma``."""
+    s, index = np.sort(errors, axis=0), (errors.shape[0] - 1) * q
+    below, above = (int(index), int(index) + 1) if index < errors.shape[0] - 1 else (-1, -1)  # -1: the last
+    gamma, a, b = index - below, s[below], s[above]  # gamma from the row index, -1 included, as numpy's
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma  # numpy's lerp
+
+
 def _starts_seed(seed: int) -> int:
     # Partition the seed space: the data stream uses the trial seed itself.
     return int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+
+
+# the rules of global_recovery's arguments (recover_once's n_starts and tolerance too); the prior's is prior_rule
+RECOVERY_RULES = {"k_trials": _integer(1), "n_starts": MULTI_START_RULES["k_starts"], "tolerance": _POSITIVE}
 
 
 def recover_once(
@@ -82,10 +95,11 @@ def recover_once(
 ) -> RecoveryTrial:
     """Generate data at theta_star, re-infer it, and score the recovery.
 
-    The symmetry-aware flag compares the estimate against the whole orbit of
-    theta_star under the model's registered symmetries, so a swap-equivalent
-    optimum still counts as recovered.
+    ``n_starts`` is an integer >= 1 and ``tolerance`` positive; ValueError names a bad one.  The
+    symmetry-aware flag compares the estimate against the whole orbit of theta_star under the
+    model's registered symmetries, so a swap-equivalent optimum still counts as recovered.
     """
+    n_starts, tolerance = _checked(RECOVERY_RULES, n_starts=n_starts, tolerance=tolerance)
     theta_star = model.space.require(theta_star)
     dataset = generate_data(model, design, theta_star, seed)
     results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed))
@@ -104,10 +118,6 @@ def recover_once(
         success_symmetry=success or success_sym,
         converged=bool(converged),
     )
-
-
-# the rules of global_recovery's arguments, and the prior's, prior_rule
-RECOVERY_RULES = {"k_trials": _integer(1), "n_starts": MULTI_START_RULES["k_starts"], "tolerance": _POSITIVE}
 
 
 def global_recovery(
@@ -154,8 +164,8 @@ def global_recovery(
         tolerance=tolerance,
         success_rate=success_rate,
         symmetry_success_rate=symmetry_rate,
-        error_p50=np.quantile(errors, 0.5, axis=0),
-        error_p90=np.quantile(errors, 0.9, axis=0),
+        error_p50=_quantile(errors, 0.5),
+        error_p90=_quantile(errors, 0.9),
         error_max=np.max(errors, axis=0),
         verdict=verdict,
         trials=trials,

@@ -32,13 +32,18 @@ class SensitivityMatrix:
     one_sided: tuple[int, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("sensitivity matrix must be 2-D")
-        if not all_finite(values):
-            raise EvaluationError("sensitivity matrix has non-finite entries")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _matrix(self.values))
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+
+
+def _matrix(values) -> np.ndarray:
+    """``values`` as floats; ValueError unless 2-D, EvaluationError unless finite (``fit``'s check too)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("sensitivity matrix must be 2-D")
+    if not all_finite(values):
+        raise EvaluationError("sensitivity matrix has non-finite entries")
+    return values
 
 
 def default_step(theta) -> np.ndarray:

@@ -77,9 +77,9 @@ class Prior:
 
 def prior_rule(space: ParameterSpace):
     """The rule of a prior argument: None (the uniform box) or a :class:`Prior` inside the box."""
-    inside = _rule(lambda prior: isinstance(prior, Prior) and prior.contained_in(space),
-                   "support is not contained in the parameter box")
-    return lambda prior: Prior.uniform_box(space) if prior is None else inside(prior)
+    is_prior = _rule(lambda prior: isinstance(prior, Prior), "must be None or a Prior")
+    inside = _rule(lambda prior: prior.contained_in(space), "support is not contained in the parameter box")
+    return lambda prior: Prior.uniform_box(space) if prior is None else inside(is_prior(prior))
 
 
 @dataclass(frozen=True)

@@ -728,3 +728,19 @@ def test_library_inputs_once_repaired_are_rejected(owners, argument, call):
     model, data, best, _ = owners
     with pytest.raises(ValueError, match=f"^{argument} "):
         call(model, data, best)
+
+
+def test_owner_messages_name_the_fault(owners):
+    # each formerly named another fault: "prior support is not contained in the parameter box"
+    # and "index out of range"; the config checks the JSON form first, so its diagnostics
+    # for the same fields keep their words
+    model, data, best, _ = owners
+    with pytest.raises(ValueError, match=r"^prior must be None or a Prior$"):
+        ik.sobol_indices(model, data.design, prior=[1, 2])
+    with pytest.raises(ValueError, match=r"^index must be an integer$"):
+        ik.profile_parameter(model, data, best, 1.5)
+    outside = [{"kind": "uniform", "lower": 0.0, "upper": 20.0}] * 2
+    assert [str(d) for d in validate_config(with_field(FULL_CONFIG, ("sobol", "prior"), outside))] == [
+        "sobol.prior: support is not contained in the parameter box"]
+    assert [str(d) for d in validate_config(with_field(FULL_CONFIG, ("profile", "parameters"), [2]))] == [
+        "profile.parameters: index out of range"]

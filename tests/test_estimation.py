@@ -15,6 +15,7 @@ from numpy.linalg import _umath_linalg
 
 import identikit as ik
 from identikit import estimation
+from identikit.models import _outputs
 from identikit.sensitivity import resolve_method
 from oracles import UnidentifiableDesignError, linear_least_squares
 
@@ -166,7 +167,7 @@ class TestFit:
 
 
 def objective_at(model, data, theta):
-    residual = data.observations[:, 0] - ik.evaluate(model, data.design, theta, check_bounds=False)
+    residual = data.observations[:, 0] - _outputs(model, data.design, np.asarray(theta, dtype=float))
     return 0.5 * float(residual @ residual)
 
 
@@ -247,18 +248,13 @@ class TestFitTermination:
         assert not res.converged and res.reason == "max-iter"
         assert res.iterations <= 3
 
-    def test_iterations_count_jacobians(self, monkeypatch):
-        from identikit import estimation
-
+    def test_iterations_count_jacobians(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.1)
         data = ik.generate_data(model, design, [2.0, 1.0], seed=3)
         calls = []
-        monkeypatch.setattr(
-            estimation, "sensitivity_matrix",
-            lambda *a, **k: calls.append(1) or ik.sensitivity_matrix(*a, **k),
-        )
-        res = estimation.fit(model, data, [3.0, 0.5])
+        counted = replace(model, jacobian=lambda *a: calls.append(1) or model.jacobian(*a))
+        res = estimation.fit(counted, data, [3.0, 0.5])
         assert res.iterations == len(calls) > 1
 
     # the second start sits on a bound; the solver nudges both coefficients to 1e-10,
@@ -289,9 +285,11 @@ class TestFitTermination:
 
     def test_evaluation_failure_returns_best_point_so_far(self):
         model, data = ramp_problem()
+        with pytest.raises(ik.EvaluationError) as expected:
+            ik.evaluate(model, data.design, [3.0])
         res = ik.fit(model, data, [0.5])
         assert not res.converged and res.reason == "max-iter"
-        assert "non-finite" in res.failure
+        assert res.failure == str(expected.value) == "model ramp non-finite at t=[1.0, 2.0, 3.0, 4.0]"
         assert 0.5 < res.theta[0] <= 2.0
         assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
 
@@ -316,18 +314,22 @@ class TestSolverHandOff:
 
     @pytest.fixture(params=sorted(CASES))
     def spied_fit(self, request, monkeypatch):
-        """The case's fit at 1 and 2 replicates, with counts of the model evaluations,
-        the Jacobians and the solver's own calls, and the layout of each Jacobian it got."""
+        """The case's fit at 1 and 2 replicates, with counts of the model's own ``f`` and
+        ``jacobian`` calls, the solver's calls and the reported iterations, and the layout
+        of each Jacobian the solver got."""
         model, truth, start, fixed = self.CASES[request.param]
         assert resolve_method(model) == "analytic"
-        counts = {"evaluate": 0, "sensitivity_matrix": 0, "fun": 0, "jac": 0}
+        counts = {"f": 0, "jacobian": 0, "fun": 0, "jac": 0, "iterations": 0}
         layouts = []
-        for name in ("evaluate", "sensitivity_matrix"):
-            def counted(*args, _original=getattr(estimation, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(estimation, name, counted)
+        def counted(name):
+            def call(*args, _original=getattr(model, name)):
+                counts[name] += 1
+                return _original(*args)
+
+            return call
+
+        spied = replace(model, f=counted("f"), jacobian=counted("jacobian"))
         solve = estimation._solve_trust_region
 
         def spy(fun, jac, *args):
@@ -346,19 +348,73 @@ class TestSolverHandOff:
         monkeypatch.setattr(estimation, "_solve_trust_region", spy)
         for replicates in (1, 2):
             design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05, replicates)
-            ik.fit(model, ik.generate_data(model, design, truth, seed=3), start, fixed)
+            data = ik.generate_data(model, design, truth, seed=3)
+            counts["iterations"] += ik.fit(spied, data, start, fixed).iterations
         return counts, layouts
 
     def test_one_evaluation_per_residual_and_one_sensitivity_per_jacobian(self, spied_fit):
+        # fit calls the model's f and analytic Jacobian itself, once per solver call
         counts, _ = spied_fit
         assert counts["fun"] > 2 and counts["jac"] > 2
-        assert counts["evaluate"] == counts["fun"]
-        assert counts["sensitivity_matrix"] == counts["jac"]
+        assert counts["f"] == counts["fun"]
+        assert counts["jacobian"] == counts["jac"] == counts["iterations"]
 
     def test_every_jacobian_is_f_contiguous(self, spied_fit):
         # J.T @ f rounds differently on a C-contiguous J (see _solve_trust_region)
         _, layouts = spied_fit
         assert layouts and all(layouts)
+
+
+class TestDirectModelCalls:
+    """``fit`` calls the model's ``f`` and analytic Jacobian itself, with the checks of
+    ``evaluate`` and ``SensitivityMatrix``: each failure raises or is reported as they word it
+    (a non-finite output mid-run: ``TestFitTermination``)."""
+
+    @staticmethod
+    def ramp(f=lambda times, thetas: times * thetas, **callables):
+        """``ramp_problem`` with the given callables, its ``f`` finite everywhere by default."""
+        model, data = ramp_problem()
+        return replace(model, f=f, **callables), data
+
+    def test_wrong_output_shape_is_raised(self):
+        model, data = self.ramp(f=lambda times, thetas: times[None, 1:] * thetas)
+        with pytest.raises(ik.EvaluationError) as expected:
+            ik.evaluate(model, data.design, [0.5])
+        with pytest.raises(ik.EvaluationError) as err:
+            ik.fit(model, data, [0.5])
+        assert str(err.value) == str(expected.value) == "model ramp returned shape (1, 3)"
+
+    def test_non_finite_jacobian_mid_run_is_reported(self):
+        model, data = self.ramp(jacobian=lambda times, theta: times[:, None] * (1.0 if theta[0] <= 2.0 else np.nan))
+        with pytest.raises(ik.EvaluationError) as expected:
+            ik.sensitivity_matrix(model, data.design, [3.0])
+        res = ik.fit(model, data, [0.5])
+        assert not res.converged and res.reason == "max-iter" and res.theta[0] > 0.5
+        assert res.failure == str(expected.value) == "sensitivity matrix has non-finite entries"
+        assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
+
+    def test_one_dimensional_jacobian_is_raised(self):
+        model, data = self.ramp(jacobian=lambda times, theta: times * theta[0])
+        with pytest.raises(ValueError) as expected:
+            ik.sensitivity_matrix(model, data.design, [0.5])
+        with pytest.raises(ValueError) as err:
+            ik.fit(model, data, [0.5])
+        assert type(err.value) is type(expected.value) is ValueError
+        assert str(err.value) == str(expected.value) == "sensitivity matrix must be 2-D"
+
+    # the solver's clip lets NaN through; the Jacobian's box check rejects it, orderings aside
+    @pytest.mark.parametrize("name, ordered", [("reciprocal", False), ("biexponential", True)])
+    def test_nan_jacobian_point_is_out_of_bounds(self, monkeypatch, name, ordered):
+        model, design = ik.get_model(name, **({"ordered": True} if ordered else {})), ramp_problem()[1].design
+        box = replace(model, space=replace(model.space, orderings=()))
+        nan = np.full(model.space.dimension, np.nan)
+        with pytest.raises(ik.OutOfBoundsError) as expected:
+            ik.sensitivity_matrix(box, design, nan)
+        monkeypatch.setattr(estimation, "_solve_trust_region", lambda fun, jac, x, *args: jac(nan))
+        truth = model.space.lower + np.arange(model.space.dimension, 0, -1)  # ordered, if it must be
+        with pytest.raises(ik.OutOfBoundsError) as err:
+            ik.fit(model, ik.generate_data(model, design, truth, seed=0), truth)
+        assert str(err.value) == str(expected.value) and "orderings []" in str(err.value)
 
 
 def decay_problem():

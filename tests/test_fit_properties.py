@@ -12,6 +12,7 @@ from scipy.optimize import least_squares
 
 import identikit as ik
 from identikit.estimation import GRADIENT_TOL, MAX_EVALUATIONS, STEP_TOL
+from identikit.models import _outputs
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -86,7 +87,7 @@ def _trf_objective(model, data, start):
     """scipy's trf from ``start`` with fit's settings; inf unless it converges."""
     y = data.observations.ravel()
     sol = least_squares(
-        lambda x: ik.evaluate(model, data.design, x, check_bounds=False) - y, start,
+        lambda x: _outputs(model, data.design, x) - y, start,
         jac=lambda x: ik.sensitivity_matrix(model, data.design, x).values, method="trf",
         bounds=(model.space.lower, model.space.upper), gtol=GRADIENT_TOL,
         xtol=STEP_TOL, ftol=None, max_nfev=MAX_EVALUATIONS,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import identikit as ik
-from identikit.recovery import VERDICT_BAD, VERDICT_OK
+from identikit.recovery import VERDICT_BAD, VERDICT_OK, _quantile
 from identikit.sobol import Prior
 
 
@@ -43,6 +44,16 @@ class TestRecoverOnce:
         assert trial.seed == 17
         np.testing.assert_array_equal(trial.theta_true, [0.5])
         assert np.all(np.isfinite(trial.rel_errors))
+
+
+    @pytest.mark.parametrize("argument, value", [("tolerance", -1), ("tolerance", float("nan")), ("n_starts", 0)])
+    def test_own_rules_are_applied(self, argument, value):
+        # tolerance -1 or NaN formerly scored this trial a failure without a word, and
+        # n_starts 0 was rejected under multi_start_fit's name for it, k_starts
+        model, design = ik.get_model("reciprocal"), ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
+        assert ik.recover_once(model, design, [0.5], seed=3).success
+        with pytest.raises(ValueError, match=f"^{argument} must be "):
+            ik.recover_once(model, design, [0.5], seed=3, **{argument: value})
 
 
 class TestGlobalRecovery:
@@ -152,3 +163,17 @@ class TestGlobalRecovery:
         rows = report.csv_rows()
         assert header[0] == "trial" and header[-1] == "success"
         assert len(rows) == 3 and all(len(r) == len(header) for r in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(1, 120), p=st.integers(1, 3), decade=st.integers(-8, 7), data=st.data())
+def test_quantile_equals_numpy_bitwise(m, p, decade, data):
+    # error quantiles skip np.quantile, whose partition imports numpy.ma; ties, both signs and
+    # subnormals included, but not -0.0, which no error is: sort and partition may place
+    # -0.0 and 0.0 in either order
+    entries = st.floats(-10.0, 10.0) | st.sampled_from([0.0, 1.0, 5e-324])
+    errors = data.draw(arrays(np.float64, (m, p), elements=entries)) * 10.0**decade + 0.0
+    for q in (0.5, 0.9, data.draw(st.floats(0.0, 1.0))):
+        ours, theirs = _quantile(errors, q), np.quantile(errors, q, axis=0)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()

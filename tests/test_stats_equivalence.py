@@ -5,7 +5,8 @@ import than a small analysis takes to run.  These tests hold the two
 replacements to scipy's results bit for bit, and check in a fresh interpreter
 that importing the package and running its CLI leave scipy.stats unloaded, and
 that runs with a chi-square quantile or an ODE model load only scipy's compiled
-extensions, never the ``scipy`` package.
+extensions, never the ``scipy`` package.  A recovery-only run loads no scipy module
+and no ``numpy.ma`` module beyond those ``import numpy`` loads.
 """
 
 import json
@@ -119,3 +120,27 @@ def test_import_and_cli_leave_scipy_stats_unloaded(tmp_path):
     assert json.loads((tmp_path / "ode" / "summary.json").read_text())["results"]["fim"]["rank"] == 3
     results = json.loads((tmp_path / "redundant" / "summary.json").read_text())["results"]
     assert results["fim"]["classification"] == "rank-deficient" and "0" in results["profile"]
+
+
+def test_recovery_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # the error quantiles are numpy's, computed on a sort: np.quantile's partition goes
+    # through np.unique, which imports numpy.ma (about 16 ms in a fresh interpreter); numpy 1.x
+    # loads numpy.ma with numpy itself, so only the modules the run adds to `import numpy`'s count
+    probe = (
+        "import runpy, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['identikit', 'recover', '--config', {str(ROOT / 'configs' / 'reciprocal_recovery.json')!r},\n"
+        f"            '--out', {str(tmp_path / 'out')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('identikit.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "loaded = sorted(m for m in set(sys.modules) - before\n"
+        "                if m in ('scipy', 'numpy.ma') or m.startswith(('scipy.', 'numpy.ma.')))\n"
+        "assert not loaded, loaded[:3]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["recovery"]["success_rate"] == 1.0

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import identikit as ik
 from identikit import estimation
-from identikit.models import evaluate
+from identikit.models import _outputs
 from identikit.estimation import GRADIENT_TOL, STEP_TOL
 from identikit.sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
 
@@ -166,7 +166,7 @@ def reference_problem(model, dataset, start, fixed):
             outputs, V = forward_ode_solve(box, design, point)
             solved = (point, V)
         else:
-            outputs = evaluate(model, design, point, check_bounds=False)
+            outputs = _outputs(model, design, point)
         return np.repeat(outputs, design.replicates) - y
 
     def jacobian(x):
