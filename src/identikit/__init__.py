@@ -10,7 +10,6 @@ synthetic-data recovery experiments.
 from .estimation import (
     EstimateResult,
     cluster_optima,
-    estimates_csv,
     fit,
     latin_hypercube_starts,
     log_likelihood,

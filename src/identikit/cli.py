@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, Diagnostic, RunConfig, build_config, load_raw
-from .estimation import estimates_csv, multi_start_fit
+from .estimation import multi_start_fit
 from .fim import DESIGN_CRITERIA, IDENTIFIABLE, confidence_ellipsoid, design_score, fim_report
 from .models import builtin_registry, generate_data, load_dataset, save_dataset
 from .profile import profile_parameter
@@ -40,8 +40,13 @@ def list_models() -> str:
     return "\n".join(lines)
 
 
+def _per_parameter(prefix: str, names, vectors) -> dict:
+    """The CSV columns ``<prefix>_<name>`` of parameter vectors given one a row."""
+    return {f"{prefix}_{name}": [vector[j] for vector in vectors] for j, name in enumerate(names)}
+
+
 def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict:
-    """Execute the selected analyses (each a section present in ``config``) and write their report files."""
+    """Run the selected analyses (each a section present in ``config``): the one writer of their report files."""
     model = config.model
     design = config.design
     names = model.space.parameter_names()
@@ -75,8 +80,9 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
             raise ValueError("fit requested but no data section is configured")
         fits = multi_start_fit(model, dataset, config.fit.get("starts", DEFAULT_STARTS), config.seed)
         best = next((r for r in fits if r.converged), fits[0])
-        header, rows = estimates_csv(fits, names)
-        write_csv(out_dir / "fit.csv", header, rows)
+        write_csv(out_dir / "fit.csv", {"start_index": range(len(fits)), "objective": [r.objective for r in fits],
+                                        "converged": [int(r.converged) for r in fits],
+                                        **_per_parameter("theta", names, [r.theta for r in fits])})
         results["fit"] = {"starts": len(fits), "best": best, "estimates": fits}
 
     if "fim" in selection:
@@ -105,30 +111,30 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         block = {}
         for i in range(model.space.dimension) if indices is None else indices:
             curve = profile_parameter(model, dataset, best, i, seed=config.seed, **options)
-            write_csv(
-                out_dir / f"profile_{curve.index}.csv",
-                ["theta_i", "profile_loglik", "converged"],
-                curve.csv_rows(),
-            )
-            block[str(curve.index)] = curve.to_dict(names[curve.index])
+            write_csv(out_dir / f"profile_{curve.index}.csv", {"theta_i": curve.grid, "profile_loglik": curve.values,
+                                                                "converged": curve.converged.astype(int)})
+            block[str(curve.index)] = {
+                "parameter": names[curve.index], "grid": curve.grid, "profile_loglik": curve.values,
+                "converged": curve.converged, "loglik_hat": curve.loglik_hat, "level": curve.level,
+                "interval": curve.interval, "classification": curve.classification,
+                "total_variation": curve.total_variation, "truncated": curve.truncated}
         results["profile"] = block
 
     if "sobol" in selection:
         report = sobol_indices(model, design, seed=config.seed, **config.sobol)
-        write_csv(
-            out_dir / "sobol.csv",
-            ["parameter", "S_first", "S_first_se", "S_total", "S_total_se"],
-            [
-                [names[i], float(report.first[i]), float(report.first_se[i]),
-                 float(report.total[i]), float(report.total_se[i])]
-                for i in range(model.space.dimension)
-            ],
-        )
-        results["sobol"] = {"parameters": list(names), **report.to_dict()}
+        write_csv(out_dir / "sobol.csv", {"parameter": names, "S_first": report.first, "S_first_se": report.first_se,
+                                          "S_total": report.total, "S_total_se": report.total_se})
+        renamed = {"first": "first_order", "total": "total_order", "first_se": "first_order_se",
+                   "total_se": "total_order_se", "variance": "variance_per_time"}
+        fields = to_jsonable(report)  # in field order; a renamed field takes its summary key
+        results["sobol"] = {"parameters": list(names), **{renamed.get(k, k): v for k, v in fields.items()}}
 
     if "recover" in selection:
         report = global_recovery(model, design, seed=config.seed, **config.recover)
-        write_csv(out_dir / "recovery.csv", report.csv_header(names), report.csv_rows())
+        columns = {"trial": range(len(report.trials))}
+        for prefix, field in (("true", "theta_true"), ("hat", "theta_hat"), ("rel_err", "rel_errors")):
+            columns.update(_per_parameter(prefix, names, [getattr(t, field) for t in report.trials]))
+        write_csv(out_dir / "recovery.csv", {**columns, "success": [int(t.success) for t in report.trials]})
         results["recovery"] = {"k_trials": len(report.trials), **to_jsonable(report)}
 
     return results

@@ -25,7 +25,7 @@ import numpy as np
 from .estimation import MULTI_START_RULES
 from .fim import FIM_RULES
 from .models import (DESIGN_RULES, Design, Model, UnknownModelError, _checked, _integer, _is_integer, _is_number,
-                     _rule, get_model)
+                     _load_json, _rule, get_model)
 from .profile import _GRID, grid_rule, profile_rules
 from .recovery import RECOVERY_RULES
 from .sobol import SOBOL_RULES, Prior, prior_rule
@@ -74,9 +74,11 @@ def load_raw(path: str | Path) -> tuple[dict | None, list[Diagnostic]]:
     except OSError as exc:
         return None, [Diagnostic("config", f"cannot read {path}: {exc}")]
     try:
-        raw = json.loads(text)
+        raw, repeated = _load_json(text)
     except json.JSONDecodeError as exc:
         return None, [Diagnostic("config", f"invalid JSON: {exc}")]
+    if repeated:
+        return None, [Diagnostic("config", f"key {json.dumps(key)} is repeated in one object") for key in repeated]
     if not isinstance(raw, dict):
         return None, [Diagnostic("config", "document must be a JSON object")]
     return raw, []

@@ -434,8 +434,11 @@ def fit(
     return result(theta_hat, objective, True, BOUNDARY if on_bound else SMALL_STEP)
 
 
+MULTI_START_RULES = {"k_starts": _integer(1)}
+
+
 def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray:
-    """Latin-hypercube start points over the admissible box.
+    """``k_starts`` (an integer >= 1) Latin-hypercube start points over the admissible box.
 
     The hypercube comes from a child generator spawned from
     ``default_rng(seed)``; rows violating ordering constraints are replaced
@@ -443,6 +446,7 @@ def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray
     so every start is feasible.  The starts depend on numpy alone, not on
     scipy's ``QMCEngine`` seeding.
     """
+    (k_starts,) = _checked(MULTI_START_RULES, k_starts=k_starts)
     space = model.space
     rng = np.random.default_rng(seed)
     lhs = rng.spawn(1)[0]
@@ -454,9 +458,6 @@ def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray
         if not space.contains(starts[k]):
             starts[k] = space.draw_feasible(lambda: rng.uniform(space.lower, space.upper))
     return starts
-
-
-MULTI_START_RULES = {"k_starts": _integer(1)}
 
 
 def multi_start_fit(model: Model, dataset: Dataset, k_starts: int, seed: int) -> list[EstimateResult]:
@@ -475,20 +476,6 @@ def multi_start_fit(model: Model, dataset: Dataset, k_starts: int, seed: int) ->
                                   iterations=0, reason=NOT_RUN, start=start, failure=str(exc))
 
     return sorted((run(s) for s in latin_hypercube_starts(model, k_starts, seed)), key=lambda r: r.objective)
-
-
-def estimates_csv(results: list[EstimateResult], names) -> tuple[list[str], list[list]]:
-    """Header and rows for a multi-start summary CSV.
-
-    Results arrive sorted by objective, so ``start_index`` is the rank of the
-    start after sorting.
-    """
-    header = ["start_index", "objective", "converged"] + [f"theta_{n}" for n in names]
-    rows = [
-        [k, float(r.objective), int(r.converged)] + [float(v) for v in r.theta]
-        for k, r in enumerate(results)
-    ]
-    return header, rows
 
 
 OBJECTIVE_CLUSTER_RTOL = 1e-4

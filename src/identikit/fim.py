@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _FRACTION, Design, Model, _checked, _integer, _rule, _scipy_extension
+from .models import _FRACTION, DESIGN_RULES, Design, Model, _checked, _integer, _rule, _scipy_extension
 from .sensitivity import SensitivityMatrix, sensitivity_matrix
 
 DEFAULT_RANK_TOL = 1e-10
@@ -28,9 +28,10 @@ RANK_DEFICIENT = "rank-deficient"
 DESIGN_CRITERIA = ("D", "A", "E")
 
 
-# rank_tolerance of assemble_fim, level of chi2_quantile and criterion of FimReport.score
+# rank_tolerance, sigma and replicates of assemble_fim, level of chi2_quantile, criterion of FimReport.score
 FIM_RULES = {"rank_tolerance": _FRACTION, "level": _FRACTION, "criterion": _rule(
-    lambda c: isinstance(c, str) and c in DESIGN_CRITERIA, f"must be one of {DESIGN_CRITERIA}")}
+    lambda c: isinstance(c, str) and c in DESIGN_CRITERIA, f"must be one of {DESIGN_CRITERIA}"),
+    "sigma": DESIGN_RULES["noise_sd"], "replicates": DESIGN_RULES["replicates"]}
 
 
 class RankDeficientFimWarning(UserWarning):
@@ -118,19 +119,18 @@ def assemble_fim(
     replicates: int = 1,
     rank_tolerance: float = DEFAULT_RANK_TOL,
 ) -> FimReport:
-    """I = replicates * sigma^-2 V^T V, with eigen-decomposition and rank.
+    """I = replicates * sigma^-2 V^T V (sigma and replicates as in a Design), with eigen-decomposition and rank.
 
     The rank counts eigenvalues at least ``rank_tolerance`` (in (0, 1)) times
     the largest (0 if none is positive); the matrix is rank-deficient below full
     rank.  Accepts either a :class:`SensitivityMatrix` or a plain array with one
     row per unique design time.
     """
-    (rank_tolerance,) = _checked(FIM_RULES, rank_tolerance=rank_tolerance)
+    rank_tolerance, sigma, replicates = _checked(FIM_RULES, rank_tolerance=rank_tolerance, sigma=sigma,
+                                                 replicates=replicates)
     V = sensitivity.values if isinstance(sensitivity, SensitivityMatrix) else np.asarray(sensitivity, dtype=float)
     if not np.all(np.isfinite(V)):
         raise ValueError("sensitivity matrix has non-finite entries")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     fim = (replicates / sigma**2) * (V.T @ V)
     fim = 0.5 * (fim + fim.T)  # suppress rounding asymmetry before the symmetric solver
     lam, vecs = np.linalg.eigh(fim)
@@ -141,8 +141,8 @@ def assemble_fim(
     classification = IDENTIFIABLE if rank == lam.size else RANK_DEFICIENT
     sloppiness = _log_linear_fit(lam) if np.all(lam > 0) else None
     return FimReport(
-        sigma=float(sigma),
-        replicates=int(replicates),
+        sigma=sigma,
+        replicates=replicates,
         fim=fim,
         eigenvalues=lam,
         eigenvectors=vecs,
@@ -219,14 +219,17 @@ def chi2_quantile(level: float, df: int) -> float:
 
 
 def confidence_ellipsoid(report: FimReport, theta_hat, level: float) -> Ellipsoid:
-    """Chi-square-calibrated ellipsoid: semi-axes sqrt(chi2_p(level) / lambda_i)."""
+    """Chi-square ellipsoid about theta_hat (finite, length p): semi-axes sqrt(chi2_p(level) / lambda_i)."""
+    center = np.asarray(theta_hat, dtype=float)
+    if center.shape != (report.dimension,) or not np.all(np.isfinite(center)):
+        raise ValueError("theta_hat must be a finite vector of length p")
     if report.classification != IDENTIFIABLE:
         raise ValueError("confidence ellipsoid requires a full-rank information matrix")
     q = chi2_quantile(level, report.dimension)
     lengths = np.sqrt(q / report.eigenvalues)
     return Ellipsoid(
         level=float(level),
-        center=np.asarray(theta_hat, dtype=float),
+        center=center,
         axes=report.eigenvectors.copy(),
         semi_axis_lengths=lengths,
     )

@@ -16,6 +16,7 @@ import importlib.util
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -472,6 +473,16 @@ def _parse(kind, text: str, where: str):
     return value
 
 
+def _load_json(text: str) -> tuple[object, list[str]]:
+    """``json.loads(text)``, and each key repeated within one of its objects (once per object, inner first)."""
+    repeated = []
+
+    def as_dict(pairs):
+        repeated.extend(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        return dict(pairs)
+    return json.loads(text, object_pairs_hook=as_dict), repeated
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read :func:`save_dataset` output, rejecting anything else, never repairing it.
 
@@ -481,7 +492,9 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = json.loads(sidecar.read_text())
+    meta, repeated = _load_json(sidecar.read_text())
+    if repeated:
+        raise ValueError(f"{sidecar}: key {json.dumps(repeated[0])} is repeated in one object")
     meta = meta if isinstance(meta, dict) else {}
     for key, (ok, kind) in _SIDECAR_FIELDS.items():
         if not ok(meta.get(key)):

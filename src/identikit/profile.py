@@ -89,27 +89,6 @@ class ProfileCurve:
             return CLASS_PRACTICAL
         return CLASS_IDENTIFIABLE
 
-    def csv_rows(self) -> list[list]:
-        return [
-            [float(g), float(v), int(c)]
-            for g, v, c in zip(self.grid, self.values, self.converged)
-        ]
-
-    def to_dict(self, name: str) -> dict:
-        """Summary block for the parameter called ``name``."""
-        return {
-            "parameter": name,
-            "grid": self.grid,
-            "profile_loglik": self.values,
-            "converged": self.converged,
-            "loglik_hat": self.loglik_hat,
-            "level": self.level,
-            "interval": self.interval,
-            "classification": self.classification,
-            "total_variation": self.total_variation,
-            "truncated": self.truncated,
-        }
-
 
 def drop_threshold(level: float) -> float:
     """Log-likelihood drop defining the level set: chi2_1(level) / 2."""

@@ -51,13 +51,6 @@ class RecoveryReport:
     verdict: str
     trials: list[RecoveryTrial]
 
-    def csv_rows(self) -> list[list]:
-        return [[k, *map(float, t.theta_true), *map(float, t.theta_hat), *map(float, t.rel_errors),
-                 int(t.success)] for k, t in enumerate(self.trials)]
-
-    def csv_header(self, names) -> list[str]:
-        return ["trial", *(f"{column}_{n}" for column in ("true", "hat", "rel_err") for n in names), "success"]
-
 
 def _errors_and_success(theta_true, theta_hat, tolerance):
     diff = np.abs(theta_hat - theta_true)

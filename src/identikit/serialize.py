@@ -3,10 +3,10 @@
 Numbers are printed with 17 significant digits so that re-parsing a CSV
 recovers the exact binary double that also appears in the JSON summary.
 
-A results block of ``summary.json`` is its report dataclass: :func:`to_jsonable`
-writes a dataclass as an object whose keys are its fields in declaration
-order, so reordering a field reorders the file.  The summary is strict JSON:
-a non-finite float, array entries included, is written as ``null``.
+``cli.run_analyses`` builds each results block of ``summary.json`` and each CSV but
+``dataset.csv``; :func:`to_jsonable` writes a dataclass as an object whose keys are
+its fields in declaration order, so reordering a field reorders the file.  The
+summary is strict JSON: a non-finite float, array entries included, is ``null``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ def to_jsonable(obj):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return to_jsonable(obj.item())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -48,12 +46,12 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(to_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """Write rows, formatting every float with :func:`fmt`."""
+def write_csv(path: str | Path, columns: dict) -> None:
+    """A column per entry of ``columns`` (name: values), floats by :func:`fmt`; unequal lengths raise ValueError."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(columns)
+        for row in zip(*columns.values(), strict=True):
             writer.writerow(
                 [fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]
             )

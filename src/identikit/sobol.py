@@ -96,21 +96,6 @@ class SobolReport:
     degenerate: bool
     resampled: int
 
-    def to_dict(self) -> dict:
-        return {
-            "first_order": self.first.tolist(),
-            "total_order": self.total.tolist(),
-            "first_order_se": self.first_se.tolist(),
-            "total_order_se": self.total_se.tolist(),
-            "variance_per_time": self.variance.tolist(),
-            "variance_total": self.variance_total,
-            "per_time_first": self.per_time_first.tolist(),
-            "per_time_total": self.per_time_total.tolist(),
-            "n_samples": self.n_samples,
-            "degenerate": self.degenerate,
-            "resampled": self.resampled,
-        }
-
 
 def _pick_freeze_estimates(fA, fB, fAB):
     """Per-time indices and aggregation weights from evaluated sample blocks.

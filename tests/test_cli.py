@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.cli import main
-from identikit.config import ConfigError, build_config, validate_config
-from identikit.serialize import to_jsonable, write_json
+from identikit.config import ConfigError, build_config, load_raw, validate_config
+from identikit.serialize import to_jsonable, write_csv, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,6 +105,27 @@ class TestValidation:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["fim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_repeated_keys_are_named_and_exit_2(self, tmp_path, capsys):
+        # formerly the last value of each won, silently, and the config echo showed only it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(FULL_CONFIG)[:-1] + ', "recover": {"k_trials": 2, "n_starts": 3, "n_starts": 4}}')
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'config error - config: key "n_starts" is repeated in one object',
+            'config error - config: key "recover" is repeated in one object',
+        ]
+        assert not out.exists()
+
+    def test_repeated_keys_at_any_depth_are_each_named(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"seed": 1, "model": {"name": "linear", "constants": {"bounds": [0, 1], "bounds": [0, 2]}},'
+                       ' "seed": 2, "seed": 3, "design": {"times": [{"a": 1, "a": 1}]}}')
+        raw, diags = load_raw(cfg)
+        assert raw is None
+        assert [str(d) for d in diags] == [f'config: key "{key}" is repeated in one object'
+                                           for key in ("bounds", "a", "seed")]
 
     def test_subcommand_requires_section(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -341,39 +363,74 @@ class TestRun:
         assert all(all(block["converged"]) for block in profile.values())
 
     def test_csv_values_round_trip_to_summary(self, tmp_path):
+        # every column of every analysis CSV, row by row, against the summary value it prints
         cfg = write_config(tmp_path, FULL_CONFIG)
         out = tmp_path / "out"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        results = json.loads((out / "summary.json").read_text())["results"]
+        names = results["sobol"]["parameters"]
 
-        with (out / "sobol.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        block = summary["results"]["sobol"]
-        for i, row in enumerate(rows):
-            assert float(row["S_first"]) == block["first_order"][i]
-            assert float(row["S_total"]) == block["total_order"][i]
-            assert float(row["S_first_se"]) == block["first_order_se"][i]
+        def per_parameter(prefix, vector):
+            return {f"{prefix}_{name}": vector[j] for j, name in enumerate(names)}
 
-        with (out / "profile_0.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        pblock = summary["results"]["profile"]["0"]
-        for i, row in enumerate(rows):
-            assert float(row["theta_i"]) == pblock["grid"][i]
-            assert float(row["profile_loglik"]) == pblock["profile_loglik"][i]
+        def value(key, text):  # a non-finite number is null in the summary
+            return text if key == "parameter" else json.loads(text) if math.isfinite(float(text)) else None
 
-        with (out / "recovery.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        rblock = summary["results"]["recovery"]
-        for i, row in enumerate(rows):
-            assert float(row["hat_rate1"]) == rblock["trials"][i]["theta_hat"][0]
-            assert int(row["success"]) == int(rblock["trials"][i]["success"])
+        sobol = results["sobol"]
+        profile = results["profile"]["0"]
+        expected = {
+            "fit.csv": [
+                {"start_index": k, "objective": r["objective"], "converged": int(r["converged"]),
+                 **per_parameter("theta", r["theta"])}
+                for k, r in enumerate(results["fit"]["estimates"])
+            ],
+            "profile_0.csv": [
+                {"theta_i": g, "profile_loglik": v, "converged": int(c)}
+                for g, v, c in zip(profile["grid"], profile["profile_loglik"], profile["converged"], strict=True)
+            ],
+            "sobol.csv": [
+                {"parameter": name, "S_first": sobol["first_order"][i], "S_first_se": sobol["first_order_se"][i],
+                 "S_total": sobol["total_order"][i], "S_total_se": sobol["total_order_se"][i]}
+                for i, name in enumerate(names)
+            ],
+            "recovery.csv": [
+                {"trial": k, **per_parameter("true", t["theta_true"]), **per_parameter("hat", t["theta_hat"]),
+                 **per_parameter("rel_err", t["rel_errors"]), "success": int(t["success"])}
+                for k, t in enumerate(results["recovery"]["trials"])
+            ],
+        }
+        for name, rows in expected.items():
+            with (out / name).open() as fh:
+                parsed = list(csv.DictReader(fh))
+            assert [list(row) for row in parsed] == [list(row) for row in rows], name
+            for row, want in zip(parsed, rows, strict=True):
+                got = {key: value(key, text) for key, text in row.items()}
+                assert got == want, name
 
+    def test_csv_layout_is_pinned(self, tmp_path):
+        # the header and row count of each CSV; the profile's 15-point grid ends one refit past
+        # the likelihood level set on each side, at 10 points
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 0
+        layout = {}
+        for path in sorted(out.glob("*.csv")):
+            with path.open() as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
+            layout[path.name] = (header, len(rows))
+        assert layout == {
+            "dataset.csv": (["time", "replicate", "value"], 7),
+            "fit.csv": (["start_index", "objective", "converged", "theta_rate1", "theta_rate2"], 8),
+            "profile_0.csv": (["theta_i", "profile_loglik", "converged"], 10),
+            "recovery.csv": (["trial", "true_rate1", "true_rate2", "hat_rate1", "hat_rate2",
+                              "rel_err_rate1", "rel_err_rate2", "success"], 3),
+            "sobol.csv": (["parameter", "S_first", "S_first_se", "S_total", "S_total_se"], 2),
+        }
         with (out / "fit.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        fblock = summary["results"]["fit"]["estimates"]
-        for i, row in enumerate(rows):
-            assert float(row["objective"]) == fblock[i]["objective"]
-            assert float(row["theta_rate1"]) == fblock[i]["theta"][0]
+            assert [row["start_index"] for row in csv.DictReader(fh)] == [str(k) for k in range(8)]
+        with (out / "recovery.csv").open() as fh:
+            assert [row["trial"] for row in csv.DictReader(fh)] == ["0", "1", "2"]
 
     @pytest.mark.parametrize("fim", [{}, {"rank_tolerance": 1e-8}])
     def test_fim_blocks_match_the_library_at_the_fit(self, tmp_path, fim):
@@ -488,6 +545,19 @@ class TestSummaryJson:
         assert payload["fit"]["objective"] is None and payload["fit"]["sigma2"] is None
         assert payload["values"] == [1.0, None, None]
         assert payload["score"] is None
+
+
+class TestWriteCsv:
+    def test_header_is_the_keys_and_floats_print_17_digits(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, {"name": ["a", "b"], "x": np.array([0.1, np.inf]), "k": range(2)})
+        assert path.read_bytes() == b"name,x,k\r\na,0.10000000000000001,0\r\nb,inf,1\r\n"
+
+    @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (0, 1)])
+    def test_columns_of_different_lengths_raise(self, tmp_path, lengths):
+        # zip alone would drop the rows past the shorter column
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "table.csv", {"a": [1.0] * lengths[0], "b": [2.0] * lengths[1]})
 
 
 class TestListModels:

@@ -616,6 +616,12 @@ class TestMultiStart:
         assert np.array_equal(a, b)
         assert all(model.space.contains(s) for s in a)
 
+    @pytest.mark.parametrize("k_starts", [-1, 0, 2.5, True, "4"])
+    def test_starts_take_the_multi_start_rule(self, k_starts):
+        # -1 formerly failed inside numpy ("negative dimensions") and 2.5 with a TypeError
+        with pytest.raises(ValueError, match="^k_starts must be an integer >= 1$"):
+            ik.latin_hypercube_starts(ik.get_model("biexponential"), k_starts, seed=0)
+
     def test_thread_count_invariance(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.1)
@@ -632,12 +638,3 @@ class TestMultiStart:
         data = ik.generate_data(model, design, [1.0], seed=0)
         with pytest.raises(ValueError):
             ik.multi_start_fit(model, data, 0, seed=0)
-
-    def test_estimates_csv_layout(self):
-        _, model, design = make_linear()
-        data = ik.generate_data(model, design, [1.0, 2.0], seed=7)
-        results = ik.multi_start_fit(model, data, 4, seed=0)
-        header, rows = ik.estimates_csv(results, model.space.parameter_names())
-        assert header == ["start_index", "objective", "converged", "theta_coef1", "theta_coef2"]
-        assert [r[0] for r in rows] == [0, 1, 2, 3]
-        assert all(len(r) == 5 for r in rows)

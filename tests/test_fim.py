@@ -45,6 +45,26 @@ class TestAssemble:
         with pytest.raises(ValueError):
             ik.assemble_fim(np.eye(2), sigma=0.0)
 
+    @pytest.mark.parametrize("sigma, replicates, argument", [
+        # formerly a verdict: rank-deficient, then rank 0 for each of the next three, and for
+        # 1.5 a matrix scaled by 1.5 reported with replicates 1
+        (float("nan"), 1, "sigma"),
+        (float("inf"), 1, "sigma"),
+        (1.0, 0, "replicates"),
+        (1.0, -1, "replicates"),
+        (1.0, 1.5, "replicates"),
+        (1.0, True, "replicates"),
+        (1e-13, 1, "sigma"),
+    ])
+    def test_sigma_and_replicates_take_the_design_rules(self, sigma, replicates, argument):
+        with pytest.raises(ValueError, match=f"^{argument} must be "):
+            ik.assemble_fim(np.eye(2), sigma=sigma, replicates=replicates)
+
+    def test_integer_replicates_scale_exactly(self):
+        rep = ik.assemble_fim(np.eye(2), sigma=np.float64(0.5), replicates=np.int64(3))
+        assert type(rep.sigma) is float and type(rep.replicates) is int
+        np.testing.assert_array_equal(rep.fim, 12.0 * np.eye(2))
+
     def test_redundant_exponential_rank_deficient(self):
         model = ik.get_model("redundant-exponential")
         design = DESIGNS[model.name]
@@ -240,6 +260,14 @@ class TestConfidenceEllipsoid:
         rep = ik.assemble_fim(np.array([[1.0, 0.0], [1.0, 0.0]]), sigma=1.0)
         with pytest.raises(ValueError):
             ik.confidence_ellipsoid(rep, [0.0, 0.0], 0.95)
+
+    @pytest.mark.parametrize("center", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, float("nan")],
+                                        [float("inf"), 1.0]])
+    def test_center_must_be_a_finite_vector_of_length_p(self, center):
+        # a 1-element center on a 2-parameter report was formerly returned as given
+        rep = ik.assemble_fim(np.eye(2), sigma=1.0)
+        with pytest.raises(ValueError, match="^theta_hat must be a finite vector of length p$"):
+            ik.confidence_ellipsoid(rep, center, 0.95)
 
     def test_rank_deficient_rejected_before_the_quantile_loads(self, monkeypatch):
         monkeypatch.setattr(ik.fim, "_scipy_extension", refuse_to_load)

@@ -480,6 +480,14 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=re.escape(f"field {key}: must be {kind}, got {value!r}")):
             ik.load_dataset(path)
 
+    def test_sidecar_with_a_repeated_key_rejected(self, tmp_path):
+        # formerly the last value won, silently: a data set with noise_sd 0.5
+        path = self.saved(tmp_path)
+        sidecar = path.with_suffix(".csv.meta.json")
+        sidecar.write_text(sidecar.read_text().replace('"noise_sd": 0.2,', '"noise_sd": 0.2, "noise_sd": 0.5,'))
+        with pytest.raises(ValueError, match=re.escape(f'{sidecar}: key "noise_sd" is repeated in one object')):
+            ik.load_dataset(path)
+
     def test_shape_validation(self):
         design = ik.Design(np.array([1.0, 2.0]), 0.1, replicates=2)
         with pytest.raises(ValueError):

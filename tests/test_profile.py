@@ -254,16 +254,6 @@ class TestProfileParameter:
         with pytest.raises(ValueError):
             ik.profile_parameter(model, data, broken, 0)
 
-    def test_csv_rows_shape(self):
-        model = ik.get_model("reciprocal")
-        design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
-        data = ik.generate_data(model, design, [0.5], seed=0)
-        fit = best_fit(model, data, k=4)
-        curve = ik.profile_parameter(model, data, fit, 0, points=7)
-        rows = curve.csv_rows()
-        assert len(rows) == curve.grid.size
-        assert all(len(r) == 3 for r in rows)
-
 
 def config_case(path):
     """Model, data, best fit and profile settings of a run configuration, as the CLI builds them."""

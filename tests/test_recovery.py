@@ -154,16 +154,6 @@ class TestGlobalRecovery:
         with pytest.raises(ValueError):
             ik.global_recovery(model, design, 0, seed=0)
 
-    def test_csv_layout(self):
-        model = ik.get_model("reciprocal")
-        design = ik.Design(np.linspace(1.0, 10.0, 5), 0.1)
-        prior = Prior(("uniform",), np.array([0.2]), np.array([0.8]))
-        report = ik.global_recovery(model, design, 3, prior=prior, seed=0, n_starts=4)
-        header = report.csv_header(model.space.parameter_names())
-        rows = report.csv_rows()
-        assert header[0] == "trial" and header[-1] == "success"
-        assert len(rows) == 3 and all(len(r) == len(header) for r in rows)
-
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(m=st.integers(1, 120), p=st.integers(1, 3), decade=st.integers(-8, 7), data=st.data())
