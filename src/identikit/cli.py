@@ -14,6 +14,7 @@ codes: 0 success, 2 configuration/validation error, 3 analysis failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -203,5 +204,14 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The ``identikit`` program: exit with :func:`main`'s code, every object left frozen, so that the
+    interpreter's exit-time collections do not walk them; reference counting still frees them."""
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

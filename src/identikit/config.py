@@ -77,8 +77,11 @@ def load_raw(path: str | Path) -> tuple[dict | None, list[Diagnostic]]:
         raw, repeated = _load_json(text)
     except json.JSONDecodeError as exc:
         return None, [Diagnostic("config", f"invalid JSON: {exc}")]
+    except RecursionError:
+        return None, [Diagnostic("config", "nested too deeply to read")]
     if repeated:
-        return None, [Diagnostic("config", f"key {json.dumps(key)} is repeated in one object") for key in repeated]
+        return None, [Diagnostic(path or "config", f"key {json.dumps(key)} is repeated in one object")
+                      for path, key in repeated]
     if not isinstance(raw, dict):
         return None, [Diagnostic("config", "document must be a JSON object")]
     return raw, []

@@ -473,14 +473,19 @@ def _parse(kind, text: str, where: str):
     return value
 
 
-def _load_json(text: str) -> tuple[object, list[str]]:
-    """``json.loads(text)``, and each key repeated within one of its objects (once per object, inner first)."""
+def _load_json(text: str) -> tuple[object, list[tuple[str, str]]]:
+    """``json.loads(text)``, and each key repeated within one of its objects, as (the object's dotted path,
+    "" at the top level; the key), once per object in document order, values that a repeat replaced included."""
     repeated = []
 
-    def as_dict(pairs):
-        repeated.extend(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
-        return dict(pairs)
-    return json.loads(text, object_pairs_hook=as_dict), repeated
+    def build(value, path):
+        if isinstance(value, list):
+            return [build(item, f"{path}[{i}]") for i, item in enumerate(value)]
+        if isinstance(value, tuple):  # an object, as the pairs the parser read
+            repeated.extend((path, key) for key, count in Counter(key for key, _ in value).items() if count > 1)
+            return {key: build(item, f"{path}.{key}" if path else key) for key, item in value}
+        return value
+    return build(json.loads(text, object_pairs_hook=tuple), ""), repeated
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -494,7 +499,7 @@ def load_dataset(path: str | Path) -> Dataset:
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     meta, repeated = _load_json(sidecar.read_text())
     if repeated:
-        raise ValueError(f"{sidecar}: key {json.dumps(repeated[0])} is repeated in one object")
+        raise ValueError(f"{sidecar}: key {json.dumps(repeated[0][1])} is repeated in one object")
     meta = meta if isinstance(meta, dict) else {}
     for key, (ok, kind) in _SIDECAR_FIELDS.items():
         if not ok(meta.get(key)):

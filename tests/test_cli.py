@@ -1,11 +1,15 @@
 """Command-line interface: validation, dispatch, reports, reproducibility."""
 
+import ast
 import copy
 import csv
+import gc
 import json
 import math
+import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.cli import main
-from identikit.config import ConfigError, build_config, load_raw, validate_config
+from identikit.config import ConfigError, Diagnostic, build_config, load_raw, validate_config
 from identikit.serialize import to_jsonable, write_csv, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,19 +117,53 @@ class TestValidation:
         out = tmp_path / "out"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            'config error - config: key "n_starts" is repeated in one object',
             'config error - config: key "recover" is repeated in one object',
+            'config error - recover: key "n_starts" is repeated in one object',
         ]
         assert not out.exists()
 
+    def test_repeats_in_two_sections_are_each_named_and_exit_2(self, tmp_path, capsys):
+        text = json.dumps(FULL_CONFIG)
+        for section, key in (("fit", "starts"), ("recover", "n_starts")):
+            opening = f'"{section}": {{'
+            text = text.replace(opening, f'{opening}"{key}": 5, ', 1)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'config error - fit: key "starts" is repeated in one object',
+            'config error - recover: key "n_starts" is repeated in one object',
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, field, key", [
+        ('{"seed": 1, "seed": 2}', "config", "seed"),
+        ('{"recover": {"k_trials": 2, "k_trials": 3}}', "recover", "k_trials"),
+        ('{"recover": {"prior": [{"kind": "uniform", "kind": "normal"}]}}', "recover.prior[0]", "kind"),
+    ])
+    def test_repeated_key_names_the_object_that_repeats_it(self, tmp_path, text, field, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert load_raw(cfg) == (None, [Diagnostic(field, f'key "{key}" is repeated in one object')])
+
     def test_repeated_keys_at_any_depth_are_each_named(self, tmp_path):
+        # in document order, and inside a value that a repeat replaced too
         cfg = tmp_path / "run.json"
         cfg.write_text('{"seed": 1, "model": {"name": "linear", "constants": {"bounds": [0, 1], "bounds": [0, 2]}},'
-                       ' "seed": 2, "seed": 3, "design": {"times": [{"a": 1, "a": 1}]}}')
+                       ' "seed": 2, "seed": 3, "design": {"times": [{"a": 1, "a": 1}]},'
+                       ' "fit": {"starts": 1, "starts": 2}, "fit": {}}')
         raw, diags = load_raw(cfg)
         assert raw is None
-        assert [str(d) for d in diags] == [f'config: key "{key}" is repeated in one object'
-                                           for key in ("bounds", "a", "seed")]
+        assert [str(d) for d in diags] == [f'{field}: key "{key}" is repeated in one object' for field, key in (
+            ("config", "seed"), ("config", "fit"), ("model.constants", "bounds"), ("design.times[0]", "a"),
+            ("fit", "starts"))]
+
+    def test_a_document_nested_too_deeply_is_named_and_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"model": ' + "[" * 5000 + "]" * 5000 + "}")
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error - config: nested too deeply to read\n"
 
     def test_subcommand_requires_section(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -573,6 +611,54 @@ class TestListModels:
         )
         assert proc.returncode == 0
         assert "redundant-exponential" in proc.stdout
+
+
+class TestProgramExit:
+    """The program ends through ``cli.run``: the collector frozen once the reports are written, main's code kept."""
+
+    # cli.py run as ``python -m`` runs it, in a fresh interpreter; the hook runs after the program exits
+    PROGRAM = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+sys.argv = ["identikit", *sys.argv[1:]]
+runpy.run_module("identikit.cli", run_name="__main__")
+"""
+
+    @pytest.mark.parametrize("code, change", [
+        (0, {}),
+        (2, {"design": {"times": [1.0, 2.0], "noise_sd": -0.5}}),
+        (3, {"data": {"path": "absent.csv"}}),
+    ])
+    def test_program_freezes_the_collector_and_keeps_the_code(self, tmp_path, code, change):
+        doc = {"model": {"name": "reciprocal"}, "design": {"times": [1.0, 2.0, 4.0], "noise_sd": 0.1},
+               "data": {"theta_true": [0.5]}, "fim": {}, **change}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", self.PROGRAM, "all", "--config", str(cfg), "--out", str(out)],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        frozen = proc.stdout.splitlines()[-1].split()
+        assert frozen[0] == "frozen" and int(frozen[1]) > 0
+        if code == 0:
+            assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "in_process")]) == 0
+            assert summary_without_timestamp(out / "summary.json") == \
+                summary_without_timestamp(tmp_path / "in_process" / "summary.json")
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": {"name": "reciprocal"}, "design": {"times": [1.0, 2.0], "noise_sd": 0.1},
+                                      "fim": {"theta": [0.5]}})
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_script_calls_what_the_main_block_calls(self):
+        module, function = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["identikit"] \
+            .split(":")
+        tree = ast.parse((ROOT / "src" / "identikit" / "cli.py").read_text())
+        block, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert module == "identikit.cli"
+        assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
 
 
 class TestBuildConfig:
