@@ -118,7 +118,7 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
                 "parameter": names[curve.index], "grid": curve.grid, "profile_loglik": curve.values,
                 "converged": curve.converged, "loglik_hat": curve.loglik_hat, "level": curve.level,
                 "interval": curve.interval, "classification": curve.classification,
-                "total_variation": curve.total_variation, "truncated": curve.truncated}
+                "total_variation": curve.total_variation, "truncated": curve.truncated, "refits": curve.refits}
         results["profile"] = block
 
     if "sobol" in selection:

@@ -1,9 +1,11 @@
-"""Oracles that only the tests use: the closed-form linear least-squares solution and a
-cross-check of the finite-difference Jacobian against the model's other route."""
+"""Oracles that only the tests use: the closed-form linear least-squares solution, a
+cross-check of the finite-difference Jacobian against the model's other route, and the
+exact profile interval ends of a one-parameter model by bisection."""
 
 import numpy as np
 
-from identikit.estimation import SMALL_GRADIENT, EstimateResult
+from identikit.estimation import SMALL_GRADIENT, EstimateResult, log_likelihood
+from identikit.models import evaluate
 from identikit.sensitivity import fd_jacobian, forward_ode_jacobian, sensitivity_matrix
 
 
@@ -71,3 +73,28 @@ def cross_check(model, design, theta) -> float:
     else:
         raise ValueError(f"model {model.name} has only the finite-difference route")
     return relative_difference(fd.values, other.values)
+
+
+def one_parameter_end(model, dataset, inside: float, outside: float, target: float) -> float | None:
+    """The root of v(x) - ``target`` between ``inside`` (v >= target) and ``outside`` by bisection,
+    or None if v(outside) >= target too, where v is the log-likelihood of the one-parameter
+    ``model``: its profile, since no parameter is left to refit.  Bisects until the bracket
+    stops shrinking in floating point."""
+    y = dataset.observations.ravel()
+    replicates = dataset.design.replicates
+
+    def v(x: float) -> float:
+        outputs = evaluate(model, dataset.design, [x])
+        r = (np.repeat(outputs, replicates) if replicates > 1 else outputs) - y
+        return log_likelihood(0.5 * float(r @ r), dataset.design.noise_sd)
+
+    if v(inside) < target:
+        raise ValueError("inside lies below the level")
+    if v(outside) >= target:
+        return None
+    while (middle := 0.5 * (inside + outside)) not in (inside, outside):
+        if v(middle) >= target:
+            inside = middle
+        else:
+            outside = middle
+    return inside

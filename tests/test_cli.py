@@ -398,7 +398,12 @@ class TestRun:
         assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         profile = json.loads((out / "summary.json").read_text())["results"]["profile"]
-        assert all(all(block["converged"]) for block in profile.values())
+        # fit cannot express rate1 > rate2: where the ordering binds, a refit fails (no start keeps
+        # it) or ends unconverged, and a side that such a refit ends gives no verdict
+        ends = {i: (block["interval"]["lower_end"], block["interval"]["upper_end"]) for i, block in profile.items()}
+        assert ends == {"0": ("refit-failed", "level-set"), "1": ("level-set", "unconverged-refit")}
+        assert all(block["classification"] == "inconclusive" for block in profile.values())
+        assert all(profile["0"]["converged"]) and not all(profile["1"]["converged"])
 
     def test_csv_values_round_trip_to_summary(self, tmp_path):
         # every column of every analysis CSV, row by row, against the summary value it prints
@@ -446,8 +451,8 @@ class TestRun:
                 assert got == want, name
 
     def test_csv_layout_is_pinned(self, tmp_path):
-        # the header and row count of each CSV; the profile's 15-point grid ends one refit past
-        # the likelihood level set on each side, at 10 points
+        # the header and row count of each CSV; the profile is the fit and, on each side, the
+        # refits out to one past the likelihood level set and those that refine the crossing: 13 points
         cfg = write_config(tmp_path, FULL_CONFIG)
         out = tmp_path / "out"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == 0
@@ -460,7 +465,7 @@ class TestRun:
         assert layout == {
             "dataset.csv": (["time", "replicate", "value"], 7),
             "fit.csv": (["start_index", "objective", "converged", "theta_rate1", "theta_rate2"], 8),
-            "profile_0.csv": (["theta_i", "profile_loglik", "converged"], 10),
+            "profile_0.csv": (["theta_i", "profile_loglik", "converged"], 13),
             "recovery.csv": (["trial", "true_rate1", "true_rate2", "hat_rate1", "hat_rate2",
                               "rel_err_rate1", "rel_err_rate2", "success"], 3),
             "sobol.csv": (["parameter", "S_first", "S_first_se", "S_total", "S_total_se"], 2),
@@ -543,8 +548,8 @@ class TestSummaryJson:
             "fim.ellipsoid": ["level", "center", "axes", "semi_axis_lengths"],
             "profile.0": ["parameter", "grid", "profile_loglik", "converged", "loglik_hat",
                           "level", "interval", "classification", "total_variation",
-                          "truncated"],
-            "profile.0.interval": ["lower", "upper", "lower_open", "upper_open"],
+                          "truncated", "refits"],
+            "profile.0.interval": ["lower", "upper", "lower_open", "upper_open", "lower_end", "upper_end"],
             "sobol": ["parameters", "first_order", "total_order", "first_order_se",
                       "total_order_se", "variance_per_time", "variance_total",
                       "per_time_first", "per_time_total", "n_samples", "degenerate",

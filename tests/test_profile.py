@@ -1,26 +1,35 @@
 """Profile log-likelihood computation and curve-shape classification."""
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import identikit as ik
 from identikit.config import build_config
-from identikit.estimation import log_likelihood
+from identikit.estimation import EstimateResult, log_likelihood
+from identikit.models import EvaluationError
 from identikit.profile import (
+    BOUND,
     CLASS_FLAT,
     CLASS_IDENTIFIABLE,
+    CLASS_INCONCLUSIVE,
     CLASS_PRACTICAL,
-    DEFAULT_SPAN_SD,
+    GRID_END,
+    LEVEL_SET,
+    REFIT_CAP,
+    REFIT_FAILED,
+    ROOT_TOL,
+    UNCONVERGED,
     ProfileCurve,
     ProfileInterval,
-    _default_grid,
     drop_threshold,
 )
+from oracles import one_parameter_end
 
 ROOT = Path(__file__).parents[1]
 
@@ -38,7 +47,7 @@ def make_curve(grid, values, level=0.95):
         theta_opt=np.zeros((grid.size, 1)),
         converged=np.ones(grid.size, dtype=bool),
         loglik_hat=float(values.max()), level=level,
-        flatness_tol=1e-6, truncated=False,
+        flatness_tol=1e-6,
     )
 
 
@@ -110,12 +119,15 @@ class TestProfileParameter:
         data = ik.generate_data(model, design, [1.0, -0.5, 0.5], seed=11)
         fit = best_fit(model, data)
         curve = ik.profile_parameter(model, data, fit, 0)
-        # rank-deficient information matrix, so the grid falls back to the
-        # full amplitude slice
+        # rank-deficient information matrix, so the first step is the slice's
+        # 40th, and the flat curve is stepped out to both bounds
         assert curve.grid[0] == model.space.lower[0]
         assert curve.grid[-1] == model.space.upper[0]
+        assert curve.sweep_ends == (BOUND, BOUND)
         assert curve.total_variation < 1e-6
         assert curve.classification == CLASS_FLAT
+        # each step triples the one before: 7 refits over both sides, not the 41 of a grid
+        assert curve.refits == 7
 
     def test_linear_profile_is_quadratic_with_fim_curvature(self):
         # closed-form oracle: profiling a quadratic objective gives
@@ -218,8 +230,11 @@ class TestProfileParameter:
         curve = ik.profile_parameter(
             model, data, fit, 0, grid=np.linspace(0.2, 9.0, 15)
         )
-        assert curve.truncated
+        assert curve.truncated and curve.sweep_ends[1] == REFIT_FAILED
         assert curve.grid[-1] <= 5.0
+        # the upper side crossed the level set before the failure, so the failure decides nothing
+        assert curve.interval.upper_end == LEVEL_SET
+        assert curve.classification == CLASS_IDENTIFIABLE
 
     def test_grid_outside_slice_rejected(self):
         model = ik.get_model("reciprocal")
@@ -271,27 +286,6 @@ def linear_case():
     return model, data, best_fit(model, data, k=8, seed=1), [0, 1], 41
 
 
-def level_set_run(full, center):
-    """Slice bounds of ``full`` that the stop rule keeps: from the grid point
-    nearest ``center`` each side runs to its first value more than the drop
-    below both the fit's log-likelihood and the highest value so far, the
-    upper side first."""
-    values, drop = full.values, drop_threshold(full.level)
-    start = int(np.argmin(np.abs(full.grid - center)))
-    seen = -np.inf
-
-    def last(ks, end):
-        nonlocal seen
-        for k in ks:
-            seen = max(seen, values[k])
-            if values[k] < min(full.loglik_hat, seen) - drop:
-                return k
-        return end
-
-    stop = last(range(start, values.size), values.size - 1) + 1
-    return last(range(start - 1, -1, -1), 0), stop
-
-
 CASES = {
     "logistic-ode": lambda: config_case("bench/configs/logistic_ode.json"),
     "biexp-all": lambda: config_case("configs/biexponential_all.json"),
@@ -300,24 +294,40 @@ CASES = {
 
 
 class TestLevelSetStop:
-    """A default-grid sweep ends one refit past the level set; explicit grids are swept in full."""
+    """Each side of the default sweep ends one refit past the level set, and its crossing is
+    refined until the interval end is a root; an explicit grid is swept in full."""
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_default_grid_curve_is_a_run_of_the_full_sweep(self, name):
+    def test_default_sweep_ends_are_roots_of_the_level(self, name):
         model, data, fit, indices, points = CASES[name]()
+        sigma = data.design.noise_sd
         for i in indices:
-            stopped = ik.profile_parameter(model, data, fit, i, points=points)
-            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD)
-            full = ik.profile_parameter(model, data, fit, i, grid=grid)
-            assert full.grid.size == points and stopped.grid.size < points
-            start = int(np.flatnonzero(full.grid == stopped.grid[0])[0])
-            run = slice(start, start + stopped.grid.size)
-            for field in ("grid", "values", "theta_opt", "converged"):
-                assert getattr(full, field)[run].tobytes() == getattr(stopped, field).tobytes(), field
-            assert stopped.interval == full.interval
-            assert stopped.classification == full.classification == CLASS_IDENTIFIABLE
-            assert not stopped.truncated and not full.truncated
-            assert (run.start, run.stop) == level_set_run(full, fit.theta[i])
+            curve = ik.profile_parameter(model, data, fit, i, points=points)
+            grid, values = curve.grid, curve.values
+            # the fit is the curve's highest point, taken as it is, and the points increase
+            at = int(np.flatnonzero(grid == fit.theta[i])[0])
+            assert values[at] == curve.loglik_hat == values.max()
+            assert curve.theta_opt[at].tobytes() == fit.theta.tobytes()
+            assert np.all(np.diff(grid) > 0)
+            # each side ended one refit past the level set, within its `points` refits
+            assert curve.sweep_ends == (LEVEL_SET, LEVEL_SET) and not curve.truncated
+            assert at <= points and grid.size - 1 - at <= points
+            assert curve.classification == CLASS_IDENTIFIABLE
+            # the points inside the interval lie in the level set, those outside below it
+            target = curve.loglik_hat - drop_threshold(curve.level)
+            interval = curve.interval
+            inside = (grid >= interval.lower) & (grid <= interval.upper)
+            assert np.all(values[inside] >= target) and np.all(values[~inside] < target)
+            for end in (interval.lower, interval.upper):
+                # one of the two points that bracket the end lies within ROOT_TOL of the level ...
+                k = int(np.searchsorted(grid, end))
+                assert min(values[k - 1] - target, target - values[k]) <= ROOT_TOL
+                # ... and a refit at the end itself lies on it
+                start = curve.theta_opt[k].copy()
+                start[i] = end
+                refit = ik.fit(model, data, start, {i: end})
+                assert refit.converged
+                assert log_likelihood(refit.objective, sigma) == pytest.approx(target, abs=2 * ROOT_TOL)
 
     def test_logistic_refit_count(self, monkeypatch):
         model, data, fit, indices, points = CASES["logistic-ode"]()
@@ -328,14 +338,175 @@ class TestLevelSetStop:
             return ik.fit(*args, **kwargs)
 
         monkeypatch.setattr("identikit.profile.fit", counting_fit)
-        for i in indices:
-            ik.profile_parameter(model, data, fit, i, points=points)
-        assert len(calls) == 18
+        curves = [ik.profile_parameter(model, data, fit, i, points=points) for i in indices]
+        # a 21-point grid ended one refit past the level set took 18
+        assert len(calls) == sum(curve.refits for curve in curves) == 16
         calls.clear()
-        for i in indices:
-            grid = _default_grid(model, data, fit, i, points, DEFAULT_SPAN_SD)
-            ik.profile_parameter(model, data, fit, i, grid=grid)
-        assert len(calls) == 42
+        grid = np.linspace(0.9, 1.1, 11)  # swept in full, one refit a value
+        assert ik.profile_parameter(model, data, fit, 0, grid=grid).refits == len(calls) == 11
+
+
+RECIPROCAL_CASES = list(itertools.product([12.0, 15.0, 20.0, 30.0, 60.0], [11, 12, 13]))
+
+
+def reciprocal_case(theta_star, seed):
+    model = ik.get_model("reciprocal")
+    data = ik.generate_data(model, ik.Design(np.linspace(1.0, 10.0, 10), 0.1), [theta_star], seed=seed)
+    return model, data, best_fit(model, data)
+
+
+class TestExactEnds:
+    """Interval ends against the exact roots of the profile minus the level."""
+
+    @pytest.mark.parametrize("theta_star, seed", RECIPROCAL_CASES)
+    def test_reciprocal_ends_are_the_bisected_roots(self, theta_star, seed):
+        # a one-parameter profile is the log-likelihood itself, so each end is a root that
+        # bisection finds; the upper side is open only if the level set reaches the bound
+        model, data, fit = reciprocal_case(theta_star, seed)
+        curve = ik.profile_parameter(model, data, fit, 0)
+        target = curve.loglik_hat - drop_threshold(curve.level)
+        lo, hi = model.space.lower[0], model.space.upper[0]
+        lower = one_parameter_end(model, data, fit.theta[0], lo, target)
+        upper = one_parameter_end(model, data, fit.theta[0], hi, target)
+        interval = curve.interval
+        assert interval.lower == pytest.approx(lower, rel=1e-6)
+        assert (interval.lower_end, interval.lower_open) == (LEVEL_SET, False)
+        if upper is None:
+            assert (interval.upper, interval.upper_end, interval.upper_open) == (hi, BOUND, True)
+            assert curve.classification == CLASS_PRACTICAL
+        else:
+            assert interval.upper == pytest.approx(upper, rel=1e-6)
+            assert (interval.upper_end, interval.upper_open) == (LEVEL_SET, False)
+            assert curve.classification == CLASS_IDENTIFIABLE
+
+    def test_reciprocal_theta_15_seed_11(self):
+        # the fixed 41-point grid over the fit +/- 5 sds gave [7.40, 42.75 open]
+        curve = ik.profile_parameter(*reciprocal_case(15.0, 11), 0)
+        assert (round(curve.interval.lower, 3), round(curve.interval.upper, 3)) == (7.374, 85.841)
+        assert curve.classification == CLASS_IDENTIFIABLE
+
+    def test_biexp_rate2_lower_end_lies_past_the_swap_optimum(self):
+        # rate2's lower side dips, climbs back to the fit's level at the swap optimum (rate2 at
+        # the fitted rate1), and only then crosses; the grid's chord put the end at 0.848866
+        model, data, fit, _, points = config_case("configs/biexponential_all.json")
+        curve = ik.profile_parameter(model, data, fit, 1, points=points)
+        target = curve.loglik_hat - drop_threshold(curve.level)
+        lower = curve.interval.lower
+        assert lower == pytest.approx(0.843219, abs=1e-6)
+        passed = curve.values[(curve.grid > lower) & (curve.grid < fit.theta[1])]
+        assert passed.size >= 2 and np.all(passed >= target)
+        # independently: the best rate1 on a fine scan at rate2 = lower lies on the level
+        rate1 = np.linspace(0.01, 10.0, 200_001)[:, None]
+        times = data.design.time_points
+        residuals = data.observations[:, 0] - np.exp(-rate1 * times) - np.exp(-lower * times)
+        best = 0.5 * np.min(np.sum(residuals**2, axis=1))
+        assert log_likelihood(best, data.design.noise_sd) == pytest.approx(target, abs=1e-4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_linear_interval_is_the_fim_interval(self, n, p, seed):
+        # a linear model's profile is exactly quadratic, with the FIM's curvature
+        rng = np.random.default_rng(seed)
+        model = ik.get_model("linear", design_matrix=rng.normal(size=(n, p)))
+        design = ik.Design(np.arange(float(n)), float(rng.uniform(0.05, 1.0)))
+        data = ik.generate_data(model, design, rng.uniform(-2.0, 2.0, p), seed=seed)
+        fit = ik.fit(model, data, np.zeros(p))
+        report = ik.fim_report(model, design, fit.theta)
+        assume(report.classification == "identifiable")
+        for i in range(p):
+            sd = float(np.sqrt(ik.combination_variance(report, np.eye(p)[i])))
+            half = np.sqrt(2.0 * drop_threshold(0.95)) * sd
+            assume(model.space.lower[i] < fit.theta[i] - half and fit.theta[i] + half < model.space.upper[i])
+            interval = ik.profile_parameter(model, data, fit, i).interval
+            assert interval.lower == pytest.approx(fit.theta[i] - half, abs=1e-6 * sd)
+            assert interval.upper == pytest.approx(fit.theta[i] + half, abs=1e-6 * sd)
+
+
+class TestStalls:
+    """A side that a failed, stalled or capped refit decides gives no verdict."""
+
+    def refits_that(self, monkeypatch, change):
+        """Patch the profile's refits to return ``change(result, value)`` of each real refit."""
+        def patched(model, dataset, start, fixed):
+            (value,) = fixed.values()
+            return change(ik.fit(model, dataset, start, fixed), value)
+        monkeypatch.setattr("identikit.profile.fit", patched)
+
+    def test_failed_refits_make_the_side_inconclusive(self, monkeypatch):
+        model, data, fit, _, _ = linear_case()
+
+        def fail_above(result, value):
+            if value > fit.theta[0]:
+                raise EvaluationError("no output above the fit")
+            return result
+
+        self.refits_that(monkeypatch, fail_above)
+        curve = ik.profile_parameter(model, data, fit, 0)
+        assert curve.truncated and curve.sweep_ends == (LEVEL_SET, REFIT_FAILED)
+        interval = curve.interval
+        assert (interval.upper, interval.upper_open, interval.upper_end) == (fit.theta[0], True, REFIT_FAILED)
+        assert curve.classification == CLASS_INCONCLUSIVE
+
+    def test_a_flat_looking_curve_of_failed_refits_is_inconclusive(self, monkeypatch):
+        # every refit fails, so the curve is the fit alone: no variation, but no verdict either
+        model, data, fit, _, _ = linear_case()
+
+        def fail(result, value):
+            raise EvaluationError("no output")
+
+        self.refits_that(monkeypatch, fail)
+        curve = ik.profile_parameter(model, data, fit, 0)
+        assert curve.grid.tolist() == [fit.theta[0]] and curve.total_variation == 0.0
+        assert curve.sweep_ends == (REFIT_FAILED, REFIT_FAILED)
+        assert curve.classification == CLASS_INCONCLUSIVE
+
+    def test_unconverged_refit_past_the_level_is_inconclusive(self, monkeypatch):
+        # a refit that stops early reports too high an objective: it may cross the level only seemingly
+        model, data, fit, _, _ = linear_case()
+
+        def stall_above(result, value):
+            if value > fit.theta[0]:
+                return EstimateResult(**{**vars(result), "objective": result.objective + 1.0, "converged": False,
+                                         "reason": "max-iter"})
+            return result
+
+        self.refits_that(monkeypatch, stall_above)
+        curve = ik.profile_parameter(model, data, fit, 0)
+        assert not curve.truncated
+        assert (curve.interval.upper_open, curve.interval.upper_end) == (False, UNCONVERGED)
+        assert curve.classification == CLASS_INCONCLUSIVE
+
+    def test_unconverged_refits_inside_the_level_set_decide_nothing(self, monkeypatch):
+        model, data, fit, _, _ = linear_case()
+        plain = ik.profile_parameter(model, data, fit, 0)
+        band = (fit.theta[0], plain.interval.upper - 0.1 * (plain.interval.upper - fit.theta[0]))
+
+        def stall_inside(result, value):
+            if band[0] < value < band[1]:
+                return EstimateResult(**{**vars(result), "converged": False, "reason": "max-iter"})
+            return result
+
+        self.refits_that(monkeypatch, stall_inside)
+        curve = ik.profile_parameter(model, data, fit, 0)
+        assert not curve.converged.all()
+        assert curve.interval == plain.interval and curve.classification == CLASS_IDENTIFIABLE
+
+    def test_side_out_of_refits_is_inconclusive(self):
+        # a first step of 0.005 sds, tripled four times, is 0.6 sds out when the cap of 5 refits ends it
+        model, data, fit, _, _ = linear_case()
+        curve = ik.profile_parameter(model, data, fit, 0, points=5, span_sd=0.01)
+        assert curve.sweep_ends == (REFIT_CAP, REFIT_CAP) and curve.refits == 10
+        assert (curve.interval.lower_end, curve.interval.upper_end) == (REFIT_CAP, REFIT_CAP)
+        assert curve.classification == CLASS_INCONCLUSIVE
+
+    def test_open_side_of_an_explicit_grid_says_grid_end(self):
+        model, data, fit, _, _ = linear_case()
+        grid = fit.theta[0] + np.linspace(-0.1, 0.1, 5)
+        curve = ik.profile_parameter(model, data, fit, 0, grid=grid)
+        interval = curve.interval
+        assert (interval.lower_end, interval.upper_end) == (GRID_END, GRID_END)
+        assert (interval.lower, interval.upper) == (grid[0], grid[-1])
+        assert curve.classification == CLASS_PRACTICAL
 
 
 # The interval and classification as they were computed before a curve derived them:
