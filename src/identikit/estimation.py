@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .models import Dataset, EvaluationError, Model, OutOfBoundsError, _checked, _integer, _outputs
+from .models import Dataset, EvaluationError, Model, OutOfBoundsError, _checked, _integer, _outputs, evaluate
 from .sensitivity import ANALYTIC, FORWARD_ODE, _matrix, forward_ode_solve, resolve_method, sensitivity_matrix
 
 SMALL_GRADIENT = "small-gradient"
@@ -312,6 +312,17 @@ def _held(fixed: dict[int, float] | None, p: int) -> dict[int, float]:
     return fixed
 
 
+def _residuals(outputs: np.ndarray, design, y: np.ndarray) -> np.ndarray:
+    """f(theta) - y for the raveled observations y: each output repeated once per replicate."""
+    return (np.repeat(outputs, design.replicates) if design.replicates > 1 else outputs) - y
+
+
+def objective_at(model: Model, dataset: Dataset, theta) -> float:
+    """S(theta) = 0.5 ||f(theta) - y||^2 at a point of the admissible set, as :func:`fit` computes it."""
+    r = _residuals(evaluate(model, dataset.design, theta), dataset.design, dataset.observations.ravel())
+    return 0.5 * float(r @ r)
+
+
 def fit(
     model: Model,
     dataset: Dataset,
@@ -376,7 +387,7 @@ def fit(
             solved = (point, V)
         else:
             outputs = _outputs(model, design, point)
-        r = (np.repeat(outputs, design.replicates) if design.replicates > 1 else outputs) - y
+        r = _residuals(outputs, design, y)
         objective = 0.5 * float(r @ r)
         # kept without orderings too: the solver's clip passes NaN, and a NaN point
         # can improve the objective of a model that is finite at NaN
@@ -434,7 +445,8 @@ def fit(
     return result(theta_hat, objective, True, BOUNDARY if on_bound else SMALL_STEP)
 
 
-MULTI_START_RULES = {"k_starts": _integer(1)}
+MULTI_START_RULES = {"k_starts": _integer(1), "stop_after": lambda x: x if x is None else _integer(1)(x)}
+RECUR_RTOL = 1e-9  # a converged start within this of the best objective (relative) is a recurrence of it
 
 
 def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray:
@@ -460,13 +472,26 @@ def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray
     return starts
 
 
-def multi_start_fit(model: Model, dataset: Dataset, k_starts: int, seed: int) -> list[EstimateResult]:
+def _recurrences(results: list[EstimateResult]) -> int:
+    """How many converged results lie within ``RECUR_RTOL`` (relative) of the lowest converged objective."""
+    objectives = [r.objective for r in results if r.converged]
+    best = min(objectives, default=math.inf)
+    return sum(o - best <= RECUR_RTOL * abs(best) for o in objectives)
+
+
+def multi_start_fit(model: Model, dataset: Dataset, k_starts: int, seed: int,
+                    stop_after: int | None = None) -> list[EstimateResult]:
     """Independent fits from ``k_starts`` (an integer >= 1) Latin-hypercube starts, sorted by objective.
 
+    The starts are fitted in their order.  With ``stop_after`` None (the default) every start is
+    fitted.  With an integer >= 1 (else ValueError), ``k_starts`` is a cap: the fits stop after the
+    first one that brings ``stop_after`` converged starts to within ``RECUR_RTOL`` (relative) of
+    the lowest converged objective so far, so the fitted starts are a prefix of the full set, and
+    a new best lower by more than the tolerance counts its recurrences afresh.
     Individual failures are flagged per start, never raised: a start whose first
     evaluation fails is not run, and is flagged ``not-run`` with the message in ``failure``.
     """
-    (k_starts,) = _checked(MULTI_START_RULES, k_starts=k_starts)
+    k_starts, stop_after = _checked(MULTI_START_RULES, k_starts=k_starts, stop_after=stop_after)
 
     def run(start):
         try:
@@ -475,7 +500,12 @@ def multi_start_fit(model: Model, dataset: Dataset, k_starts: int, seed: int) ->
             return EstimateResult(theta=start, objective=math.inf, sigma2=math.nan, converged=False,
                                   iterations=0, reason=NOT_RUN, start=start, failure=str(exc))
 
-    return sorted((run(s) for s in latin_hypercube_starts(model, k_starts, seed)), key=lambda r: r.objective)
+    results = []
+    for start in latin_hypercube_starts(model, k_starts, seed):
+        results.append(run(start))
+        if stop_after is not None and _recurrences(results) >= stop_after:
+            break
+    return sorted(results, key=lambda r: r.objective)
 
 
 OBJECTIVE_CLUSTER_RTOL = 1e-4

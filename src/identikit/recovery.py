@@ -1,9 +1,11 @@
 """Brute-force practical-identifiability checks via synthetic-data recovery.
 
 Each trial generates a dataset at a known parameter, re-infers it with a
-multi-start fit, and scores per-parameter recovery error.  A local check uses
-one true parameter; the global check samples many true parameters from a prior
-over the admissible set and aggregates success into a verdict.
+multi-start fit that stops once its best optimum has recurred, scores
+per-parameter recovery error, and labels the trial by comparing S(theta_hat)
+with S(theta*).  A local check uses one true parameter; the global check
+samples many true parameters from a prior over the admissible set and
+aggregates success into a verdict.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import MULTI_START_RULES, multi_start_fit
+from .estimation import MULTI_START_RULES, multi_start_fit, objective_at
 from .models import _POSITIVE, Design, Model, _checked, _integer, generate_data
 from .sobol import Prior, prior_rule
 
 DEFAULT_STARTS = 16
+RECUR_HITS = 5  # a trial's multi-start stops once this many converged starts reach its best objective
 DEFAULT_TOLERANCE = 0.1
 ABS_FALLBACK_SCALE = 1e-6   # true values below this are scored absolutely
 ABS_FALLBACK_TOL = 1e-3
@@ -26,6 +29,11 @@ VERDICT_MARGINAL = "marginal"
 VERDICT_BAD = "not-practically-identifiable"
 SUCCESS_RATE_OK = 0.95
 SUCCESS_RATE_MARGINAL = 0.8
+
+RECOVERED = "recovered"            # success
+DATA_LIMITED = "data-limited"      # S(theta_hat) <= S(theta*), yet theta_hat is outside the tolerance
+OPTIMISER_MISS = "optimiser-miss"  # S(theta*) < S(theta_hat): the multi-start missed a lower objective
+LABELS = (RECOVERED, DATA_LIMITED, OPTIMISER_MISS)
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,8 @@ class RecoveryTrial:
     success: bool
     success_symmetry: bool    # success against the orbit of theta_true
     converged: bool
+    label: str                # one of LABELS
+    starts_fitted: int        # the multi-start's fits, at most n_starts
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,8 @@ class RecoveryReport:
     error_p90: np.ndarray
     error_max: np.ndarray
     verdict: str
+    labels: dict[str, int]    # trials per label, in LABELS order
+    starts_fitted: int        # over all trials
     trials: list[RecoveryTrial]
 
 
@@ -89,18 +101,24 @@ def recover_once(
     """Generate data at theta_star, re-infer it, and score the recovery.
 
     ``n_starts`` is an integer >= 1 and ``tolerance`` positive; ValueError names a bad one.  The
-    symmetry-aware flag compares the estimate against the whole orbit of theta_star under the
-    model's registered symmetries, so a swap-equivalent optimum still counts as recovered.
+    multi-start fits at most ``n_starts`` starts: it stops once ``RECUR_HITS`` converged starts
+    reach its best objective (:func:`multi_start_fit`'s ``stop_after``), and ``starts_fitted`` says
+    how many it fitted.  The symmetry-aware flag compares the estimate against the whole orbit of
+    theta_star under the model's registered symmetries, so a swap-equivalent optimum still counts
+    as recovered.  The label is ``recovered`` on success, else ``optimiser-miss`` when S(theta*),
+    computed once as :func:`fit` computes S, is below S(theta_hat), else ``data-limited``; success
+    up to a symmetry alone is not ``recovered``.
     """
     n_starts, tolerance = _checked(RECOVERY_RULES, n_starts=n_starts, tolerance=tolerance)
     theta_star = model.space.require(theta_star)
     dataset = generate_data(model, design, theta_star, seed)
-    results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed))
+    results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed), stop_after=RECUR_HITS)
     converged = [r for r in results if r.converged]
     best = converged[0] if converged else results[0]
     errors, success = _errors_and_success(theta_star, best.theta, tolerance)
     aligned = theta_star if model.align_symmetry is None else model.align_symmetry(theta_star, best.theta)
     _, success_sym = _errors_and_success(aligned, best.theta, tolerance)
+    miss = objective_at(model, dataset, theta_star) < best.objective
     return RecoveryTrial(
         seed=int(seed),
         theta_true=theta_star,
@@ -110,6 +128,8 @@ def recover_once(
         success=success,
         success_symmetry=success or success_sym,
         converged=bool(converged),
+        label=RECOVERED if success else OPTIMISER_MISS if miss else DATA_LIMITED,
+        starts_fitted=len(results),
     )
 
 
@@ -131,7 +151,9 @@ def global_recovery(
     bit for bit from (model, design, k_trials, prior, seed).  Each true
     parameter is the first prior draw inside the space; a prior that puts
     none of ``MAX_DRAWS`` draws there raises RuntimeError
-    (:meth:`ParameterSpace.draw_feasible`).
+    (:meth:`ParameterSpace.draw_feasible`).  Each trial is :func:`recover_once`, whose multi-start
+    stops early (``n_starts`` is a cap); ``labels`` counts the trials per label and
+    ``starts_fitted`` the fits of all trials.
     """
     k_trials, n_starts, tolerance = _checked(RECOVERY_RULES, k_trials=k_trials, n_starts=n_starts,
                                              tolerance=tolerance)
@@ -161,5 +183,7 @@ def global_recovery(
         error_p90=_quantile(errors, 0.9),
         error_max=np.max(errors, axis=0),
         verdict=verdict,
+        labels={label: sum(t.label == label for t in trials) for label in LABELS},
+        starts_fitted=sum(t.starts_fitted for t in trials),
         trials=trials,
     )

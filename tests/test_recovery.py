@@ -1,5 +1,7 @@
 """Synthetic-data recovery trials, local and global."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import identikit as ik
-from identikit.recovery import VERDICT_BAD, VERDICT_OK, _quantile
+from identikit import estimation, recovery
+from identikit.config import build_config, load_raw
+from identikit.estimation import RECUR_RTOL
+from identikit.recovery import (DATA_LIMITED, LABELS, OPTIMISER_MISS, RECOVERED, VERDICT_BAD, VERDICT_OK,
+                                _quantile, _starts_seed)
 from identikit.sobol import Prior
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRecoverOnce:
@@ -167,3 +175,85 @@ def test_quantile_equals_numpy_bitwise(m, p, decade, data):
         ours, theirs = _quantile(errors, q), np.quantile(errors, q, axis=0)
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
         assert ours.tobytes() == theirs.tobytes()
+
+
+def _exhaustive_best(model, design, theta_star, seed, n_starts):
+    """recover_once's best fit with every start fitted: the lowest converged objective, else the lowest."""
+    dataset = ik.generate_data(model, design, theta_star, seed)
+    results = ik.multi_start_fit(model, dataset, n_starts, _starts_seed(seed))
+    converged = [r for r in results if r.converged]
+    return (converged or results)[0]
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("n_starts", [1, 2, 3, 4, 5])
+    def test_up_to_five_starts_is_the_exhaustive_best_bit_for_bit(self, n_starts):
+        # RECUR_HITS is 5, so a trial of at most 5 starts fits every one of them
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.linspace(0.25, 3.0, 7), 0.05)
+        for seed in range(4):
+            trial = ik.recover_once(model, design, [2.0, 1.0], seed=seed, n_starts=n_starts)
+            best = _exhaustive_best(model, design, [2.0, 1.0], seed, n_starts)
+            assert trial.starts_fitted == n_starts
+            assert trial.theta_hat.tobytes() == best.theta.tobytes() and trial.objective == best.objective
+
+    @pytest.mark.parametrize("path, fits", [("configs/biexponential_all.json", 111),
+                                            ("configs/reciprocal_recovery.json", 250)])
+    def test_shipped_configs_lose_no_success_and_miss_nothing(self, monkeypatch, path, fits):
+        raw, _ = load_raw(ROOT / path)
+        config = build_config(raw)
+
+        def run():
+            return ik.global_recovery(config.model, config.design, seed=config.seed, **config.recover)
+
+        stopped = run()
+        monkeypatch.setattr(recovery, "RECUR_HITS", None)
+        exhaustive = run()
+        k = len(stopped.trials)
+        assert (stopped.starts_fitted, exhaustive.starts_fitted) == (fits, k * config.recover["n_starts"])
+        assert [t.success_symmetry for t in stopped.trials] == [t.success_symmetry for t in exhaustive.trials]
+        assert stopped.verdict == exhaustive.verdict
+        for report in (stopped, exhaustive):
+            assert report.labels[OPTIMISER_MISS] == 0 and sum(report.labels.values()) == k
+            assert report.starts_fitted == sum(t.starts_fitted for t in report.trials)
+            for t in report.trials:
+                assert (t.label == RECOVERED) == t.success
+        for a, b in zip(stopped.trials, exhaustive.trials):
+            assert abs(a.objective - b.objective) <= RECUR_RTOL * b.objective
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), p=st.integers(1, 3), sd=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_linear_models_stop_at_the_exhaustive_optimum(self, n, p, sd, seed, data):
+        # a linear model is convex: every converged start reaches the one optimum, and theta* is no better
+        rng = np.random.default_rng([seed, 1])  # not the noise stream, which would put y in the span of X
+        model = ik.get_model("linear", design_matrix=rng.normal(size=(p + n, p)))
+        design = ik.Design(np.arange(float(p + n)), sd)  # more rows than p: S > 0 at the optimum
+        theta_star = data.draw(arrays(np.float64, p, elements=st.floats(-5.0, 5.0)))
+        trial = ik.recover_once(model, design, theta_star, seed=seed, n_starts=16)
+        best = _exhaustive_best(model, design, theta_star, seed, 16)
+        assert abs(trial.objective - best.objective) <= RECUR_RTOL * best.objective
+        assert trial.label != OPTIMISER_MISS
+
+    def test_a_trial_whose_fits_fail_is_an_optimiser_miss(self, monkeypatch):
+        def failing_fit(model, dataset, start):
+            raise ik.EvaluationError("model failed at the start")
+
+        monkeypatch.setattr(estimation, "fit", failing_fit)
+        model, design = ik.get_model("reciprocal"), ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
+        for n_starts in (1, 3):  # nothing converges, so the stop rule never fires: every start is tried
+            trial = ik.recover_once(model, design, [0.5], seed=3, n_starts=n_starts)
+            assert not trial.converged and trial.objective == np.inf
+            assert (trial.label, trial.starts_fitted) == (OPTIMISER_MISS, n_starts)
+
+    def test_labels_follow_the_objectives(self):
+        # biexponential at a large noise: some trials miss the tolerance with the lower objective
+        model = ik.get_model("biexponential")
+        design = ik.Design(np.linspace(0.25, 3.0, 7), 0.2)
+        report = ik.global_recovery(model, design, 6, seed=1, n_starts=8)
+        assert report.labels[DATA_LIMITED] > 0
+        for t in report.trials:
+            truth = ik.generate_data(model, design, t.theta_true, t.seed)
+            miss = estimation.objective_at(model, truth, t.theta_true) < t.objective
+            assert t.label == (RECOVERED if t.success else OPTIMISER_MISS if miss else DATA_LIMITED)
+        assert list(report.labels) == list(LABELS)
