@@ -45,6 +45,7 @@ from .models import (
     logistic_model,
     reciprocal_model,
     redundant_exponential_model,
+    restrict,
     save_dataset,
 )
 from .profile import ProfileCurve, ProfileInterval, profile_parameter

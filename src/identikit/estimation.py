@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .models import Dataset, EvaluationError, Model, OutOfBoundsError, _checked, _integer, _outputs, evaluate
+from .models import Dataset, EvaluationError, Model, _checked, _integer, _outputs, evaluate
 from .sensitivity import ANALYTIC, FORWARD_ODE, _matrix, forward_ode_solve, resolve_method, sensitivity_matrix
 
 SMALL_GRADIENT = "small-gradient"
@@ -94,7 +94,7 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     calls array methods (``a.sum()``) and the SVD gufunc (:func:`_svd`), not the ``np.*``
     wrappers.  Two traps move the last digits: ``a.sum()`` (pairwise) and ``a.dot(a)``
     (BLAS, as in ``np.linalg.norm``) round differently, and so does ``J.T @ f`` on a
-    C-contiguous J against the F-contiguous copy that ``fit``'s ``[:, free]`` makes.
+    C-contiguous J against the F-contiguous one that ``fit`` hands over.
     A run with one free parameter goes to :func:`_solve_one`, the same loop on floats.
     """
     if x.size == 1:
@@ -303,15 +303,6 @@ def _lm_parameter(suf, s, delta, alpha, full_rank):
     return alpha
 
 
-def _held(fixed: dict[int, float] | None, p: int) -> dict[int, float]:
-    """``fixed`` or {}; raises ValueError naming a key that is not an int index in [0, p)."""
-    fixed = fixed or {}
-    for key in fixed:
-        if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < p:
-            raise ValueError(f"fixed key {key!r} is not a parameter index in [0, {p})")
-    return fixed
-
-
 def _residuals(outputs: np.ndarray, design, y: np.ndarray) -> np.ndarray:
     """f(theta) - y for the raveled observations y: each output repeated once per replicate."""
     return (np.repeat(outputs, design.replicates) if design.replicates > 1 else outputs) - y
@@ -323,29 +314,22 @@ def objective_at(model: Model, dataset: Dataset, theta) -> float:
     return 0.5 * float(r @ r)
 
 
-def fit(
-    model: Model,
-    dataset: Dataset,
-    start,
-    fixed: dict[int, float] | None = None,
-) -> EstimateResult:
-    """Minimise S(theta) by a bounded trust-region solver, each ``fixed`` index held at its value.
+def fit(model: Model, dataset: Dataset, start) -> EstimateResult:
+    """Minimise S(theta) by a bounded trust-region solver; to hold parameters, fit ``restrict(model, held)``.
 
-    One :func:`_solve_trust_region` run on the free sub-vector: box bounds,
+    One :func:`_solve_trust_region` run on the parameter vector: box bounds,
     residuals f(theta) - y stacked over replicates, and the model's own
-    sensitivity route as the Jacobian.  It calls the model's ``f``, and its analytic ``jacobian``,
-    itself, with the checks and messages of :func:`evaluate` and :class:`SensitivityMatrix` (each
-    Jacobian point in the box); on the forward-ODE route one integration of the augmented system
-    gives both, and a residual evaluation keeps its sensitivities for a Jacobian at the same point.
-    A fit that holds nothing runs its solver directly on the parameter vector, with its Jacobian in
-    the F-contiguous layout of a ``[:, free]`` copy, so the bytes are the same.  A ``fixed`` key
-    that is not an int index in [0, p) raises ValueError.
+    sensitivity route as the Jacobian, handed over F-contiguous.  It calls the model's ``f``, and
+    its analytic ``jacobian``, itself, with the checks and messages of :func:`evaluate` and
+    :class:`SensitivityMatrix` (each Jacobian point in the box); on the forward-ODE route one
+    integration of the augmented system gives both, and a residual evaluation keeps its
+    sensitivities for a Jacobian at the same point.
     ``MAX_EVALUATIONS`` caps the residual evaluations, and ``iterations``
     counts Jacobians: one per accepted step, the start's included.  The run
     ends ``small-gradient`` when the gradient, scaled by the distance to the
     bound it points at, is below ``GRADIENT_TOL`` in max-norm (so optima on a
     bound end here); ``small-step`` on a step shorter than ``STEP_TOL`` (STEP_TOL
-    + ||x||), or ``boundary`` if a free parameter is then within ``STEP_TOL``
+    + ||x||), or ``boundary`` if a parameter is then within ``STEP_TOL``
     (relative) of a bound; and ``max-iter`` with ``converged=False`` when the
     budget is spent.
 
@@ -358,12 +342,6 @@ def fit(
     """
     space = model.space
     start = space.require(start)
-    theta, fixed = start.copy(), _held(fixed, start.size)
-    if fixed:
-        theta[list(fixed)] = list(fixed.values())
-        if not space.contains(theta):
-            raise OutOfBoundsError("fixed parameters lie outside the admissible set")
-    free = np.array([i for i in range(start.size) if i not in fixed], dtype=np.intp)
     design = dataset.design
     y = dataset.observations.ravel()
     box = replace(model, space=replace(space, orderings=())) if space.orderings else model
@@ -372,77 +350,61 @@ def fit(
     jacobians = 0
     solved = None  # (point, sensitivities) of the last joint solve
 
-    def at(x) -> np.ndarray:  # the point at the solver's iterate x: x itself if nothing is held
-        if not fixed:
-            return x
-        point = theta.copy()
-        point[free] = x
-        return point
-
     def residuals(x) -> np.ndarray:
         nonlocal best_theta, best_objective, solved
-        point = at(x)
         if route == FORWARD_ODE:
-            outputs, V = forward_ode_solve(box, design, point)
-            solved = (point, V)
+            outputs, V = forward_ode_solve(box, design, x)
+            solved = (x, V)
         else:
-            outputs = _outputs(model, design, point)
+            outputs = _outputs(model, design, x)
         r = _residuals(outputs, design, y)
         objective = 0.5 * float(r @ r)
         # kept without orderings too: the solver's clip passes NaN, and a NaN point
         # can improve the objective of a model that is finite at NaN
-        if objective < best_objective and space.contains(point):
-            best_theta, best_objective = point, objective
+        if objective < best_objective and space.contains(x):
+            best_theta, best_objective = x, objective
         return r
 
     def jacobian(x) -> np.ndarray:
         nonlocal jacobians
         jacobians += 1
-        point = at(x)
-        if solved is not None and solved[0].tobytes() == point.tobytes():
+        if solved is not None and solved[0].tobytes() == x.tobytes():
             V = solved[1]  # bit for bit the point of the last residual evaluation
         elif route == ANALYTIC:  # sensitivity_matrix's checks, without its SensitivityMatrix
-            V = _matrix(model.jacobian(design.time_points, box.space.require(point)))
+            V = _matrix(model.jacobian(design.time_points, box.space.require(x)))
         else:
-            V = sensitivity_matrix(box, design, point).values
+            V = sensitivity_matrix(box, design, x).values
         V = np.repeat(V, design.replicates, axis=0) if design.replicates > 1 else V
-        return V[:, free] if fixed else np.asfortranarray(V)  # the same bytes and layout either way
+        return np.asfortranarray(V)
 
     def result(theta, objective, converged, reason, failure=None):
-        sigma2 = 2.0 * objective / (y.size - free.size) if y.size > free.size else float("nan")
+        sigma2 = 2.0 * objective / (y.size - start.size) if y.size > start.size else float("nan")
         return EstimateResult(
             theta=theta.copy(), objective=float(objective), sigma2=float(sigma2),
             converged=converged, iterations=jacobians, reason=reason,
             start=start.copy(), failure=failure,
         )
 
-    if free.size == 0:
-        residuals(theta[free])
-        return result(best_theta, best_objective, True, SMALL_GRADIENT)
-    x0, lower, upper = theta, space.lower, space.upper
-    if fixed:
-        x0, lower, upper = theta[free], lower[free], upper[free]
     try:
         x, r, status = _solve_trust_region(
-            residuals, jacobian, x0, lower, upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
+            residuals, jacobian, start, space.lower, space.upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
         )
     except EvaluationError as exc:
         if best_theta is None:
             raise
         return result(best_theta, best_objective, False, MAX_ITER, failure=str(exc))
-    theta_hat = at(x)
-    if not space.contains(theta_hat):
+    if not space.contains(x):
         if best_theta is None:  # the start, nudged off a bound, already broke an ordering
-            residuals(x0)
+            residuals(start)
         return result(best_theta, best_objective, False, BOUNDARY)
     objective = 0.5 * float(r @ r)
     if status == 0:
-        return result(theta_hat, objective, False, MAX_ITER)
+        return result(x, objective, False, MAX_ITER)
     if status == 1:
-        return result(theta_hat, objective, True, SMALL_GRADIENT)
-    near = STEP_TOL * np.maximum(1.0, np.abs(np.concatenate([lower, upper])))
-    on_bound = np.any(np.concatenate([x - lower, upper - x]) <= near)
-    return result(theta_hat, objective, True, BOUNDARY if on_bound else SMALL_STEP)
+        return result(x, objective, True, SMALL_GRADIENT)
+    near = STEP_TOL * np.maximum(1.0, np.abs(np.concatenate([space.lower, space.upper])))
+    on_bound = np.any(np.concatenate([x - space.lower, space.upper - x]) <= near)
+    return result(x, objective, True, BOUNDARY if on_bound else SMALL_STEP)
 
 
 MULTI_START_RULES = {"k_starts": _integer(1), "stop_after": lambda x: x if x is None else _integer(1)(x)}

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -114,8 +114,8 @@ class ParameterSpace:
     """Axis-aligned box of admissible parameters, plus optional orderings.
 
     ``orderings`` is a tuple of index pairs (i, j) meaning theta_i > theta_j.
-    Ordering constraints are enforced at membership-test time; they never
-    reparameterize the space.
+    Ordering constraints are enforced at membership-test time; :func:`restrict`
+    turns one whose member it holds into a bound on the other.
     """
 
     lower: np.ndarray
@@ -296,6 +296,8 @@ class OdeSystem:
     initial_jac: Callable[[np.ndarray], np.ndarray]
     rtol: float = 1e-11
     atol: float = 1e-13
+    # Set only by :func:`restrict`: (its map to the full vector that the functions above take, the free mask)
+    restriction: tuple[Callable[[np.ndarray], np.ndarray], np.ndarray] | None = None
 
     @staticmethod
     def check_times(times: np.ndarray) -> None:
@@ -386,6 +388,49 @@ def evaluate(model: Model, design: Design, theta) -> np.ndarray:
     :class:`EvaluationError` for outputs of another shape or not all finite.
     """
     return _outputs(model, design, model.space.require(theta))
+
+
+def restrict(model: Model, held: dict[int, float]) -> Model:
+    """``model`` with each ``held`` parameter fixed at its value: a model over the free parameters, in their
+    order, whose ``f``, analytic ``jacobian`` and forward-ODE sensitivities are the full model's at the full
+    point, bit for bit (free columns).  An ordering between free parameters is renumbered; one with a held
+    member becomes a strict bound on the other.  A key that is no index in [0, p), holding every parameter or
+    restricting a restricted ODE model raises ValueError; held values that leave one no value, OutOfBoundsError."""
+    space, p = model.space, model.space.dimension
+    point, free = np.full(p, math.nan), np.ones(p, dtype=bool)
+    for key, value in held.items():
+        if not (_is_integer(key) and 0 <= key < p):
+            raise ValueError(f"held key {key!r} is not a parameter index in [0, {p})")
+        point[key] = value if _is_number(value) else math.nan  # NaN: admissible nowhere
+        free[key] = False
+    if not free.any():
+        raise ValueError(f"all {p} parameters are held: a restricted model needs a free one")
+    if model.ode is not None and model.ode.restriction is not None:  # its system takes the unrestricted vector
+        raise ValueError(f"model {model.name} is restricted already: hold its parameters in one restrict call")
+    lower, upper, rank = space.lower.copy(), space.upper.copy(), free.cumsum() - 1
+    for i, j in space.orderings:  # theta_i > theta_j: a held member bounds the other (fmax and fmin skip NaN)
+        lower[i] = np.fmax(lower[i], math.nextafter(point[j], math.inf))
+        upper[j] = np.fmin(upper[j], math.nextafter(point[i], -math.inf))
+    empty = np.where(free, lower >= upper, ~((lower <= point) & (point <= upper)))
+    if empty.any():
+        raise OutOfBoundsError(f"held values {held} leave parameter {np.argmax(empty)} no admissible value")
+    orderings = tuple((rank[i], rank[j]) for i, j in space.orderings if free[i] and free[j])
+
+    def full(thetas: np.ndarray) -> np.ndarray:  # the full point of each restricted one (the last axis)
+        points = np.empty(thetas.shape[:-1] + (p,))
+        points[...] = point
+        points.T[free] = thetas.T  # the first axis of the transpose: cheaper than [..., free]
+        return points
+
+    names = tuple(name for name, kept in zip(space.parameter_names(), free) if kept)
+    return Model(
+        name=model.name,
+        space=ParameterSpace(lower[free], upper[free], orderings, names),
+        f=lambda times, thetas: model.f(times, full(thetas)),
+        jacobian=None if model.jacobian is None else (
+            lambda times, theta: np.asarray(model.jacobian(times, full(theta)))[:, free]),
+        ode=None if model.ode is None else replace(model.ode, restriction=(full, free)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ each side is swept outward from it (after Raue et al. 2009, Bioinformatics
   the last point; it is at most ``GROWTH`` times the step before, so it grows
   geometrically while the curve stays flat, and at least that step over
   ``GROWTH``; it stops at the admissible bound;
-- each refit starts from the line through the last two optima, clipped to the
-  box, or from the last optimum when that point leaves the admissible set;
+- each refit fits the model restricted to the profiled value (:func:`restrict`),
+  from the line through the last two optima clipped into that model's box;
 - a side ends one refit past the level set, at the first value more than
   :func:`drop_threshold` below both the fit's and the highest so far, or on
   the bound, a failed refit or its ``points``-th refit.
@@ -35,14 +35,14 @@ gives no verdict: the curve is ``inconclusive``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import EstimateResult, fit, latin_hypercube_starts, log_likelihood
+from .estimation import SMALL_GRADIENT, EstimateResult, fit, latin_hypercube_starts, log_likelihood, objective_at
 from .fim import IDENTIFIABLE, chi2_quantile, combination_variance, fim_report
 from .models import (_FRACTION, _POSITIVE, Dataset, EvaluationError, Model, OutOfBoundsError, ParameterSpace,
-                     _checked, _increasing, _integer, _is_integer, _rule)
+                     _checked, _increasing, _integer, _is_integer, _rule, restrict)
 
 FLATNESS_TOL = 1e-6
 ROOT_TOL = 1e-5     # log-likelihood units: how close a refined interval end lies to the level
@@ -217,10 +217,10 @@ def profile_parameter(
     included.  An explicit ``grid`` (see :func:`grid_rule`) is swept in full
     instead, from the fit outward.  ``multistart`` (an integer >= 0) adds
     that many cold refits per point on top of the warm-started one, from
-    Latin-hypercube starts with the profiled parameter set, skipping a start
-    that then breaks an ordering.  ``level`` is in (0, 1) and
-    ``flatness_tol`` positive; a bad argument raises ValueError naming it.
-    The curve holds only the computed points.
+    Latin-hypercube starts over the whole space, each clipped like the warm
+    one.  ``level`` is in (0, 1) and ``flatness_tol`` positive; a bad
+    argument raises ValueError naming it.  The curve holds only the computed
+    points, each refit's optimum and start full-length.
     """
     space = model.space
     index, points, span_sd, level, flatness_tol, multistart = _checked(profile_rules(space), index=index,
@@ -235,29 +235,31 @@ def profile_parameter(
     drop, cap = (drop_threshold(level), points) if grid is None else (np.inf, grid.size)  # a grid is swept in full
     first = _first_step(model, dataset, fit_result, index, points, span_sd) if grid is None else None
     rows = [(center, loglik_hat, fit_result)]  # (value of theta_i, log-likelihood, refit), in order of theta_i
+    free = np.arange(space.dimension) != index
     count = 0  # refits so far: each one's multistart seed
 
     def refit(x: float, near, far) -> tuple | None:
-        """The row at ``x``: the refit warm from the line through the optima of rows ``far`` and ``near``
-        (``near``'s optimum if that leaves the space), or a converged cold one with a lower objective;
-        None if neither ran."""
+        """The row at ``x``: the restricted model's fit from the line through the optima of rows ``far`` and
+        ``near`` (``near``'s without ``far``), or a converged cold one's with a lower objective; None if none ran."""
         nonlocal count
         count += 1
-        fixed = {index: x}
 
         def run(start) -> EstimateResult | None:
-            start[index] = x
             try:
-                return fit(model, dataset, start, fixed) if space.contains(start) else None
-            except EvaluationError:
+                if not free.any():  # one parameter: the point itself, a converged fit of nothing
+                    objective, point = objective_at(model, dataset, [x]), np.array([x])
+                    sigma2 = 2.0 * objective / dataset.observations.size
+                    return EstimateResult(point, objective, sigma2, True, 0, SMALL_GRADIENT, point)
+                restricted = restrict(model, {index: x})
+                res = fit(restricted, dataset, np.clip(start[free], restricted.space.lower, restricted.space.upper))
+            except (EvaluationError, OutOfBoundsError):  # OutOfBoundsError: an ordering that x or the start breaks
                 return None
+            return replace(res, theta=np.concatenate((res.theta[:index], [x], res.theta[index:])),
+                           start=np.concatenate((res.start[:index], [x], res.start[index:])))
 
-        warm = near[2].theta.copy()
+        warm = near[2].theta
         if far is not None:
-            line = warm + (warm - far[2].theta) * ((x - near[0]) / (near[0] - far[0]))
-            line = np.clip(line, space.lower, space.upper)
-            line[index] = x
-            warm = line if space.contains(line) else warm
+            warm = warm + (warm - far[2].theta) * ((x - near[0]) / (near[0] - far[0]))
         best = run(warm)
         if multistart > 0:
             point_seed = int(np.random.SeedSequence([seed, index, count]).generate_state(1)[0])

@@ -85,7 +85,7 @@ def fd_jacobian(model: Model, design: Design, theta) -> SensitivityMatrix:
 def forward_ode_solve(model: Model, design: Design, theta) -> tuple[np.ndarray, np.ndarray]:
     """Outputs (n,) and sensitivities (n, p) from one integration of ``ode.augmented``
     by LSODA, through :meth:`OdeSystem.integrate` (scipy's compiled binding, at most
-    500 steps per output interval).
+    500 steps per output interval); a restricted model's keeps the free columns of the full system's.
 
     Raises :class:`EvaluationError` if it fails or any value is non-finite, and
     :class:`ValueError` if a design time is negative.
@@ -93,10 +93,12 @@ def forward_ode_solve(model: Model, design: Design, theta) -> tuple[np.ndarray, 
     if model.ode is None:
         raise ValueError(f"model {model.name} has no ODE sensitivity system")
     theta, ode, times = model.space.require(theta), model.ode, design.time_points
-    x0 = np.asarray(ode.initial(theta), dtype=float)
-    s0 = np.asarray(ode.initial_jac(theta), dtype=float)  # (d, p)
-    z = ode.integrate(ode.augmented, np.concatenate([x0, s0.ravel()]), times, theta)
-    outputs, sens = z[:, 0], z[:, x0.size : x0.size + theta.size]  # output = first state
+    full, columns = ode.restriction or (np.asarray, slice(None))  # a restricted model's: the full system
+    point = full(theta)
+    x0 = np.asarray(ode.initial(point), dtype=float)
+    s0 = np.asarray(ode.initial_jac(point), dtype=float)  # (d, p)
+    z = ode.integrate(ode.augmented, np.concatenate([x0, s0.ravel()]), times, point)
+    outputs, sens = z[:, 0], z[:, x0.size : x0.size + point.size][:, columns]  # output = first state
     bad = ~(np.isfinite(outputs) & np.all(np.isfinite(sens), axis=1))
     if np.any(bad):
         raise EvaluationError(f"model {model.name} non-finite at t={times[bad].tolist()}")

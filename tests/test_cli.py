@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import identikit as ik
 from identikit.cli import main
 from identikit.config import ConfigError, Diagnostic, build_config, load_raw, validate_config
+from identikit.profile import drop_threshold
 from identikit.serialize import to_jsonable, write_csv, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -387,23 +389,51 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("analysis failed: ") and "rate1 > rate2 never held" in err
 
-    def test_profile_multistart_on_an_ordered_space_runs(self, tmp_path, capsys):
-        # a cold start that the profiled value put outside rate1 > rate2 formerly ended the run with exit 3
+    @staticmethod
+    def ordered_profile_ends_on_the_level(tmp_path, capsys, multistart):
+        """Profile both rates of the ordered biexponential with ``multistart`` cold refits a point:
+        each side ends on the level set, both parameters are identifiable, and each interval end is a
+        root of the level, by a bounded 1-D minimisation of the other rate (scipy's, independent of
+        identikit's solver).  Returns the (lower, upper) ends of each rate."""
         cfg = write_config(tmp_path, {
             **{k: FULL_CONFIG[k] for k in ("design", "seed", "data", "fit")},
             "model": {"name": "biexponential", "constants": {"ordered": True}},
-            "profile": {"parameters": [0, 1], "points": 9, "multistart": 4},
+            "profile": {"parameters": [0, 1], "points": 9, "multistart": multistart},
         })
         out = tmp_path / "out"
         assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         profile = json.loads((out / "summary.json").read_text())["results"]["profile"]
-        # fit cannot express rate1 > rate2: where the ordering binds, a refit fails (no start keeps
-        # it) or ends unconverged, and a side that such a refit ends gives no verdict
-        ends = {i: (block["interval"]["lower_end"], block["interval"]["upper_end"]) for i, block in profile.items()}
-        assert ends == {"0": ("refit-failed", "level-set"), "1": ("level-set", "unconverged-refit")}
-        assert all(block["classification"] == "inconclusive" for block in profile.values())
-        assert all(profile["0"]["converged"]) and not all(profile["1"]["converged"])
+        design = ik.Design(FULL_CONFIG["design"]["times"], FULL_CONFIG["design"]["noise_sd"])
+        data = ik.generate_data(ik.get_model("biexponential"), design, [2.0, 1.0], seed=11)
+        times, y = design.time_points, data.observations[:, 0]
+        ends = {}
+        for i, block in profile.items():
+            interval = block["interval"]
+            assert (interval["lower_end"], interval["upper_end"]) == ("level-set", "level-set")
+            assert block["classification"] == "identifiable" and all(block["converged"])
+            level = max(block["profile_loglik"]) - drop_threshold(block["level"])
+            for end in (interval["lower"], interval["upper"]):
+                # rate1 > rate2 >= 0.01 with rate1 held, or 10 >= rate1 > rate2 with rate2 held
+                others = (0.01, end) if i == "0" else (end, 10.0)
+                def rss(rate, end=end):
+                    return float(np.sum((y - np.exp(-end * times) - np.exp(-rate * times)) ** 2))
+                best = minimize_scalar(rss, bounds=others, method="bounded", options={"xatol": 1e-12})
+                assert -0.5 * best.fun / design.noise_sd**2 == pytest.approx(level, abs=1e-6)
+            ends[i] = (round(interval["lower"], 6), round(interval["upper"], 6))
+        return ends
+
+    def test_profile_multistart_on_an_ordered_space_runs(self, tmp_path, capsys):
+        # the refits fit the model restricted to each profiled value, where the ordering is a bound
+        # on the other rate; fit over the full box once failed there (rate1's lower side) or stalled
+        # short of the bound (rate2's upper side), and both read inconclusive
+        ends = self.ordered_profile_ends_on_the_level(tmp_path, capsys, multistart=4)
+        assert ends == {"0": (1.234275, 2.260859), "1": (0.843219, 1.431884)}
+
+    def test_profile_on_an_ordered_space_ends_on_the_level_without_multistart(self, tmp_path, capsys):
+        # a warm start that the profiled value puts outside the ordering is clipped into the restricted box
+        ends = self.ordered_profile_ends_on_the_level(tmp_path, capsys, multistart=0)
+        assert ends == {"0": (1.234275, 2.260859), "1": (0.843219, 1.431884)}
 
     def test_csv_values_round_trip_to_summary(self, tmp_path):
         # every column of every analysis CSV, row by row, against the summary value it prints

@@ -78,47 +78,51 @@ class TestFit:
         swapped = ik.fit(model, data, [2.2, 0.9])
         assert abs(res.objective - swapped.objective) < 1e-8
 
+    # holding parameters is restricting the model (models.restrict); fit has one path
     def test_mask_fixes_parameters(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         y = ik.evaluate(model, design, [2.0, 1.0])
         data = ik.Dataset(design, y[:, None])
-        res = ik.fit(model, data, [0.5, 5.0], fixed={1: 1.0})
-        assert res.theta[1] == 1.0
+        restricted = ik.restrict(model, {1: 1.0})
+        assert restricted.space.dimension == 1 and restricted.space.names == ("rate1",)
+        res = ik.fit(restricted, data, [0.5])
         assert res.theta[0] == pytest.approx(2.0, abs=1e-6)
 
-    @pytest.mark.parametrize("key", [-1, 2, 5, True, 1.0, "1"])
+    @pytest.mark.parametrize("key", [-1, 2, 5, True, 1.0, "1", None, np.float64(0.0)])
     def test_malformed_fixed_key_is_rejected_by_name(self, key):
         # -1 used to be dropped without a word, so both rates were fitted
         model = ik.get_model("biexponential")
-        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
-        data = ik.Dataset(design, ik.evaluate(model, design, [2.0, 1.0])[:, None])
-        message = f"fixed key {re.escape(repr(key))} is not a parameter index in \\[0, 2\\)"
+        message = f"held key {re.escape(repr(key))} is not a parameter index in \\[0, 2\\)"
         with pytest.raises(ValueError, match=message):
-            ik.fit(model, data, [0.5, 5.0], fixed={key: 1.0})
+            ik.restrict(model, {key: 1.0})
 
     def test_numpy_integer_fixed_key_is_an_index(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
-        a = ik.fit(model, data, [0.5, 5.0], fixed={np.int64(1): 1.0})
-        b = ik.fit(model, data, [0.5, 5.0], fixed={1: 1.0})
-        assert a.theta.tobytes() == b.theta.tobytes() and a.theta[1] == 1.0
+        a = ik.fit(ik.restrict(model, {np.int64(1): 1.0}), data, [0.5])
+        b = ik.fit(ik.restrict(model, {1: 1.0}), data, [0.5])
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_fixed_value_outside_the_box_rejected(self):
         model = ik.get_model("biexponential")  # box [0.01, 10]^2
-        design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
-        data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
-        with pytest.raises(ik.OutOfBoundsError, match="fixed parameters"):
-            ik.fit(model, data, [0.5, 5.0], fixed={1: 20.0})
+        message = "held values \\{1: 20.0\\} leave parameter 1 no admissible value"
+        with pytest.raises(ik.OutOfBoundsError, match=message):
+            ik.restrict(model, {1: 20.0})
 
     def test_all_fixed_mask_returns_objective_at_point(self):
+        # restrict refuses to hold every parameter; a one-parameter profile's refit is the point itself
         model = ik.get_model("reciprocal")
+        with pytest.raises(ValueError, match="all 1 parameters are held"):
+            ik.restrict(model, {0: 0.7})
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.05)
         data = ik.generate_data(model, design, [0.5], seed=1)
-        res = ik.fit(model, data, [0.5], fixed={0: 0.7})
-        assert res.converged and res.iterations == 0
-        assert res.theta[0] == 0.7
+        fit = ik.fit(model, data, [0.6])
+        curve = ik.profile_parameter(model, data, fit, 0, grid=[0.45, 0.5, 0.55])
+        assert curve.converged.all() and curve.theta_opt[:, 0].tolist() == curve.grid.tolist()
+        at = list(curve.grid).index(0.5)
+        assert curve.values[at] == ik.log_likelihood(objective_at(model, data, [0.5]), 0.05)
 
     def test_start_outside_space_rejected(self):
         model = ik.get_model("reciprocal")
@@ -278,7 +282,7 @@ class TestFitTermination:
         design = ik.Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
         data = ik.generate_data(model, design, [6.0, 9.0], seed=11)
         res = ik.fit(model, data, [6.0, 9.25])
-        pinned = ik.fit(model, data, res.theta, fixed={1: 10.0})
+        pinned = ik.fit(ik.restrict(model, {1: 10.0}), data, res.theta[:1])
         assert res.converged and res.reason == "small-gradient"
         assert res.theta[1] == pytest.approx(10.0, abs=1e-9)
         assert res.objective <= pinned.objective * (1.0 + 1e-9)
@@ -300,16 +304,17 @@ class TestFitTermination:
 
 
 class TestSolverHandOff:
-    """What ``fit`` hands its solver, on both of its paths: the parameter vector itself
-    when nothing is held, the free sub-vector otherwise."""
+    """What ``fit`` hands its solver, on its one path: the parameter vector, of the model
+    itself or of the model that ``restrict`` makes to hold something."""
 
-    CASES = {  # model, truth, start, fixed
-        "nothing held, one parameter": (ik.get_model("reciprocal"), [0.5], [2.0], None),
-        "nothing held, two parameters": (ik.get_model("biexponential"), [2.0, 1.0], [0.9, 2.2], None),
+    CASES = {  # model, truth, start (of the free parameters), held
+        "nothing held, one parameter": (ik.get_model("reciprocal"), [0.5], [2.0], {}),
+        "nothing held, two parameters": (ik.get_model("biexponential"), [2.0, 1.0], [0.9, 2.2], {}),
         "nothing held, ordered": (ik.get_model("biexponential", ordered=True), [2.0, 1.0], [2.2, 0.9], {}),
-        "one held, one free": (ik.get_model("biexponential"), [2.0, 1.0], [0.5, 5.0], {1: 1.0}),
+        "one held, one free": (ik.get_model("biexponential"), [2.0, 1.0], [0.5], {1: 1.0}),
         "one held, two free": (ik.get_model("redundant-exponential"), [1.0, -0.5, 0.5],
-                               [2.0, 0.3, -1.0], {1: -0.5}),
+                               [2.0, -1.0], {1: -0.5}),
+        "one held, ordered": (ik.get_model("biexponential", ordered=True), [2.0, 1.0], [0.9], {0: 2.0}),
     }
 
     @pytest.fixture(params=sorted(CASES))
@@ -317,7 +322,7 @@ class TestSolverHandOff:
         """The case's fit at 1 and 2 replicates, with counts of the model's own ``f`` and
         ``jacobian`` calls, the solver's calls and the reported iterations, and the layout
         of each Jacobian the solver got."""
-        model, truth, start, fixed = self.CASES[request.param]
+        model, truth, start, held = self.CASES[request.param]
         assert resolve_method(model) == "analytic"
         counts = {"f": 0, "jacobian": 0, "fun": 0, "jac": 0, "iterations": 0}
         layouts = []
@@ -349,7 +354,7 @@ class TestSolverHandOff:
         for replicates in (1, 2):
             design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05, replicates)
             data = ik.generate_data(model, design, truth, seed=3)
-            counts["iterations"] += ik.fit(spied, data, start, fixed).iterations
+            counts["iterations"] += ik.fit(ik.restrict(spied, held) if held else spied, data, start).iterations
         return counts, layouts
 
     def test_one_evaluation_per_residual_and_one_sensitivity_per_jacobian(self, spied_fit):

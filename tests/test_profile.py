@@ -323,9 +323,7 @@ class TestLevelSetStop:
                 k = int(np.searchsorted(grid, end))
                 assert min(values[k - 1] - target, target - values[k]) <= ROOT_TOL
                 # ... and a refit at the end itself lies on it
-                start = curve.theta_opt[k].copy()
-                start[i] = end
-                refit = ik.fit(model, data, start, {i: end})
+                refit = ik.fit(ik.restrict(model, {i: end}), data, np.delete(curve.theta_opt[k], i))
                 assert refit.converged
                 assert log_likelihood(refit.objective, sigma) == pytest.approx(target, abs=2 * ROOT_TOL)
 
@@ -426,10 +424,19 @@ class TestStalls:
     """A side that a failed, stalled or capped refit decides gives no verdict."""
 
     def refits_that(self, monkeypatch, change):
-        """Patch the profile's refits to return ``change(result, value)`` of each real refit."""
-        def patched(model, dataset, start, fixed):
-            (value,) = fixed.values()
-            return change(ik.fit(model, dataset, start, fixed), value)
+        """Patch the profile's refits to return ``change(result, value)`` of each real refit of a
+        model restricted to the profiled parameter at ``value``."""
+        held = {}
+
+        def restricted(model, values):
+            (value,) = values.values()
+            model = ik.restrict(model, values)
+            held[id(model)] = value
+            return model
+
+        def patched(model, dataset, start):
+            return change(ik.fit(model, dataset, start), held[id(model)])
+        monkeypatch.setattr("identikit.profile.restrict", restricted)
         monkeypatch.setattr("identikit.profile.fit", patched)
 
     def test_failed_refits_make_the_side_inconclusive(self, monkeypatch):
