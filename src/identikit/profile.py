@@ -243,16 +243,19 @@ def profile_parameter(
         ``near`` (``near``'s without ``far``), or a converged cold one's with a lower objective; None if none ran."""
         nonlocal count
         count += 1
+        try:
+            restricted = restrict(model, {index: x}) if free.any() else None
+        except OutOfBoundsError:  # an ordering that x breaks
+            return None
 
         def run(start) -> EstimateResult | None:
             try:
-                if not free.any():  # one parameter: the point itself, a converged fit of nothing
+                if restricted is None:  # one parameter: the point itself, a converged fit of nothing
                     objective, point = objective_at(model, dataset, [x]), np.array([x])
                     sigma2 = 2.0 * objective / dataset.observations.size
                     return EstimateResult(point, objective, sigma2, True, 0, SMALL_GRADIENT, point)
-                restricted = restrict(model, {index: x})
                 res = fit(restricted, dataset, np.clip(start[free], restricted.space.lower, restricted.space.upper))
-            except (EvaluationError, OutOfBoundsError):  # OutOfBoundsError: an ordering that x or the start breaks
+            except (EvaluationError, OutOfBoundsError):  # OutOfBoundsError: an ordering that the start breaks
                 return None
             return replace(res, theta=np.concatenate((res.theta[:index], [x], res.theta[index:])),
                            start=np.concatenate((res.start[:index], [x], res.start[index:])))

@@ -122,13 +122,21 @@ def _pick_freeze_estimates(fA, fB, fAB):
 
 
 def _pick_freeze_outputs(model: Model, design: Design, A: np.ndarray, B: np.ndarray):
-    """Blocks fA, fB, fAB^(1..p), shape (p + 2, m, n_times), from one model call,
-    and a mask of the rows whose outputs are all finite."""
+    """Blocks fA, fB, fAB^(1..p), shape (p + 2, m, n_times), and a mask of the rows whose
+    outputs are all finite.
+
+    The model is called once per block of m rows (A, B, then each A_B^(i)), not once
+    over all (p + 2) m, so the working set is the 8 (p + 2) m n_times bytes of the blocks
+    and the model's temporaries over one block.  A model's rows must therefore not
+    depend on the batch they come in, as :func:`~identikit.models.linear_model`'s do not.
+    """
     m, p = A.shape
-    cross = np.where(np.eye(p, dtype=bool)[:, None, :], B, A)  # cross[i] is A_B^(i)
-    values = evaluate_batch(model, design, np.concatenate([A, B, cross.reshape(-1, p)]))
-    values = values.reshape(p + 2, m, design.size)
-    return values, np.all(np.isfinite(values), axis=(0, 2))
+    values, ok = np.empty((p + 2, m, design.size)), np.ones(m, dtype=bool)
+    for k in range(p + 2):
+        thetas = (A, B)[k] if k < 2 else np.where(np.arange(p) == k - 2, B, A)  # A_B^(k - 2)
+        values[k] = evaluate_batch(model, design, thetas)
+        ok &= np.all(np.isfinite(values[k]), axis=1)
+    return values, ok
 
 
 def _bootstrap_se(f: np.ndarray, rounds: int, rng: np.random.Generator):
@@ -136,8 +144,13 @@ def _bootstrap_se(f: np.ndarray, rounds: int, rng: np.random.Generator):
     from the blocks ``f`` of :func:`_pick_freeze_outputs`, which it centres in place."""
     p, n = f.shape[0] - 2, f.shape[1]
     f -= 0.5 * (np.mean(f[0], axis=0) + np.mean(f[1], axis=0))
-    diff = f[2:] - f[0]
-    products = np.concatenate([f[1] * diff, diff * diff / 2.0, f[:1] * f[:1]])
+    # f1 * diff, diff * diff / 2 and f0 * f0, each written where it is kept
+    products = np.empty((2 * p + 1,) + f.shape[1:])
+    diff = np.subtract(f[2:], f[0], out=products[p:-1])
+    np.multiply(f[1], diff, out=products[:p])
+    np.multiply(diff, diff, out=diff)
+    diff /= 2.0
+    np.multiply(f[0], f[0], out=products[-1])
     boot = np.empty((rounds, 2 * p))
     counts = np.empty((BOOTSTRAP_BLOCK, n))
     for start in range(0, rounds, BOOTSTRAP_BLOCK):
@@ -179,10 +192,15 @@ def sobol_indices(
     """Monte-Carlo Sobol indices of the noiseless output under the prior (default: the uniform box).
 
     ``prior`` must lie inside the box and ``n_samples`` be an integer power of two
-    of at least 2^10; a bad argument raises ValueError naming it.  The n (p + 2) rows
-    of A, B and A_B^(i) are evaluated in one model call.  Points with any
-    non-finite output are redrawn from the prior (A row, then B row, in index
-    order; the count is reported) and evaluated again in one call per round.
+    of at least 2^10; a bad argument raises ValueError naming it.  The model is called
+    once per block of n rows (A, B, then each A_B^(i)), not once over all (p + 2) n,
+    so a model's rows must not depend on the batch they come in, as
+    :func:`~identikit.models.linear_model`'s do not.  Points with any non-finite
+    output are redrawn from the prior (A row, then B row, in index order; the
+    count is reported) and evaluated again, block by block, each round.  With T
+    design times the working set is 8 n T (3p + 3) bytes of outputs and bootstrap
+    products, 8 n BOOTSTRAP_BLOCK bytes of resample counts, and the model's
+    temporaries over one block of n rows.
 
     The bootstrap runs ``bootstrap`` rounds, an integer: 0 for none, else at least 2.  It
     draws each round's n resample indices as the per-round estimator would,

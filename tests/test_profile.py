@@ -1,5 +1,6 @@
 """Profile log-likelihood computation and curve-shape classification."""
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -13,6 +14,7 @@ import identikit as ik
 from identikit.config import build_config
 from identikit.estimation import EstimateResult, log_likelihood
 from identikit.models import EvaluationError
+from identikit.recovery import DEFAULT_STARTS
 from identikit.profile import (
     BOUND,
     CLASS_FLAT,
@@ -418,6 +420,39 @@ class TestExactEnds:
             interval = ik.profile_parameter(model, data, fit, i).interval
             assert interval.lower == pytest.approx(fit.theta[i] - half, abs=1e-6 * sd)
             assert interval.upper == pytest.approx(fit.theta[i] + half, abs=1e-6 * sd)
+
+
+class TestRestrictedOncePerPoint:
+    """A point's refits, warm and cold, fit the one restricted model built for it."""
+
+    # (index, grid, sha256 prefix of the curve's grid, values, theta_opt and converged),
+    # pinned from the profile that built the restricted model again for each start
+    CASES = {
+        "unordered": (0, None, "10135facf0b6d3be"),
+        # the last value leaves rate1 > 10 no room: restrict raises, and the point has no row
+        "ordered": (1, [0.8, 0.9, 1.1, 1.2, 10.0], "ecd418e0d7656230"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_restrict_call_per_point_at_multistart_4(self, monkeypatch, name):
+        index, grid, pinned = self.CASES[name]
+        raw = json.loads((ROOT / "configs/biexponential_ordered.json").read_text())
+        raw["model"]["constants"]["ordered"] = name == "ordered"
+        config = build_config(raw)
+        data = ik.generate_data(config.model, config.design, config.data["theta_true"], config.data["seed"])
+        fit = ik.multi_start_fit(config.model, data, DEFAULT_STARTS, config.seed)[0]
+        held = []
+        monkeypatch.setattr("identikit.profile.restrict",
+                            lambda model, values: held.append(values) or ik.restrict(model, values))
+        curve = ik.profile_parameter(config.model, data, fit, index, grid=grid, multistart=4, seed=config.seed)
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                         for a in (curve.grid, curve.values, curve.theta_opt, curve.converged)))
+        assert digest.hexdigest()[:16] == pinned
+        if grid is None:
+            assert len(held) == curve.refits == 15
+        else:
+            assert {index: 10.0} in held and 10.0 not in curve.grid
+            assert len(held) == curve.refits + 1 and curve.sweep_ends == (GRID_END, REFIT_FAILED)
 
 
 class TestStalls:

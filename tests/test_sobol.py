@@ -1,11 +1,15 @@
 """Pick-freeze Sobol indices against analytic and quadrature oracles."""
 
+import hashlib
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import identikit as ik
 from identikit.models import Design, Model, ParameterSpace
-from identikit.sobol import Prior, screen_unidentifiable, sobol_indices
+from identikit.sobol import BOOTSTRAP_BLOCK, Prior, screen_unidentifiable, sobol_indices
 
 
 def algebraic_model(name, fn, lower, upper):
@@ -189,6 +193,47 @@ class TestSobolIndices:
         assert report.per_time_first.shape == (3, 2)
         weights = report.variance / report.variance.sum()
         np.testing.assert_allclose(report.first, report.per_time_first.T @ weights, rtol=1e-12)
+
+
+# sha256 of every SobolReport field (name, dtype, shape and bytes) for the sobol section of
+# configs/biexponential_all.json, pinned from the implementation that evaluated all (p + 2) n
+# rows in one model call and built the bootstrap products from separate temporaries
+PINNED_REPORT = "c48be809fedf072e66293632f9d8100f6424bded8de3d7b9e711b63be881ca38"
+
+
+class TestBlockByBlock:
+    """The pick-freeze blocks A, B and A_B^(i) are evaluated one model call each and the
+    bootstrap products built in place: the same bytes in a smaller working set."""
+
+    def test_one_model_call_per_block(self):
+        model = ik.get_model("biexponential")
+        rows = []
+        spied = Model("spied", model.space, f=lambda times, thetas: rows.append(len(thetas)) or model.f(times, thetas))
+        sobol_indices(spied, Design(np.array([0.5, 1.0]), 1.0), n_samples=1024, seed=0, bootstrap=0)
+        assert rows == [1024] * 4
+
+    def test_report_bytes_pinned(self):
+        design = Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
+        report = sobol_indices(ik.get_model("biexponential"), design, n_samples=4096, seed=7, bootstrap=200)
+        digest = hashlib.sha256()
+        for field in fields(report):
+            value = np.asarray(getattr(report, field.name))
+            digest.update(f"{field.name}{value.dtype}{value.shape}".encode() + value.tobytes())
+        assert digest.hexdigest() == PINNED_REPORT
+
+    def test_working_set_is_the_outputs_the_products_and_one_block_of_counts(self):
+        # (p + 2) output blocks and 2p + 1 bootstrap products of n x T floats, BOOTSTRAP_BLOCK
+        # rounds of n resample counts, and ten per cent for the rest (the model's temporaries
+        # over one block of n rows, the samples, the bootstrap's small arrays)
+        model = ik.get_model("redundant-exponential")
+        n, times, p = 2**14, np.linspace(0.0, 3.0, 20), model.space.dimension
+        tracemalloc.start()
+        try:
+            sobol_indices(model, Design(times, 1.0), n_samples=n, seed=3, bootstrap=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (8 * n * times.size * (3 * p + 3) + 8 * BOOTSTRAP_BLOCK * n)
 
 
 class TestScreen:
