@@ -135,9 +135,10 @@ def run_analyses(config: RunConfig, selection: list[str], out_dir: Path) -> dict
         columns = {"trial": range(len(report.trials))}
         for prefix, field in (("true", "theta_true"), ("hat", "theta_hat"), ("rel_err", "rel_errors")):
             columns.update(_per_parameter(prefix, names, [getattr(t, field) for t in report.trials]))
-        write_csv(out_dir / "recovery.csv", {**columns, "success": [int(t.success) for t in report.trials],
-                                             "label": [t.label for t in report.trials],
-                                             "starts_fitted": [t.starts_fitted for t in report.trials]})
+        columns["success"] = [int(t.success) for t in report.trials]
+        for field in ("label", "starts_fitted", "converged_starts", "reason", "iterations"):
+            columns[field] = [getattr(t, field) for t in report.trials]
+        write_csv(out_dir / "recovery.csv", columns)
         results["recovery"] = {"k_trials": len(report.trials), **to_jsonable(report)}
 
     return results

@@ -31,7 +31,7 @@ _EPS = np.finfo(float).eps
 _SVD = getattr(_umath_linalg, "svd_s", None) or _umath_linalg.svd_n_s  # see _svd
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class EstimateResult:
     theta: np.ndarray
     objective: float

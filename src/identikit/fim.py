@@ -58,7 +58,7 @@ class SloppinessStats:
     R_SQUARED_MIN = 0.9
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class FimReport:
     """Information matrix with its eigen-expansion and classification."""
 
@@ -194,7 +194,7 @@ def combination_variance(report: FimReport, a) -> float:
     return float(np.sum(coeffs[:rank] ** 2 / lam[:rank]))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Ellipsoid:
     """Confidence region: center, orthonormal axes, and semi-axis lengths."""
 

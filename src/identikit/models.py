@@ -109,7 +109,7 @@ def _checked(rules: dict, **arguments) -> list:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterSpace:
     """Axis-aligned box of admissible parameters, plus optional orderings.
 
@@ -199,7 +199,7 @@ DESIGN_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """Observation schedule: a non-empty, strictly increasing sequence of finite times, a
     ``noise_sd`` >= ``MIN_NOISE_SD`` and an integer >= 1 of ``replicates`` (``DESIGN_RULES``)."""
@@ -271,7 +271,7 @@ def _scipy_extension(subpackage: str, name: str):
                       f"the suffixes {', '.join(suffixes)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeSystem:
     """Scalar-observation ODE x' = g(t, x, theta) with its sensitivity system.
 
@@ -338,7 +338,7 @@ class OdeSystem:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Deterministic scalar-output model over a parameter space.
 
@@ -438,7 +438,7 @@ def restrict(model: Model, held: dict[int, float]) -> Model:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Observations on a design, one column per replicate.
 

@@ -83,7 +83,7 @@ class ProfileInterval:
     upper_end: str = GRID_END
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ProfileCurve:
     """The computed points of a profile, the fit's among them, and how each side's sweep
     ended; its interval, classification, total variation and refit count derive from them."""

@@ -5,11 +5,13 @@ multi-start fit that stops once its best optimum has recurred, scores
 per-parameter recovery error, and labels the trial by comparing S(theta_hat)
 with S(theta*).  A local check uses one true parameter; the global check
 samples many true parameters from a prior over the admissible set and
-aggregates success into a verdict.
+aggregates success into a verdict, with the Clopper-Pearson interval of the
+success count and whether that interval settles the verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ VERDICT_MARGINAL = "marginal"
 VERDICT_BAD = "not-practically-identifiable"
 SUCCESS_RATE_OK = 0.95
 SUCCESS_RATE_MARGINAL = 0.8
+CONFIDENCE = 0.95  # two-sided level of RecoveryReport.success_interval
 
 RECOVERED = "recovered"            # success
 DATA_LIMITED = "data-limited"      # S(theta_hat) <= S(theta*), yet theta_hat is outside the tolerance
@@ -36,7 +39,7 @@ OPTIMISER_MISS = "optimiser-miss"  # S(theta*) < S(theta_hat): the multi-start m
 LABELS = (RECOVERED, DATA_LIMITED, OPTIMISER_MISS)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class RecoveryTrial:
     seed: int
     theta_true: np.ndarray
@@ -48,9 +51,12 @@ class RecoveryTrial:
     converged: bool
     label: str                # one of LABELS
     starts_fitted: int        # the multi-start's fits, at most n_starts
+    converged_starts: int     # of those fits, the converged ones
+    reason: str               # the best start's EstimateResult.reason
+    iterations: int           # and its iterations
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class RecoveryReport:
     tolerance: float
     success_rate: float
@@ -59,6 +65,8 @@ class RecoveryReport:
     error_p90: np.ndarray
     error_max: np.ndarray
     verdict: str
+    success_interval: tuple[float, float]  # Clopper-Pearson, at CONFIDENCE, of the success count
+    interval_in_band: bool    # the whole interval gives the verdict
     labels: dict[str, int]    # trials per label, in LABELS order
     starts_fitted: int        # over all trials
     trials: list[RecoveryTrial]
@@ -79,6 +87,44 @@ def _quantile(errors: np.ndarray, q: float) -> np.ndarray:
     below, above = (int(index), int(index) + 1) if index < errors.shape[0] - 1 else (-1, -1)  # -1: the last
     gamma, a, b = index - below, s[below], s[above]  # gamma from the row index, -1 included, as numpy's
     return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma  # numpy's lerp
+
+
+def _verdict(success_rate: float) -> str:
+    if success_rate >= SUCCESS_RATE_OK:
+        return VERDICT_OK
+    return VERDICT_MARGINAL if success_rate >= SUCCESS_RATE_MARGINAL else VERDICT_BAD
+
+
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """The two-sided Clopper-Pearson interval at ``CONFIDENCE`` of a binomial success probability (Clopper &
+    Pearson 1934): each end is the p at which one tail of Binomial(``trials``, p) holds (1 - ``CONFIDENCE``) / 2,
+    found by bisection to the last bit on the tail summed term by term, so that no ``scipy.special`` is imported."""
+    alpha = (1.0 - CONFIDENCE) / 2.0
+    lower = 0.0 if successes == 0 else _cdf_root(successes - 1, trials, 1.0 - alpha)  # P(X >= k) = alpha
+    upper = 1.0 if successes == trials else _cdf_root(successes, trials, alpha)       # P(X <= k) = alpha
+    return lower, upper
+
+
+def _cdf_root(k: int, n: int, target: float) -> float:
+    """The p in (0, 1) at which P(X <= k), X ~ Binomial(n, p), falls to ``target``, for 0 <= k < n."""
+    flip = 2 * k > n  # sum the shorter tail: P(X <= k) = 1 - P(Y <= n - k - 1), Y ~ Binomial(n, 1 - p)
+    terms = n - k if flip else k + 1
+    log_comb = [math.log(math.comb(n, j)) for j in range(terms)]  # logs: comb(n, j) may exceed a float
+
+    def cdf(p: float) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        if flip:
+            log_p, log_q = log_q, log_p
+        tail = math.fsum(math.exp(c + j * log_p + (n - j) * log_q) for j, c in enumerate(log_comb))
+        return 1.0 - tail if flip else tail
+
+    low, high = 0.0, 1.0  # cdf falls from 1 to 0 over [0, 1]
+    while low < (mid := 0.5 * (low + high)) < high:
+        if cdf(mid) > target:
+            low = mid
+        else:
+            high = mid
+    return mid
 
 
 def _starts_seed(seed: int) -> int:
@@ -103,9 +149,10 @@ def recover_once(
     ``n_starts`` is an integer >= 1 and ``tolerance`` positive; ValueError names a bad one.  The
     multi-start fits at most ``n_starts`` starts: it stops once ``RECUR_HITS`` converged starts
     reach its best objective (:func:`multi_start_fit`'s ``stop_after``), and ``starts_fitted`` says
-    how many it fitted.  The symmetry-aware flag compares the estimate against the whole orbit of
-    theta_star under the model's registered symmetries, so a swap-equivalent optimum still counts
-    as recovered.  The label is ``recovered`` on success, else ``optimiser-miss`` when S(theta*),
+    how many it fitted, ``converged_starts`` how many of those converged, and ``reason`` and
+    ``iterations`` are the best start's.  The symmetry-aware flag compares the estimate against the
+    whole orbit of theta_star under the model's registered symmetries, so a swap-equivalent optimum
+    still counts as recovered.  The label is ``recovered`` on success, else ``optimiser-miss`` when S(theta*),
     computed once as :func:`fit` computes S, is below S(theta_hat), else ``data-limited``; success
     up to a symmetry alone is not ``recovered``.
     """
@@ -130,6 +177,9 @@ def recover_once(
         converged=bool(converged),
         label=RECOVERED if success else OPTIMISER_MISS if miss else DATA_LIMITED,
         starts_fitted=len(results),
+        converged_starts=len(converged),
+        reason=best.reason,
+        iterations=best.iterations,
     )
 
 
@@ -153,7 +203,9 @@ def global_recovery(
     none of ``MAX_DRAWS`` draws there raises RuntimeError
     (:meth:`ParameterSpace.draw_feasible`).  Each trial is :func:`recover_once`, whose multi-start
     stops early (``n_starts`` is a cap); ``labels`` counts the trials per label and
-    ``starts_fitted`` the fits of all trials.
+    ``starts_fitted`` the fits of all trials.  ``success_interval`` is :func:`clopper_pearson`'s
+    interval of the success count, and ``interval_in_band`` says whether every rate in it gives
+    the verdict of ``success_rate``, so whether the trials run suffice to settle that verdict.
     """
     k_trials, n_starts, tolerance = _checked(RECOVERY_RULES, k_trials=k_trials, n_starts=n_starts,
                                              tolerance=tolerance)
@@ -169,12 +221,7 @@ def global_recovery(
     errors = np.vstack([t.rel_errors for t in trials])
     success_rate = float(np.mean([t.success for t in trials]))
     symmetry_rate = float(np.mean([t.success_symmetry for t in trials]))
-    if success_rate >= SUCCESS_RATE_OK:
-        verdict = VERDICT_OK
-    elif success_rate >= SUCCESS_RATE_MARGINAL:
-        verdict = VERDICT_MARGINAL
-    else:
-        verdict = VERDICT_BAD
+    lower, upper = clopper_pearson(sum(t.success for t in trials), k_trials)
     return RecoveryReport(
         tolerance=tolerance,
         success_rate=success_rate,
@@ -182,7 +229,9 @@ def global_recovery(
         error_p50=_quantile(errors, 0.5),
         error_p90=_quantile(errors, 0.9),
         error_max=np.max(errors, axis=0),
-        verdict=verdict,
+        verdict=_verdict(success_rate),
+        success_interval=(lower, upper),
+        interval_in_band=_verdict(lower) == _verdict(upper),
         labels={label: sum(t.label == label for t in trials) for label in LABELS},
         starts_fitted=sum(t.starts_fitted for t in trials),
         trials=trials,

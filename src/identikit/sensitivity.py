@@ -18,7 +18,7 @@ FORWARD_ODE = "forward-ode"
 ANALYTIC = "analytic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityMatrix:
     """n-by-p Jacobian of the design outputs with respect to the parameters.
 

@@ -24,7 +24,7 @@ MAX_RESAMPLE_ROUNDS = 100
 BOOTSTRAP_BLOCK = 32  # rounds of resample counts held at once: 1 MB at n = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prior:
     """Independent per-parameter distributions, uniform or log-uniform."""
 
@@ -82,7 +82,7 @@ def prior_rule(space: ParameterSpace):
     return lambda prior: Prior.uniform_box(space) if prior is None else inside(is_prior(prior))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SobolReport:
     first: np.ndarray             # aggregate S_i per parameter
     total: np.ndarray             # aggregate S_Ti per parameter

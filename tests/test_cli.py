@@ -447,7 +447,7 @@ class TestRun:
             return {f"{prefix}_{name}": vector[j] for j, name in enumerate(names)}
 
         def value(key, text):  # a non-finite number is null in the summary
-            if key in ("parameter", "label"):
+            if key in ("parameter", "label", "reason"):
                 return text
             return json.loads(text) if math.isfinite(float(text)) else None
 
@@ -471,7 +471,8 @@ class TestRun:
             "recovery.csv": [
                 {"trial": k, **per_parameter("true", t["theta_true"]), **per_parameter("hat", t["theta_hat"]),
                  **per_parameter("rel_err", t["rel_errors"]), "success": int(t["success"]), "label": t["label"],
-                 "starts_fitted": t["starts_fitted"]}
+                 "starts_fitted": t["starts_fitted"], "converged_starts": t["converged_starts"],
+                 "reason": t["reason"], "iterations": t["iterations"]}
                 for k, t in enumerate(results["recovery"]["trials"])
             ],
         }
@@ -500,7 +501,8 @@ class TestRun:
             "fit.csv": (["start_index", "objective", "converged", "theta_rate1", "theta_rate2"], 8),
             "profile_0.csv": (["theta_i", "profile_loglik", "converged"], 13),
             "recovery.csv": (["trial", "true_rate1", "true_rate2", "hat_rate1", "hat_rate2",
-                              "rel_err_rate1", "rel_err_rate2", "success", "label", "starts_fitted"], 3),
+                              "rel_err_rate1", "rel_err_rate2", "success", "label", "starts_fitted",
+                              "converged_starts", "reason", "iterations"], 3),
             "sobol.csv": (["parameter", "S_first", "S_first_se", "S_total", "S_total_se"], 2),
         }
         with (out / "fit.csv").open() as fh:
@@ -589,12 +591,12 @@ class TestSummaryJson:
                       "per_time_first", "per_time_total", "n_samples", "degenerate",
                       "resampled"],
             "recovery": ["k_trials", "tolerance", "success_rate", "symmetry_success_rate",
-                         "error_p50", "error_p90", "error_max", "verdict", "labels", "starts_fitted",
-                         "trials"],
+                         "error_p50", "error_p90", "error_max", "verdict", "success_interval",
+                         "interval_in_band", "labels", "starts_fitted", "trials"],
             "recovery.labels": ["recovered", "data-limited", "optimiser-miss"],
             "recovery.trials[0]": ["seed", "theta_true", "theta_hat", "objective",
                                    "rel_errors", "success", "success_symmetry", "converged",
-                                   "label", "starts_fitted"],
+                                   "label", "starts_fitted", "converged_starts", "reason", "iterations"],
         }
 
     def test_undefined_sigma2_is_null(self, tmp_path):
