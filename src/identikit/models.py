@@ -345,6 +345,9 @@ class Model:
     ``f(times, thetas)`` maps n times and an (m, p) stack of parameter vectors
     to the (m, n) outputs; a parameter vector that cannot be evaluated gets
     non-finite outputs in its row.  The output is scalar: one value per time.
+    A model with a relabelling symmetry, a permutation of the parameters that
+    leaves ``f`` unchanged bit for bit, registers ``canonical(theta)``: the
+    representative of theta's orbit, at which recovery scores each estimate.
     """
 
     name: str
@@ -353,8 +356,7 @@ class Model:
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     ode: OdeSystem | None = None
     identifiability: str | None = None
-    # align_symmetry(theta_ref, theta): the member of theta_ref's symmetry orbit nearest theta
-    align_symmetry: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    canonical: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -393,9 +395,10 @@ def evaluate(model: Model, design: Design, theta) -> np.ndarray:
 def restrict(model: Model, held: dict[int, float]) -> Model:
     """``model`` with each ``held`` parameter fixed at its value: a model over the free parameters, in their
     order, whose ``f``, analytic ``jacobian`` and forward-ODE sensitivities are the full model's at the full
-    point, bit for bit (free columns).  An ordering between free parameters is renumbered; one with a held
-    member becomes a strict bound on the other.  A key that is no index in [0, p), holding every parameter or
-    restricting a restricted ODE model raises ValueError; held values that leave one no value, OutOfBoundsError."""
+    point, bit for bit (free columns), with no ``canonical`` map.  An ordering between free parameters is
+    renumbered; one with a held member becomes a strict bound on the other.  A key that is no index in [0, p),
+    holding every parameter or restricting a restricted ODE model raises ValueError; held values that leave one
+    no value, OutOfBoundsError."""
     space, p = model.space, model.space.dimension
     point, free = np.full(p, math.nan), np.ones(p, dtype=bool)
     for key, value in held.items():
@@ -631,13 +634,6 @@ def linear_model(design_matrix=None, bounds: tuple[float, float] = (-10.0, 10.0)
     )
 
 
-def _swap_align(theta_ref: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    swapped = theta_ref[::-1]
-    if np.linalg.norm(swapped - theta) < np.linalg.norm(theta_ref - theta):
-        return swapped.copy()
-    return theta_ref
-
-
 def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: bool = False) -> Model:
     """f(t) = exp(-rate1 t) + exp(-rate2 t).
 
@@ -659,16 +655,8 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
         f=lambda times, thetas: np.exp(-thetas[:, :1] * times) + np.exp(-thetas[:, 1:] * times),
         jacobian=lambda times, theta: -times[:, None] * np.exp(-theta * times[:, None]),  # C-contiguous
         identifiability=GLOBALLY_IDENTIFIABLE if ordered else LOCALLY_NOT_GLOBALLY,
-        align_symmetry=None if ordered else _swap_align,
+        canonical=None if ordered else lambda theta: np.sort(theta)[::-1],  # rate1 >= rate2, as ordered allows
     )
-
-
-def _scaling_align(theta_ref: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # Orbit: (a, b, c) -> (a e^s, b, c - s).  Choose s to match the amplitude.
-    if theta[0] <= 0 or theta_ref[0] <= 0:
-        return theta_ref
-    s = np.log(theta[0] / theta_ref[0])
-    return np.array([theta_ref[0] * np.exp(s), theta_ref[1], theta_ref[2] - s])
 
 
 def redundant_exponential_model(
@@ -680,7 +668,8 @@ def redundant_exponential_model(
 
     The amplitude and offset act through the single product
     amplitude * exp(offset), so the model carries one redundant parameter and
-    is structurally unidentifiable.
+    is structurally unidentifiable.  That orbit, (a e^s, b, c - s), is continuous,
+    not a relabelling, so the model registers no ``canonical`` map.
     """
     lower, upper = zip(_bounds("amplitude_bounds", amplitude_bounds), _bounds("rate_bounds", rate_bounds),
                        _bounds("offset_bounds", offset_bounds))
@@ -696,7 +685,6 @@ def redundant_exponential_model(
         f=lambda times, thetas: thetas[:, :1] * np.exp(thetas[:, 1:2] * times + thetas[:, 2:]),
         jacobian=_jac,
         identifiability=STRUCTURALLY_UNIDENTIFIABLE,
-        align_symmetry=_scaling_align,
     )
 
 

@@ -2,11 +2,12 @@
 
 Each trial generates a dataset at a known parameter, re-infers it with a
 multi-start fit that stops once its best optimum has recurred, scores
-per-parameter recovery error, and labels the trial by comparing S(theta_hat)
-with S(theta*).  A local check uses one true parameter; the global check
-samples many true parameters from a prior over the admissible set and
-aggregates success into a verdict, with the Clopper-Pearson interval of the
-success count and whether that interval settles the verdict.
+per-parameter recovery error in the model's canonical coordinates, and labels
+the trial by comparing S(theta_hat) with S(theta*).  A local check uses one
+true parameter; the global check samples many true parameters from a prior
+over the admissible set and aggregates success into a verdict, with the
+Clopper-Pearson interval of the success count and whether that interval
+settles the verdict.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ LABELS = (RECOVERED, DATA_LIMITED, OPTIMISER_MISS)
 @dataclass(eq=False)
 class RecoveryTrial:
     seed: int
-    theta_true: np.ndarray
-    theta_hat: np.ndarray
+    theta_true: np.ndarray    # as drawn
+    theta_hat: np.ndarray     # as fitted
     objective: float
-    rel_errors: np.ndarray    # absolute error where |true| < 1e-6
+    rel_errors: np.ndarray    # canonical theta_hat against canonical theta_true; absolute where |true| < 1e-6
     success: bool
-    success_symmetry: bool    # success against the orbit of theta_true
     converged: bool
     label: str                # one of LABELS
     starts_fitted: int        # the multi-start's fits, at most n_starts
@@ -59,8 +59,9 @@ class RecoveryTrial:
 @dataclass(eq=False)
 class RecoveryReport:
     tolerance: float
+    up_to_symmetry: bool      # scored up to the model's relabelling symmetry: it registers a canonical map
     success_rate: float
-    symmetry_success_rate: float
+    symmetry_success_rate: float  # success_rate, for readers of the former second rate
     error_p50: np.ndarray
     error_p90: np.ndarray
     error_max: np.ndarray
@@ -72,7 +73,9 @@ class RecoveryReport:
     trials: list[RecoveryTrial]
 
 
-def _errors_and_success(theta_true, theta_hat, tolerance):
+def _errors_and_success(model: Model, theta_true, theta_hat, tolerance):
+    if model.canonical is not None:  # score the orbits: any member of either gives the same bytes
+        theta_true, theta_hat = model.canonical(theta_true), model.canonical(theta_hat)
     diff = np.abs(theta_hat - theta_true)
     small = np.abs(theta_true) < ABS_FALLBACK_SCALE
     errors = np.where(small, diff, diff / np.maximum(np.abs(theta_true), ABS_FALLBACK_SCALE))
@@ -150,11 +153,11 @@ def recover_once(
     multi-start fits at most ``n_starts`` starts: it stops once ``RECUR_HITS`` converged starts
     reach its best objective (:func:`multi_start_fit`'s ``stop_after``), and ``starts_fitted`` says
     how many it fitted, ``converged_starts`` how many of those converged, and ``reason`` and
-    ``iterations`` are the best start's.  The symmetry-aware flag compares the estimate against the
-    whole orbit of theta_star under the model's registered symmetries, so a swap-equivalent optimum
-    still counts as recovered.  The label is ``recovered`` on success, else ``optimiser-miss`` when S(theta*),
-    computed once as :func:`fit` computes S, is below S(theta_hat), else ``data-limited``; success
-    up to a symmetry alone is not ``recovered``.
+    ``iterations`` are the best start's.  ``rel_errors`` and ``success`` compare ``model.canonical`` of
+    the estimate with that of theta_star when the model registers a canonical map, so a swap-equivalent
+    optimum counts as recovered whichever member the multi-start returns; ``theta_true`` and ``theta_hat``
+    stay as drawn and as fitted.  The label is ``recovered`` on success, else ``optimiser-miss`` when
+    S(theta*), computed once as :func:`fit` computes S, is below S(theta_hat), else ``data-limited``.
     """
     n_starts, tolerance = _checked(RECOVERY_RULES, n_starts=n_starts, tolerance=tolerance)
     theta_star = model.space.require(theta_star)
@@ -162,9 +165,7 @@ def recover_once(
     results = multi_start_fit(model, dataset, n_starts, _starts_seed(seed), stop_after=RECUR_HITS)
     converged = [r for r in results if r.converged]
     best = converged[0] if converged else results[0]
-    errors, success = _errors_and_success(theta_star, best.theta, tolerance)
-    aligned = theta_star if model.align_symmetry is None else model.align_symmetry(theta_star, best.theta)
-    _, success_sym = _errors_and_success(aligned, best.theta, tolerance)
+    errors, success = _errors_and_success(model, theta_star, best.theta, tolerance)
     miss = objective_at(model, dataset, theta_star) < best.objective
     return RecoveryTrial(
         seed=int(seed),
@@ -173,7 +174,6 @@ def recover_once(
         objective=best.objective,
         rel_errors=errors,
         success=success,
-        success_symmetry=success or success_sym,
         converged=bool(converged),
         label=RECOVERED if success else OPTIMISER_MISS if miss else DATA_LIMITED,
         starts_fitted=len(results),
@@ -220,12 +220,12 @@ def global_recovery(
 
     errors = np.vstack([t.rel_errors for t in trials])
     success_rate = float(np.mean([t.success for t in trials]))
-    symmetry_rate = float(np.mean([t.success_symmetry for t in trials]))
     lower, upper = clopper_pearson(sum(t.success for t in trials), k_trials)
     return RecoveryReport(
         tolerance=tolerance,
+        up_to_symmetry=model.canonical is not None,
         success_rate=success_rate,
-        symmetry_success_rate=symmetry_rate,
+        symmetry_success_rate=success_rate,
         error_p50=_quantile(errors, 0.5),
         error_p90=_quantile(errors, 0.9),
         error_max=np.max(errors, axis=0),

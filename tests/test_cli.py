@@ -590,13 +590,13 @@ class TestSummaryJson:
                       "total_order_se", "variance_per_time", "variance_total",
                       "per_time_first", "per_time_total", "n_samples", "degenerate",
                       "resampled"],
-            "recovery": ["k_trials", "tolerance", "success_rate", "symmetry_success_rate",
+            "recovery": ["k_trials", "tolerance", "up_to_symmetry", "success_rate", "symmetry_success_rate",
                          "error_p50", "error_p90", "error_max", "verdict", "success_interval",
                          "interval_in_band", "labels", "starts_fitted", "trials"],
             "recovery.labels": ["recovered", "data-limited", "optimiser-miss"],
-            "recovery.trials[0]": ["seed", "theta_true", "theta_hat", "objective",
-                                   "rel_errors", "success", "success_symmetry", "converged",
-                                   "label", "starts_fitted", "converged_starts", "reason", "iterations"],
+            "recovery.trials[0]": ["seed", "theta_true", "theta_hat", "objective", "rel_errors", "success",
+                                   "converged", "label", "starts_fitted", "converged_starts", "reason",
+                                   "iterations"],
         }
 
     def test_undefined_sigma2_is_null(self, tmp_path):
