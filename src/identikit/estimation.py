@@ -72,7 +72,7 @@ def _divide(a: float, b: float) -> float:  # numpy's: a zero divisor gives inf o
     return a / b if b else float(np.divide(a, b))
 
 
-def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
+def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissible):
     """Bounded trust-region Levenberg-Marquardt for min 0.5 ||fun(x)||^2, dense, small n.
 
     Coleman-Li affine scaling (Coleman & Li 1996; Branch, Coleman & Li 1999): v_i is
@@ -84,10 +84,13 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     way to the bound, and replaced by the model's minimiser along -D g (within the
     radius, cut the same way) if that one predicts more, so every point is strictly
     inside.  The start is moved 1e-10 (relative) off any bound it sits on, and the
-    first radius is ||x0 / sqrt(v)||.  Radius update and stopping tests are trf's,
-    and ``fun`` is called at most ``max_nfev`` times.  Returns (x, fun(x), status):
-    status 1 is ||v g||_inf < gtol, 3 a step shorter than xtol (xtol + ||x||), and
-    0 the budget spent.
+    first radius is ||x0 / sqrt(v)||.  Radius update and stopping tests are trf's, but
+    at a stop the first x_i short of the bound -g_i points at, with |g_i| >= gtol, is
+    tried on it (one ulp inside), and the run goes on from there if S falls and
+    ``admissible`` holds there (one free parameter has no ordering to break, so
+    :func:`_solve_one` does not ask).  ``fun`` is called at most ``max_nfev`` times.
+    Returns (x, fun(x), status): status 1 is ||v g||_inf < gtol, 3 a step shorter
+    than xtol (xtol + ||x||), and 0 the budget spent.
 
     With so few parameters numpy's per-call cost outweighs the arithmetic, so p-vector
     elementwise work runs on Python floats, the same IEEE operations, and array work
@@ -128,6 +131,18 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
         g_norm = math.nan if any(a != a for a in scaled) else max(scaled)  # np.max keeps NaN
         if g_norm < gtol:
             status = 1
+        if status is not None:  # a stop: land the first coordinate that creeps toward a bound, if S falls
+            for i, gi in enumerate(g.tolist()):
+                x_new = x.copy()
+                x_new[i] = inside[i][gi < 0]  # the bound -g points at, one ulp inside
+                if abs(gi) >= gtol and x_new[i] != x[i] and nfev < max_nfev and admissible(x_new):
+                    f_new, nfev = fun(x_new), nfev + 1
+                    if (cost_new := 0.5 * float(f_new @ f_new)) < cost:
+                        x, f, cost, status = x_new, f_new, cost_new, None
+                        g = (J := jac(x)).T @ f
+                        break
+            if status is None:
+                continue
         if status is not None or nfev == max_nfev:
             return x, f, status or 0
         d, c = np.sqrt(v), np.abs(g)
@@ -220,6 +235,13 @@ def _solve_one(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
         g_norm = abs(g * v)
         if g_norm < gtol:
             status = 1
+        if status is not None and abs(g) >= gtol and x != inside[g < 0] and nfev < max_nfev:  # land on the bound
+            new_array = np.array([inside[g < 0]])
+            f_new, nfev = fun(new_array), nfev + 1
+            if (cost_new := 0.5 * float(f_new @ f_new)) < cost:
+                x, x_array, f, cost, status = inside[g < 0], new_array, f_new, cost_new, None
+                g = ((J := jac(x_array)).T @ f).item()
+                continue
         if status is not None or nfev == max_nfev:
             return x_array, f, status or 0
         d, c = math.sqrt(v), abs(g)
@@ -327,18 +349,19 @@ def fit(model: Model, dataset: Dataset, start) -> EstimateResult:
     ``MAX_EVALUATIONS`` caps the residual evaluations, and ``iterations``
     counts Jacobians: one per accepted step, the start's included.  The run
     ends ``small-gradient`` when the gradient, scaled by the distance to the
-    bound it points at, is below ``GRADIENT_TOL`` in max-norm (so optima on a
-    bound end here); ``small-step`` on a step shorter than ``STEP_TOL`` (STEP_TOL
-    + ||x||), or ``boundary`` if a parameter is then within ``STEP_TOL``
-    (relative) of a bound; and ``max-iter`` with ``converged=False`` when the
-    budget is spent.
+    bound it points at, is below ``GRADIENT_TOL`` in max-norm; ``small-step`` on
+    a step shorter than ``STEP_TOL`` (STEP_TOL + ||x||), or ``boundary`` if a
+    parameter is then within ``STEP_TOL`` (relative) of a bound; and ``max-iter``
+    with ``converged=False`` when the budget is spent.  An optimum on a bound is
+    reached, not crept toward: before it stops, the solver tries a parameter
+    whose unscaled gradient still points at a bound on that bound, and goes on.
 
     The solver cannot express ordering constraints: it runs over the box,
-    evaluating without the ordering check, and if it ends outside them the
-    best admissible point it visited is returned, not converged, as
-    ``boundary``.  An evaluation failure mid-run returns the best admissible
-    point so far, not converged, as ``max-iter`` with the message in
-    ``failure``; one at the first evaluation is raised.
+    evaluating without the ordering check, and lands a parameter on a bound only
+    inside them.  If it ends outside them the best admissible point it visited
+    is returned, not converged, as ``boundary``.  An evaluation failure mid-run
+    returns the best admissible point so far, not converged, as ``max-iter``
+    with the message in ``failure``; one at the first evaluation is raised.
     """
     space = model.space
     start = space.require(start)
@@ -388,6 +411,7 @@ def fit(model: Model, dataset: Dataset, start) -> EstimateResult:
     try:
         x, r, status = _solve_trust_region(
             residuals, jacobian, start, space.lower, space.upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
+            space.contains,
         )
     except EvaluationError as exc:
         if best_theta is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -109,16 +110,29 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _cdf_root(k: int, n: int, target: float) -> float:
-    """The p in (0, 1) at which P(X <= k), X ~ Binomial(n, p), falls to ``target``, for 0 <= k < n."""
+    """The p in (0, 1) at which P(X <= k), X ~ Binomial(n, p), falls to ``target``, for 0 <= k < n.  The tail sums
+    only its terms within e^-60 of the largest, all that can reach a float's last bit, so that a bisection step
+    costs the few standard deviations of terms around the mode, not the whole tail."""
     flip = 2 * k > n  # sum the shorter tail: P(X <= k) = 1 - P(Y <= n - k - 1), Y ~ Binomial(n, 1 - p)
-    terms = n - k if flip else k + 1
-    log_comb = [math.log(math.comb(n, j)) for j in range(terms)]  # logs: comb(n, j) may exceed a float
+    last, combs = n - k - 1 if flip else k, {}  # combs[j]: the exact comb(n, j), built from a neighbour's, and its log
+
+    def log_comb(j):
+        if j not in combs:
+            c = (combs[j - 1][0] * (n - j + 1) // j if j - 1 in combs
+                 else combs[j + 1][0] * (j + 1) // (n - j) if j + 1 in combs else math.comb(n, j))
+            combs[j] = c, math.log(c)
+        return combs[j][1]
 
     def cdf(p: float) -> float:
-        log_p, log_q = math.log(p), math.log1p(-p)
-        if flip:
-            log_p, log_q = log_q, log_p
-        tail = math.fsum(math.exp(c + j * log_p + (n - j) * log_q) for j, c in enumerate(log_comb))
+        log_p, log_q = (math.log1p(-p), math.log(p)) if flip else (math.log(p), math.log1p(-p))
+        top = min(last, int((n + 1) * (1.0 - p if flip else p)))  # the largest term: the mode, or the tail's end
+
+        def term(j):
+            return log_comb(j) + j * log_p + (n - j) * log_q
+
+        floor = term(top) - 60.0  # the log terms fall away from the largest (log-concave), so stop at the floor
+        sides = range(top, -1, -1), range(top + 1, last + 1)
+        tail = math.fsum(math.exp(t) for side in sides for t in takewhile(lambda t: t >= floor, map(term, side)))
         return 1.0 - tail if flip else tail
 
     low, high = 0.0, 1.0  # cdf falls from 1 to 0 over [0, 1]

@@ -12,6 +12,9 @@ import pytest
 
 import identikit as ik
 from identikit.cli import main
+from identikit.fim import combination_variance
+from identikit.models import Dataset, Model, ParameterSpace, builtin_registry, evaluate
+from identikit.sensitivity import fd_jacobian, forward_ode_jacobian, sensitivity_matrix
 from identikit.sobol import Prior
 from oracles import linear_least_squares, relative_difference
 
@@ -62,21 +65,21 @@ def test_1_jacobian_cross_check():
             "redundant-exponential": ik.Design(np.linspace(0.0, 3.0, 8), 0.1),
             "reciprocal": ik.Design(np.linspace(1.0, 10.0, 10), 0.1),
         }
-        for model in ik.builtin_registry():
+        for model in builtin_registry():
             if model.jacobian is None:
                 continue
             design = designs[model.name]
             for theta in interior_points(model, 20, seed=7):
-                fd = ik.fd_jacobian(model, design, theta)
-                analytic = ik.sensitivity_matrix(model, design, theta)
+                fd = fd_jacobian(model, design, theta)
+                analytic = sensitivity_matrix(model, design, theta)
                 assert analytic.method == "analytic"
                 assert relative_difference(fd.values, analytic.values) <= 1e-5
 
         logistic = ik.get_model("logistic")
         design = ik.Design(np.linspace(0.5, 5.0, 8), 0.1)
         for theta in interior_points(logistic, 20, seed=13):
-            fd = ik.fd_jacobian(logistic, design, theta)
-            forward = ik.forward_ode_jacobian(logistic, design, theta)
+            fd = fd_jacobian(logistic, design, theta)
+            forward = forward_ode_jacobian(logistic, design, theta)
             assert relative_difference(fd.values, forward.values) <= 1e-4
 
 
@@ -117,8 +120,8 @@ def test_4_swap_symmetry_detection():
     with _Gate(4, "biexponential: two permutation-related optima, one when ordered", 20.0):
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         unordered = ik.get_model("biexponential")
-        y = ik.evaluate(unordered, design, [2.0, 1.0])
-        data = ik.Dataset(design, y[:, None])
+        y = evaluate(unordered, design, [2.0, 1.0])
+        data = Dataset(design, y[:, None])
 
         clusters = ik.cluster_optima(ik.multi_start_fit(unordered, data, 32, seed=0))
         assert len(clusters) == 2
@@ -136,8 +139,8 @@ def test_5_sobol_oracle_equivalence():
         one_time = ik.Design(np.array([0.0]), 1.0)
 
         def toy(name, fn, lower, upper):
-            space = ik.ParameterSpace(np.asarray(lower, float), np.asarray(upper, float))
-            return ik.Model(
+            space = ParameterSpace(np.asarray(lower, float), np.asarray(upper, float))
+            return Model(
                 name=name, space=space,
                 f=lambda times, ths: np.zeros((len(ths), len(times))) + np.reshape(fn(ths.T), (-1, 1)),
             )
@@ -177,7 +180,7 @@ def test_6_profile_fim_agreement():
         report = ik.fim_report(model, design, best.theta)
         for i in range(2):
             curve = ik.profile_parameter(model, data, best, i)
-            half = 1.959964 * np.sqrt(ik.combination_variance(report, np.eye(2)[i]))
+            half = 1.959964 * np.sqrt(combination_variance(report, np.eye(2)[i]))
             assert curve.interval.lower == pytest.approx(best.theta[i] - half, rel=0.01)
             assert curve.interval.upper == pytest.approx(best.theta[i] + half, rel=0.01)
 

@@ -22,6 +22,9 @@ from scipy.optimize import minimize_scalar
 import identikit as ik
 from identikit.cli import main
 from identikit.config import ConfigError, Diagnostic, build_config, load_raw, validate_config
+from identikit.estimation import EstimateResult
+from identikit.fim import design_score
+from identikit.models import save_dataset
 from identikit.profile import drop_threshold
 from identikit.serialize import to_jsonable, write_csv, write_json
 
@@ -348,7 +351,7 @@ class TestRun:
             value if field == "replicates" else design.replicates,
         )
         model = ik.get_model("biexponential")
-        ik.save_dataset(ik.generate_data(model, file_design, [2.0, 1.0], 3), tmp_path / "data.csv")
+        save_dataset(ik.generate_data(model, file_design, [2.0, 1.0], 3), tmp_path / "data.csv")
         cfg = write_config(tmp_path, {
             "model": {"name": "biexponential"},
             "design": {"times": design.time_points.tolist(), "noise_sd": design.noise_sd},
@@ -525,7 +528,7 @@ class TestRun:
         expected = to_jsonable(report)
         assert {key: results["fim"][key] for key in expected} == expected
         assert results["fim"]["scores"] == {c: report.score(c) for c in ("D", "A", "E")}
-        assert results["design_score"]["score"] == ik.design_score(parsed.model, parsed.design, theta, "D")
+        assert results["design_score"]["score"] == design_score(parsed.model, parsed.design, theta, "D")
 
     def test_cli_matches_library_numbers(self, tmp_path):
         cfg = write_config(tmp_path, FULL_CONFIG)
@@ -615,7 +618,7 @@ class TestSummaryJson:
         assert all(r["sigma2"] is None for r in fit["estimates"])
 
     def test_non_finite_floats_are_null(self, tmp_path):
-        failed = ik.EstimateResult(
+        failed = EstimateResult(
             theta=np.array([1.0]), objective=float("inf"), sigma2=float("nan"),
             converged=False, iterations=0, reason="max-iter", start=np.array([1.0]),
             failure="non-finite",

@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import identikit as ik
+from identikit.models import Dataset, biexponential_model, builtin_registry, load_dataset, save_dataset
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 # every built-in, the ordered biexponential included, on a design it can evaluate
 MODELS = {m.name + ("-ordered" if m.space.orderings else ""): m
-          for m in ik.builtin_registry() + [ik.biexponential_model(ordered=True)]}
+          for m in builtin_registry() + [biexponential_model(ordered=True)]}
 TIMES = {"linear": np.arange(4.0), "logistic": np.array([0.5, 1.0, 2.0, 4.0, 6.0, 10.0])}
 DEFAULT_TIMES = np.array([0.25, 0.5, 1.0, 2.0, 3.0])
 
@@ -61,7 +62,7 @@ def datasets(draw):
     theta_true = draw(st.one_of(st.none(), st.lists(finite, min_size=1, max_size=3)))
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32)))
     design = ik.Design(np.array(times), noise_sd, replicates)
-    return ik.Dataset(design, np.reshape(observations, (len(times), replicates)), theta_true, seed)
+    return Dataset(design, np.reshape(observations, (len(times), replicates)), theta_true, seed)
 
 
 @PROPERTY_SETTINGS
@@ -69,8 +70,8 @@ def datasets(draw):
 def test_saved_dataset_loads_bit_for_bit(dataset):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "dataset.csv"
-        ik.save_dataset(dataset, path)
-        back = ik.load_dataset(path)
+        save_dataset(dataset, path)
+        back = load_dataset(path)
     design = dataset.design
     assert back.design.time_points.tobytes() == design.time_points.tobytes()
     assert np.float64(back.design.noise_sd).tobytes() == np.float64(design.noise_sd).tobytes()

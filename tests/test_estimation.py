@@ -15,8 +15,9 @@ from numpy.linalg import _umath_linalg
 
 import identikit as ik
 from identikit import estimation
-from identikit.models import _outputs
-from identikit.sensitivity import resolve_method
+from identikit.estimation import latin_hypercube_starts, log_likelihood
+from identikit.models import Dataset, Model, OdeSystem, ParameterSpace, _outputs, evaluate, restrict
+from identikit.sensitivity import resolve_method, sensitivity_matrix
 from oracles import UnidentifiableDesignError, linear_least_squares
 
 
@@ -63,30 +64,30 @@ class TestFit:
     def test_reciprocal_noiseless_recovery(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.05)
-        data = ik.Dataset(design, ik.evaluate(model, design, [0.5])[:, None])
-        res = ik.fit(model, data, [2.0])
+        data = Dataset(design, evaluate(model, design, [0.5])[:, None])
+        res = estimation.fit(model, data, [2.0])
         assert res.converged
         assert res.theta[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_biexponential_converges_to_swapped_optimum(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
-        y = ik.evaluate(model, design, [2.0, 1.0])
-        data = ik.Dataset(design, y[:, None])
-        res = ik.fit(model, data, [0.9, 2.2])
+        y = evaluate(model, design, [2.0, 1.0])
+        data = Dataset(design, y[:, None])
+        res = estimation.fit(model, data, [0.9, 2.2])
         np.testing.assert_allclose(res.theta, [1.0, 2.0], atol=1e-6)
-        swapped = ik.fit(model, data, [2.2, 0.9])
+        swapped = estimation.fit(model, data, [2.2, 0.9])
         assert abs(res.objective - swapped.objective) < 1e-8
 
     # holding parameters is restricting the model (models.restrict); fit has one path
     def test_mask_fixes_parameters(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
-        y = ik.evaluate(model, design, [2.0, 1.0])
-        data = ik.Dataset(design, y[:, None])
-        restricted = ik.restrict(model, {1: 1.0})
+        y = evaluate(model, design, [2.0, 1.0])
+        data = Dataset(design, y[:, None])
+        restricted = restrict(model, {1: 1.0})
         assert restricted.space.dimension == 1 and restricted.space.names == ("rate1",)
-        res = ik.fit(restricted, data, [0.5])
+        res = estimation.fit(restricted, data, [0.5])
         assert res.theta[0] == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("key", [-1, 2, 5, True, 1.0, "1", None, np.float64(0.0)])
@@ -95,41 +96,41 @@ class TestFit:
         model = ik.get_model("biexponential")
         message = f"held key {re.escape(repr(key))} is not a parameter index in \\[0, 2\\)"
         with pytest.raises(ValueError, match=message):
-            ik.restrict(model, {key: 1.0})
+            restrict(model, {key: 1.0})
 
     def test_numpy_integer_fixed_key_is_an_index(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         data = ik.generate_data(model, design, [2.0, 1.0], seed=1)
-        a = ik.fit(ik.restrict(model, {np.int64(1): 1.0}), data, [0.5])
-        b = ik.fit(ik.restrict(model, {1: 1.0}), data, [0.5])
+        a = estimation.fit(restrict(model, {np.int64(1): 1.0}), data, [0.5])
+        b = estimation.fit(restrict(model, {1: 1.0}), data, [0.5])
         assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_fixed_value_outside_the_box_rejected(self):
         model = ik.get_model("biexponential")  # box [0.01, 10]^2
         message = "held values \\{1: 20.0\\} leave parameter 1 no admissible value"
         with pytest.raises(ik.OutOfBoundsError, match=message):
-            ik.restrict(model, {1: 20.0})
+            restrict(model, {1: 20.0})
 
     def test_all_fixed_mask_returns_objective_at_point(self):
         # restrict refuses to hold every parameter; a one-parameter profile's refit is the point itself
         model = ik.get_model("reciprocal")
         with pytest.raises(ValueError, match="all 1 parameters are held"):
-            ik.restrict(model, {0: 0.7})
+            restrict(model, {0: 0.7})
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.05)
         data = ik.generate_data(model, design, [0.5], seed=1)
-        fit = ik.fit(model, data, [0.6])
+        fit = estimation.fit(model, data, [0.6])
         curve = ik.profile_parameter(model, data, fit, 0, grid=[0.45, 0.5, 0.55])
         assert curve.converged.all() and curve.theta_opt[:, 0].tolist() == curve.grid.tolist()
         at = list(curve.grid).index(0.5)
-        assert curve.values[at] == ik.log_likelihood(objective_at(model, data, [0.5]), 0.05)
+        assert curve.values[at] == log_likelihood(objective_at(model, data, [0.5]), 0.05)
 
     def test_start_outside_space_rejected(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.array([1.0]), 0.1)
         data = ik.generate_data(model, design, [1.0], seed=0)
         with pytest.raises(ik.OutOfBoundsError):
-            ik.fit(model, data, [-3.0])
+            estimation.fit(model, data, [-3.0])
 
     def test_objective_never_exceeds_start(self):
         model = ik.get_model("biexponential")
@@ -138,9 +139,9 @@ class TestFit:
         rng = np.random.default_rng(9)
         for _ in range(10):
             start = rng.uniform(0.05, 9.0, size=2)
-            res = ik.fit(model, data, start)
+            res = estimation.fit(model, data, start)
             start_obj = 0.5 * np.sum(
-                (data.observations[:, 0] - ik.evaluate(model, design, start)) ** 2
+                (data.observations[:, 0] - evaluate(model, design, start)) ** 2
             )
             assert res.objective <= start_obj + 1e-12
 
@@ -148,10 +149,10 @@ class TestFit:
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.1)
         data = ik.generate_data(model, design, [2.0, 1.0], seed=3)
-        res = ik.fit(model, data, [3.0, 0.5])
+        res = estimation.fit(model, data, [3.0, 0.5])
         assert res.converged
-        V = ik.sensitivity_matrix(model, design, res.theta).values
-        residual = data.observations[:, 0] - ik.evaluate(model, design, res.theta)
+        V = sensitivity_matrix(model, design, res.theta).values
+        residual = data.observations[:, 0] - evaluate(model, design, res.theta)
         grad = V.T @ residual
         y_norm = np.max(np.abs(data.observations))
         assert np.max(np.abs(grad)) <= 1e-6 * (1.0 + y_norm)
@@ -160,13 +161,13 @@ class TestFit:
         X, model, design = make_linear()
         data = ik.generate_data(model, design, [1.0, 2.0], seed=5)
         closed = linear_least_squares(X, data.observations[:, 0])
-        iterative = ik.fit(model, data, [0.0, 0.0])
+        iterative = estimation.fit(model, data, [0.0, 0.0])
         np.testing.assert_allclose(iterative.theta, closed.theta, atol=1e-8)
 
     def test_sigma2_reported(self):
         X, model, design = make_linear()
         data = ik.generate_data(model, design, [1.0, 2.0], seed=6)
-        res = ik.fit(model, data, [0.0, 0.0])
+        res = estimation.fit(model, data, [0.0, 0.0])
         assert res.sigma2 == pytest.approx(2 * res.objective / (design.size - 2))
 
 
@@ -235,20 +236,20 @@ def ramp_problem():
     def f(times, thetas):
         return np.where(thetas <= 2.0, times * thetas, np.nan)
 
-    model = ik.Model(
-        name="ramp", space=ik.ParameterSpace(np.array([0.0]), np.array([10.0])),
+    model = Model(
+        name="ramp", space=ParameterSpace(np.array([0.0]), np.array([10.0])),
         f=f, jacobian=lambda times, theta: times[:, None],
     )
     design = ik.Design(np.linspace(1.0, 4.0, 4), 0.1)
-    return model, ik.Dataset(design, (5.0 * design.time_points)[:, None])
+    return model, Dataset(design, (5.0 * design.time_points)[:, None])
 
 
 class TestFitTermination:
     def test_exhausted_budget_is_max_iter(self, monkeypatch):
         X, model, design = make_linear()
-        data = ik.Dataset(design, (X @ [20.0, 1.0])[:, None])
-        monkeypatch.setattr(ik.estimation, "MAX_EVALUATIONS", 3)
-        res = ik.fit(model, data, [0.0, 0.0])
+        data = Dataset(design, (X @ [20.0, 1.0])[:, None])
+        monkeypatch.setattr(estimation, "MAX_EVALUATIONS", 3)
+        res = estimation.fit(model, data, [0.0, 0.0])
         assert not res.converged and res.reason == "max-iter"
         assert res.iterations <= 3
 
@@ -266,10 +267,10 @@ class TestFitTermination:
     @pytest.mark.parametrize("start", [[2.0, 0.0], [1e-11, 0.0]])
     def test_optimum_past_an_ordering_returns_best_admissible_point(self, start):
         X, model, design = make_linear()
-        space = ik.ParameterSpace(np.zeros(2), np.full(2, 10.0), orderings=((0, 1),))
+        space = ParameterSpace(np.zeros(2), np.full(2, 10.0), orderings=((0, 1),))
         ordered = replace(model, space=space)
-        data = ik.Dataset(design, (X @ [1.0, 3.0])[:, None])
-        res = ik.fit(ordered, data, start)
+        data = Dataset(design, (X @ [1.0, 3.0])[:, None])
+        res = estimation.fit(ordered, data, start)
         assert not res.converged and res.reason == "boundary"
         assert space.contains(res.theta)
         assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
@@ -281,8 +282,8 @@ class TestFitTermination:
         model = ik.get_model("biexponential")
         design = ik.Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
         data = ik.generate_data(model, design, [6.0, 9.0], seed=11)
-        res = ik.fit(model, data, [6.0, 9.25])
-        pinned = ik.fit(ik.restrict(model, {1: 10.0}), data, res.theta[:1])
+        res = estimation.fit(model, data, [6.0, 9.25])
+        pinned = estimation.fit(restrict(model, {1: 10.0}), data, res.theta[:1])
         assert res.converged and res.reason == "small-gradient"
         assert res.theta[1] == pytest.approx(10.0, abs=1e-9)
         assert res.objective <= pinned.objective * (1.0 + 1e-9)
@@ -290,8 +291,8 @@ class TestFitTermination:
     def test_evaluation_failure_returns_best_point_so_far(self):
         model, data = ramp_problem()
         with pytest.raises(ik.EvaluationError) as expected:
-            ik.evaluate(model, data.design, [3.0])
-        res = ik.fit(model, data, [0.5])
+            evaluate(model, data.design, [3.0])
+        res = estimation.fit(model, data, [0.5])
         assert not res.converged and res.reason == "max-iter"
         assert res.failure == str(expected.value) == "model ramp non-finite at t=[1.0, 2.0, 3.0, 4.0]"
         assert 0.5 < res.theta[0] <= 2.0
@@ -300,7 +301,7 @@ class TestFitTermination:
     def test_evaluation_failure_at_the_start_is_raised(self):
         model, data = ramp_problem()
         with pytest.raises(ik.EvaluationError):
-            ik.fit(model, data, [3.0])
+            estimation.fit(model, data, [3.0])
 
 
 class TestSolverHandOff:
@@ -354,7 +355,7 @@ class TestSolverHandOff:
         for replicates in (1, 2):
             design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05, replicates)
             data = ik.generate_data(model, design, truth, seed=3)
-            counts["iterations"] += ik.fit(ik.restrict(spied, held) if held else spied, data, start).iterations
+            counts["iterations"] += estimation.fit(restrict(spied, held) if held else spied, data, start).iterations
         return counts, layouts
 
     def test_one_evaluation_per_residual_and_one_sensitivity_per_jacobian(self, spied_fit):
@@ -384,16 +385,16 @@ class TestDirectModelCalls:
     def test_wrong_output_shape_is_raised(self):
         model, data = self.ramp(f=lambda times, thetas: times[None, 1:] * thetas)
         with pytest.raises(ik.EvaluationError) as expected:
-            ik.evaluate(model, data.design, [0.5])
+            evaluate(model, data.design, [0.5])
         with pytest.raises(ik.EvaluationError) as err:
-            ik.fit(model, data, [0.5])
+            estimation.fit(model, data, [0.5])
         assert str(err.value) == str(expected.value) == "model ramp returned shape (1, 3)"
 
     def test_non_finite_jacobian_mid_run_is_reported(self):
         model, data = self.ramp(jacobian=lambda times, theta: times[:, None] * (1.0 if theta[0] <= 2.0 else np.nan))
         with pytest.raises(ik.EvaluationError) as expected:
-            ik.sensitivity_matrix(model, data.design, [3.0])
-        res = ik.fit(model, data, [0.5])
+            sensitivity_matrix(model, data.design, [3.0])
+        res = estimation.fit(model, data, [0.5])
         assert not res.converged and res.reason == "max-iter" and res.theta[0] > 0.5
         assert res.failure == str(expected.value) == "sensitivity matrix has non-finite entries"
         assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
@@ -401,9 +402,9 @@ class TestDirectModelCalls:
     def test_one_dimensional_jacobian_is_raised(self):
         model, data = self.ramp(jacobian=lambda times, theta: times * theta[0])
         with pytest.raises(ValueError) as expected:
-            ik.sensitivity_matrix(model, data.design, [0.5])
+            sensitivity_matrix(model, data.design, [0.5])
         with pytest.raises(ValueError) as err:
-            ik.fit(model, data, [0.5])
+            estimation.fit(model, data, [0.5])
         assert type(err.value) is type(expected.value) is ValueError
         assert str(err.value) == str(expected.value) == "sensitivity matrix must be 2-D"
 
@@ -414,11 +415,11 @@ class TestDirectModelCalls:
         box = replace(model, space=replace(model.space, orderings=()))
         nan = np.full(model.space.dimension, np.nan)
         with pytest.raises(ik.OutOfBoundsError) as expected:
-            ik.sensitivity_matrix(box, design, nan)
+            sensitivity_matrix(box, design, nan)
         monkeypatch.setattr(estimation, "_solve_trust_region", lambda fun, jac, x, *args: jac(nan))
         truth = model.space.lower + np.arange(model.space.dimension, 0, -1)  # ordered, if it must be
         with pytest.raises(ik.OutOfBoundsError) as err:
-            ik.fit(model, ik.generate_data(model, design, truth, seed=0), truth)
+            estimation.fit(model, ik.generate_data(model, design, truth, seed=0), truth)
         assert str(err.value) == str(expected.value) and "orderings []" in str(err.value)
 
 
@@ -433,16 +434,16 @@ def decay_problem():
             return np.full(3, np.nan)
         return np.array([-k * x, -k * s_k - x, -k * s_x0])
 
-    ode = ik.OdeSystem(
+    ode = OdeSystem(
         rhs=lambda t, x, theta: -theta[0] * x, augmented=augmented,
         initial=lambda theta: np.array([theta[1]]), initial_jac=lambda theta: np.array([[0.0, 1.0]]),
     )
-    model = ik.Model(
-        name="decay", space=ik.ParameterSpace(np.array([0.1, 0.1]), np.array([5.0, 5.0])),
+    model = Model(
+        name="decay", space=ParameterSpace(np.array([0.1, 0.1]), np.array([5.0, 5.0])),
         f=lambda times, thetas: thetas[:, 1:] * np.exp(-thetas[:, :1] * times), ode=ode,
     )
     design = ik.Design(np.linspace(0.5, 3.0, 6), 0.05)
-    return model, ik.Dataset(design, np.exp(-2.0 * design.time_points)[:, None])
+    return model, Dataset(design, np.exp(-2.0 * design.time_points)[:, None])
 
 
 class TestForwardOdeRoute:
@@ -454,7 +455,7 @@ class TestForwardOdeRoute:
         from identikit import sensitivity
 
         counts = {"plain": 0, "augmented": 0, "fd": 0}
-        integrate, fd_jacobian = ik.OdeSystem.integrate, sensitivity.fd_jacobian
+        integrate, fd_jacobian = OdeSystem.integrate, sensitivity.fd_jacobian
 
         def counted_integrate(ode, fun, *args):
             counts["augmented" if fun is ode.augmented else "plain"] += 1
@@ -464,7 +465,7 @@ class TestForwardOdeRoute:
             counts["fd"] += 1
             return fd_jacobian(*args, **kwargs)
 
-        monkeypatch.setattr(ik.OdeSystem, "integrate", counted_integrate)
+        monkeypatch.setattr(OdeSystem, "integrate", counted_integrate)
         monkeypatch.setattr(sensitivity, "fd_jacobian", counted_fd)
         return counts
 
@@ -501,7 +502,7 @@ class TestForwardOdeRoute:
     def test_one_augmented_integration_per_residual(self, solves, solver_runs):
         model, data = self.logistic_data()
         solves["plain"] = 0  # generating the data integrated the state alone
-        res = ik.fit(model, data, [2.0, 3.0, 0.5])
+        res = estimation.fit(model, data, [2.0, 3.0, 0.5])
         (run,) = solver_runs
         assert res.converged and res.iterations == run.njev > 1
         assert solves["plain"] == 0
@@ -511,7 +512,7 @@ class TestForwardOdeRoute:
         # without its sensitivity system the model's own route is finite differences
         model, data = self.logistic_data()
         solves["plain"] = 0
-        res = ik.fit(replace(model, ode=None), data, [2.0, 3.0, 0.5])
+        res = estimation.fit(replace(model, ode=None), data, [2.0, 3.0, 0.5])
         (run,) = solver_runs
         assert res.converged
         assert solves["augmented"] == 0
@@ -520,7 +521,7 @@ class TestForwardOdeRoute:
 
     def test_failure_mid_run_returns_best_point_so_far(self):
         model, data = decay_problem()
-        res = ik.fit(model, data, [0.5, 1.0])
+        res = estimation.fit(model, data, [0.5, 1.0])
         assert not res.converged and res.reason == "max-iter"
         assert res.failure
         assert 0.5 < res.theta[0] <= 1.0
@@ -529,7 +530,7 @@ class TestForwardOdeRoute:
     def test_failure_at_the_start_is_raised(self):
         model, data = decay_problem()
         with pytest.raises(ik.EvaluationError):
-            ik.fit(model, data, [1.5, 1.0])
+            estimation.fit(model, data, [1.5, 1.0])
 
     def test_nan_from_the_start_fails_fast(self):
         # a right-hand side that is NaN at t = 0 once sent the integrator into an endless
@@ -537,6 +538,8 @@ class TestForwardOdeRoute:
         probe = textwrap.dedent("""
             import numpy as np
             import identikit as ik
+            from identikit import estimation
+            from identikit.models import Dataset, Model, OdeSystem, ParameterSpace, evaluate
             from identikit.sensitivity import forward_ode_solve
 
             def rhs(t, x, theta):
@@ -546,18 +549,18 @@ class TestForwardOdeRoute:
                 k = theta[0]
                 return np.full(3, np.nan) if k > 1.0 else np.array([-k * z[0], -k * z[1] - z[0], -k * z[2]])
 
-            ode = ik.OdeSystem(rhs=rhs, augmented=augmented, initial=lambda theta: np.array([theta[1]]),
-                               initial_jac=lambda theta: np.array([[0.0, 1.0]]))
-            space = ik.ParameterSpace(np.array([0.1, 0.1]), np.array([5.0, 5.0]))
-            model = ik.Model(name="decay", space=space, f=ode.outputs, ode=ode)
+            ode = OdeSystem(rhs=rhs, augmented=augmented, initial=lambda theta: np.array([theta[1]]),
+                            initial_jac=lambda theta: np.array([[0.0, 1.0]]))
+            space = ParameterSpace(np.array([0.1, 0.1]), np.array([5.0, 5.0]))
+            model = Model(name="decay", space=space, f=ode.outputs, ode=ode)
             design = ik.Design(np.linspace(0.5, 3.0, 6), 0.05)
-            for call in (forward_ode_solve, ik.evaluate):
+            for call in (forward_ode_solve, evaluate):
                 try:
                     call(model, design, [1.5, 1.0])
                 except ik.EvaluationError:
                     continue
                 raise AssertionError(f"{call.__name__} did not raise")
-            res = ik.fit(model, ik.Dataset(design, np.exp(-2.0 * design.time_points)[:, None]), [0.5, 1.0])
+            res = estimation.fit(model, Dataset(design, np.exp(-2.0 * design.time_points)[:, None]), [0.5, 1.0])
             assert res.reason == "max-iter" and res.failure, res
             print("ok")
         """)
@@ -580,8 +583,8 @@ class TestMultiStart:
     def test_biexponential_two_permutation_clusters(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
-        y = ik.evaluate(model, design, [2.0, 1.0])
-        data = ik.Dataset(design, y[:, None])
+        y = evaluate(model, design, [2.0, 1.0])
+        data = Dataset(design, y[:, None])
         results = ik.multi_start_fit(model, data, 32, seed=0)
         clusters = ik.cluster_optima(results)
         assert len(clusters) == 2
@@ -593,8 +596,8 @@ class TestMultiStart:
         model = ik.get_model("biexponential", ordered=True)
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         unordered = ik.get_model("biexponential")
-        y = ik.evaluate(unordered, design, [2.0, 1.0])
-        data = ik.Dataset(design, y[:, None])
+        y = evaluate(unordered, design, [2.0, 1.0])
+        data = Dataset(design, y[:, None])
         results = ik.multi_start_fit(model, data, 32, seed=0)
         clusters = ik.cluster_optima(results)
         assert len(clusters) == 1
@@ -616,8 +619,8 @@ class TestMultiStart:
 
     def test_starts_feasible_and_deterministic(self):
         model = ik.get_model("biexponential", ordered=True)
-        a = ik.latin_hypercube_starts(model, 16, seed=3)
-        b = ik.latin_hypercube_starts(model, 16, seed=3)
+        a = latin_hypercube_starts(model, 16, seed=3)
+        b = latin_hypercube_starts(model, 16, seed=3)
         assert np.array_equal(a, b)
         assert all(model.space.contains(s) for s in a)
 
@@ -625,7 +628,7 @@ class TestMultiStart:
     def test_starts_take_the_multi_start_rule(self, k_starts):
         # -1 formerly failed inside numpy ("negative dimensions") and 2.5 with a TypeError
         with pytest.raises(ValueError, match="^k_starts must be an integer >= 1$"):
-            ik.latin_hypercube_starts(ik.get_model("biexponential"), k_starts, seed=0)
+            latin_hypercube_starts(ik.get_model("biexponential"), k_starts, seed=0)
 
     def test_thread_count_invariance(self):
         model = ik.get_model("biexponential")
@@ -652,7 +655,7 @@ def _fields(results):
 
 def _every_start(model, data, k_starts, seed):
     """Each Latin-hypercube start fitted on its own, in start order, as multi_start_fit runs them."""
-    return [ik.fit(model, data, start) for start in ik.latin_hypercube_starts(model, k_starts, seed)]
+    return [estimation.fit(model, data, start) for start in latin_hypercube_starts(model, k_starts, seed)]
 
 
 class TestStopRule:
@@ -721,5 +724,5 @@ class TestStopRule:
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 7), 0.05, replicates=replicates)
         data = ik.generate_data(model, design, [2.0, 1.0], seed=5)
-        res = ik.fit(model, data, [1.5, 0.5])
+        res = estimation.fit(model, data, [1.5, 0.5])
         assert res.converged and estimation.objective_at(model, data, res.theta) == res.objective

@@ -1,18 +1,21 @@
-"""Property tests of the nonlinear fit: idempotence, determinism, swap orbit,
-and a best optimum at least as good as scipy's ``trf`` finds from the same starts.
+"""Property tests of the nonlinear fit: idempotence, determinism, swap orbit, an
+optimum on a bound reached, orderings kept, and a best optimum at least as good as
+scipy's ``trf`` finds from the same starts.
 
 Each property is drawn over data sets, true parameters and start points by
 ``hypothesis``; the draws are derandomised so a failure reproduces exactly.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import identikit as ik
-from identikit.estimation import GRADIENT_TOL, MAX_EVALUATIONS, STEP_TOL
-from identikit.models import _outputs
+from identikit.estimation import (GRADIENT_TOL, MAX_EVALUATIONS, SMALL_GRADIENT, STEP_TOL, fit,
+                                  latin_hypercube_starts)
+from identikit.models import _outputs, restrict
+from identikit.sensitivity import sensitivity_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -36,10 +39,10 @@ def _relative_gap(a, b):
 @given(rate_a=rates, rate_b=rates, seed=seeds, start=starts)
 def test_refit_from_an_optimum_stays_there(rate_a, rate_b, seed, start):
     data = _data(rate_a, rate_b, seed)
-    first = ik.fit(BIEXP, data, start)
+    first = fit(BIEXP, data, start)
     if not first.converged:
         return
-    again = ik.fit(BIEXP, data, first.theta)
+    again = fit(BIEXP, data, first.theta)
     assert again.converged
     assert _relative_gap(first.theta, again.theta) <= 1e-8
     assert again.objective <= first.objective * (1.0 + 1e-12)
@@ -69,11 +72,51 @@ def test_multi_start_is_deterministic_and_thread_invariant(rate_a, rate_b, data_
 def test_mirrored_start_reaches_mirrored_optimum(rate_a, rate_b, seed, start):
     # f(t) is symmetric in the two rates, so the fit must commute with the swap
     data = _data(rate_a, rate_b, seed)
-    res = ik.fit(BIEXP, data, start)
-    mirrored = ik.fit(BIEXP, data, start[::-1])
+    res = fit(BIEXP, data, start)
+    mirrored = fit(BIEXP, data, start[::-1])
     np.testing.assert_allclose(mirrored.theta, res.theta[::-1], rtol=1e-8, atol=1e-10)
     assert abs(mirrored.objective - res.objective) <= 1e-12 * res.objective
     assert (mirrored.converged, mirrored.reason) == (res.converged, res.reason)
+
+
+@PROPERTY_SETTINGS
+@given(rate=rates, seed=seeds, scale=st.floats(0.8, 1.25), start_b=st.floats(8.0, 9.99))
+def test_an_optimum_on_a_bound_is_reached(rate, seed, scale, start_b):
+    # data with rate_b on its upper bound 10: about half the noise draws put the optimum past the bound.  When
+    # S still falls toward the bound at the best point on it, that point is the optimum in the box, and a fit
+    # from near it lands there (before fits landed on a bound, they could stop 1e-6 short of it)
+    data = _data(rate, 10.0, seed)
+    on_bound = fit(restrict(BIEXP, {1: 10.0}), data, [rate])
+    point = np.array([on_bound.theta[0], 10.0])
+    residuals = _outputs(BIEXP, DESIGN, point) - data.observations.ravel()
+    assume(on_bound.converged and (sensitivity_matrix(BIEXP, DESIGN, point).values.T @ residuals)[1] < 0)
+    res = fit(BIEXP, data, [rate * scale, start_b])
+    assert res.converged and res.reason == SMALL_GRADIENT
+    assert 10.0 - res.theta[1] <= 1e-9
+    assert res.objective <= on_bound.objective * (1.0 + 1e-9)
+
+
+ORDERED = ik.get_model("biexponential", ordered=True)
+
+
+@PROPERTY_SETTINGS
+@given(rates=st.tuples(st.sampled_from([10.0, 9.99]) | st.floats(0.2, 10.0), st.floats(0.2, 10.0)),
+       seed=seeds, start=st.tuples(st.floats(0.05, 10.0), st.floats(0.02, 10.0)))
+def test_ordered_fits_keep_their_ordering(rates, seed, start):
+    # landing on a bound must not break rate1 > rate2: a fit that converges ends inside the ordering
+    truth, start = sorted(rates, reverse=True), sorted(start, reverse=True)
+    assume(truth[0] > truth[1] and start[0] > start[1])
+    res = fit(ORDERED, ik.generate_data(ORDERED, DESIGN, truth, seed=seed), start)
+    assert not res.converged or res.theta[0] > res.theta[1]
+
+
+def test_a_landing_keeps_the_ordering():
+    # truth (10, 9) on the ordered space: both rates creep toward 10, and the fit lands rate1 on its bound but
+    # not rate2, which would tie it; a landing blind to the ordering made each of these fits end `boundary`
+    for seed in (4, 5, 8):
+        res = fit(ORDERED, ik.generate_data(ORDERED, DESIGN, [10.0, 9.0], seed=seed), [5.0, 4.0])
+        assert res.converged and res.reason == SMALL_GRADIENT
+        assert 10.0 - res.theta[0] <= 1e-9 and res.theta[0] > res.theta[1]
 
 
 REFERENCE_DESIGNS = {
@@ -88,7 +131,7 @@ def _trf_objective(model, data, start):
     y = data.observations.ravel()
     sol = least_squares(
         lambda x: _outputs(model, data.design, x) - y, start,
-        jac=lambda x: ik.sensitivity_matrix(model, data.design, x).values, method="trf",
+        jac=lambda x: sensitivity_matrix(model, data.design, x).values, method="trf",
         bounds=(model.space.lower, model.space.upper), gtol=GRADIENT_TOL,
         xtol=STEP_TOL, ftol=None, max_nfev=MAX_EVALUATIONS,
     )
@@ -106,6 +149,6 @@ def test_best_optimum_is_no_worse_than_trf(name, unit, data_seed, start_seed):
     data = ik.generate_data(model, REFERENCE_DESIGNS[name], theta_true, seed=data_seed)
     ours = min((r.objective for r in ik.multi_start_fit(model, data, 8, seed=start_seed)
                 if r.converged), default=np.inf)
-    starts = ik.latin_hypercube_starts(model, 8, start_seed)
+    starts = latin_hypercube_starts(model, 8, start_seed)
     reference = min(_trf_objective(model, data, s) for s in starts)
     assert ours <= reference * (1.0 + 1e-9)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import identikit as ik
-from identikit.models import MAX_DRAWS, MIN_NOISE_SD
+from identikit.models import (Dataset, MAX_DRAWS, MIN_NOISE_SD, Model, ParameterSpace, UnknownModelError,
+                              builtin_registry, evaluate, load_dataset, save_dataset)
+from identikit.sensitivity import SensitivityMatrix
 
 
 def reference_contains(space, theta) -> bool:
@@ -61,7 +63,7 @@ def spaces_and_points(draw):
         lower, upper = np.full(p, lower[0]), np.full(p, upper[0])
     pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
     orderings = tuple(draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))) if pairs else ()
-    space = ik.ParameterSpace(lower, upper, orderings)
+    space = ParameterSpace(lower, upper, orderings)
     bounds = sorted(set(lower.tolist() + upper.tolist()))
     special = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0] + bounds)
     inside = draw(st.booleans())  # each entry drawn from its interval
@@ -100,18 +102,18 @@ def spaces_and_points(draw):
 class TestParameterSpace:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
-            ik.ParameterSpace(np.array([1.0]), np.array([1.0]))
+            ParameterSpace(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
-            ik.ParameterSpace(np.array([2.0]), np.array([1.0]))
+            ParameterSpace(np.array([2.0]), np.array([1.0]))
 
     def test_ordering_constraints_validated(self):
         with pytest.raises(ValueError):
-            ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 0),))
+            ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 0),))
         with pytest.raises(ValueError):
-            ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 5),))
+            ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 5),))
 
     def test_membership(self):
-        space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
+        space = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
         assert space.contains([0.8, 0.2])
         assert not space.contains([0.2, 0.8])   # ordering violated
         assert not space.contains([1.2, 0.2])   # box violated
@@ -139,22 +141,22 @@ class TestParameterSpace:
         (0.8, False),                         # a scalar
     ])
     def test_contains_edge_cases(self, theta, inside):
-        space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
+        space = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
         assert space.contains(theta) is inside is reference_contains(space, theta) is array_contains(space, theta)
 
     def test_sample_respects_orderings(self):
-        space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
+        space = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
         rng = np.random.default_rng(0)
         draws = [space.draw_feasible(lambda: rng.uniform(space.lower, space.upper)) for _ in range(50)]
         assert all(space.contains(d) for d in draws)
 
     def test_draw_feasible_gives_up_naming_what_no_draw_met(self):
-        space = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1), (1, 0)))
+        space = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1), (1, 0)))
         rng = np.random.default_rng(0)
         with pytest.raises(RuntimeError, match=r"theta1 > theta2 and theta2 > theta1 together never held"):
             space.draw_feasible(lambda: rng.uniform(space.lower, space.upper))
         calls = []
-        outside = ik.ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
+        outside = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))
         with pytest.raises(RuntimeError, match=r"draws: the bounds never held$"):
             outside.draw_feasible(lambda: calls.append(1) or np.array([2.0, 0.5]))
         assert len(calls) == MAX_DRAWS
@@ -194,41 +196,41 @@ class TestEvaluate:
     def test_reciprocal_at_one(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.array([0.3, 1.7]), 0.1)
-        assert np.allclose(ik.evaluate(model, design, [1.0]), 2.0)
+        assert np.allclose(evaluate(model, design, [1.0]), 2.0)
 
     def test_biexponential_at_t0(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.array([0.0]), 0.1)
-        np.testing.assert_allclose(ik.evaluate(model, design, [1.3, 0.7]), [2.0])
+        np.testing.assert_allclose(evaluate(model, design, [1.3, 0.7]), [2.0])
 
     def test_logistic_initial_condition(self):
         model = ik.get_model("logistic")
         design = ik.Design(np.array([0.0]), 0.1)
-        np.testing.assert_allclose(ik.evaluate(model, design, [1.0, 1.0, 0.5]), [0.5])
+        np.testing.assert_allclose(evaluate(model, design, [1.0, 1.0, 0.5]), [0.5])
 
     def test_out_of_bounds_rejected(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.array([1.0]), 0.1)
         with pytest.raises(ik.OutOfBoundsError):
-            ik.evaluate(model, design, [-1.0])
+            evaluate(model, design, [-1.0])
 
     def test_non_finite_evaluation_signalled(self):
-        space = ik.ParameterSpace(np.array([0.0]), np.array([10.0]))
-        model = ik.Model(
+        space = ParameterSpace(np.array([0.0]), np.array([10.0]))
+        model = Model(
             name="exploding", space=space,
             f=lambda times, ths: np.where(ths[:, :1] > 5, np.inf, 1.0) * np.ones(len(times)),
         )
         design = ik.Design(np.array([1.0]), 0.1)
-        assert ik.evaluate(model, design, [1.0])[0] == 1.0
+        assert evaluate(model, design, [1.0])[0] == 1.0
         with pytest.raises(ik.EvaluationError):
-            ik.evaluate(model, design, [6.0])
+            evaluate(model, design, [6.0])
 
     def test_bitwise_pure(self):
         model = ik.get_model("logistic")
         design = ik.Design(np.linspace(0.5, 4.0, 7), 0.1)
         theta = [1.2, 2.0, 0.3]
-        first = ik.evaluate(model, design, theta)
-        second = ik.evaluate(model, design, theta)
+        first = evaluate(model, design, theta)
+        second = evaluate(model, design, theta)
         assert np.array_equal(first, second)
 
     def test_swap_symmetry_exact_at_output_level(self):
@@ -239,19 +241,19 @@ class TestEvaluate:
             times[0] = 0.0
             design = ik.Design(np.unique(times), 0.1)
             a, b = rng.uniform(0.05, 9.0, size=2)
-            left = ik.evaluate(model, design, [a, b])
-            right = ik.evaluate(model, design, [b, a])
+            left = evaluate(model, design, [a, b])
+            right = evaluate(model, design, [b, a])
             assert np.array_equal(left, right)
 
     def test_redundant_scaling_family(self):
         model = ik.get_model("redundant-exponential")
         design = ik.Design(np.linspace(0.0, 3.0, 6), 0.1)
         theta = np.array([1.0, -0.5, 0.5])
-        base = ik.evaluate(model, design, theta)
+        base = evaluate(model, design, theta)
         for c in (-1.0, 0.3, 2.0):
             shifted = np.array([theta[0] * np.exp(c), theta[1], theta[2] - c])
             assert model.space.contains(shifted)
-            np.testing.assert_allclose(ik.evaluate(model, design, shifted), base, rtol=1e-12)
+            np.testing.assert_allclose(evaluate(model, design, shifted), base, rtol=1e-12)
 
 
 @st.composite
@@ -273,14 +275,14 @@ class TestFiniteChecks:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(values=outputs_with_non_finite_entries())
     def test_evaluate(self, values):
-        model = ik.Model(name="table", space=ik.ParameterSpace(np.array([0.0]), np.array([1.0])),
-                         f=lambda times, thetas: values[None, :].copy())
+        model = Model(name="table", space=ParameterSpace(np.array([0.0]), np.array([1.0])),
+                      f=lambda times, thetas: values[None, :].copy())
         design = ik.Design(np.arange(1.0, values.size + 1.0), 0.1)
         if np.isfinite(values).all():
-            assert ik.evaluate(model, design, [0.5]).tobytes() == values.tobytes()
+            assert evaluate(model, design, [0.5]).tobytes() == values.tobytes()
             return
         with pytest.raises(ik.EvaluationError) as err:
-            ik.evaluate(model, design, [0.5])
+            evaluate(model, design, [0.5])
         bad = design.time_points[~np.isfinite(values)].tolist()
         assert type(err.value) is ik.EvaluationError
         assert str(err.value) == f"model table non-finite at t={bad}"
@@ -291,10 +293,10 @@ class TestFiniteChecks:
         matrix = {"C": values[:, None], "F": np.asfortranarray(np.column_stack([values, values])),
                   "strided": np.column_stack([values, values, values])[:, ::2]}[layout]
         if np.isfinite(values).all():
-            assert ik.SensitivityMatrix(matrix, np.zeros(1), "analytic").values.tobytes() == matrix.tobytes()
+            assert SensitivityMatrix(matrix, np.zeros(1), "analytic").values.tobytes() == matrix.tobytes()
             return
         with pytest.raises(ik.EvaluationError) as err:
-            ik.SensitivityMatrix(matrix, np.zeros(1), "analytic")
+            SensitivityMatrix(matrix, np.zeros(1), "analytic")
         assert type(err.value) is ik.EvaluationError
         assert str(err.value) == "sensitivity matrix has non-finite entries"
 
@@ -328,7 +330,7 @@ class TestGenerateData:
     def test_sigma_scaling_shares_noise_stream(self):
         times = np.array([1.0, 2.0, 3.0])
         theta = [0.5]
-        mean = ik.evaluate(self.model, ik.Design(times, 1.0), theta)[:, None]
+        mean = evaluate(self.model, ik.Design(times, 1.0), theta)[:, None]
         lo = ik.generate_data(self.model, ik.Design(times, 0.25), theta, seed=7)
         hi = ik.generate_data(self.model, ik.Design(times, 0.5), theta, seed=7)
         # sigma ratio is a power of two, so the residual scaling is exact
@@ -344,7 +346,7 @@ class TestGenerateData:
 
 class TestRegistry:
     def test_contents_and_labels(self):
-        names = {m.name: m for m in ik.builtin_registry()}
+        names = {m.name: m for m in builtin_registry()}
         assert set(names) == {"linear", "biexponential", "redundant-exponential",
                               "reciprocal", "logistic"}
         assert names["biexponential"].identifiability == "locally-not-globally"
@@ -353,14 +355,14 @@ class TestRegistry:
         assert names["logistic"].identifiability == "globally-identifiable"
 
     def test_lookup_unknown(self):
-        with pytest.raises(ik.UnknownModelError):
+        with pytest.raises(UnknownModelError):
             ik.get_model("fourier")
 
     def test_constants_forwarded(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         model = ik.get_model("linear", design_matrix=X)
         design = ik.Design(np.arange(5.0), 0.1)
-        np.testing.assert_allclose(ik.evaluate(model, design, [1.0, 2.0]), X @ [1.0, 2.0])
+        np.testing.assert_allclose(evaluate(model, design, [1.0, 2.0]), X @ [1.0, 2.0])
 
     def test_ordered_biexponential(self):
         model = ik.get_model("biexponential", ordered=True)
@@ -401,8 +403,8 @@ class TestDatasetIO:
         design = ik.Design(np.linspace(0.5, 3.0, 4), 0.2, replicates=2)
         ds = ik.generate_data(model, design, [2.0, 1.0], seed=5)
         path = tmp_path / "dataset.csv"
-        ik.save_dataset(ds, path)
-        back = ik.load_dataset(path)
+        save_dataset(ds, path)
+        back = load_dataset(path)
         assert np.array_equal(back.observations, ds.observations)
         assert np.array_equal(back.design.time_points, design.time_points)
         assert back.design.noise_sd == design.noise_sd
@@ -424,18 +426,18 @@ class TestDatasetIO:
     )
     def test_malformed_row_rejected_with_line_and_field(self, tmp_path, row, field):
         design = ik.Design(np.array([0.5, 1.0]), 0.2, replicates=2)
-        ds = ik.Dataset(design, np.ones((2, 2)))
+        ds = Dataset(design, np.ones((2, 2)))
         path = tmp_path / "dataset.csv"
-        ik.save_dataset(ds, path)
+        save_dataset(ds, path)
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"line 6, field {field}:")):
-            ik.load_dataset(path)
+            load_dataset(path)
 
     @staticmethod
     def saved(tmp_path):
         """A saved 2-time, 2-replicate data set: rows on lines 2-5, the last "1,1,1"."""
         path = tmp_path / "dataset.csv"
-        ik.save_dataset(ik.Dataset(ik.Design(np.array([0.5, 1.0]), 0.2, replicates=2), np.ones((2, 2))), path)
+        save_dataset(Dataset(ik.Design(np.array([0.5, 1.0]), 0.2, replicates=2), np.ones((2, 2))), path)
         return path
 
     @pytest.mark.parametrize(
@@ -459,7 +461,7 @@ class TestDatasetIO:
         assert lines[4] == "1,1,1"
         path.write_text("\n".join(lines[:4] + [row]) + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
-            ik.load_dataset(path)
+            load_dataset(path)
 
     @pytest.mark.parametrize(
         "key, value, kind",
@@ -478,7 +480,7 @@ class TestDatasetIO:
         meta = json.loads(sidecar.read_text())
         sidecar.write_text(json.dumps({**meta, key: value}))
         with pytest.raises(ValueError, match=re.escape(f"field {key}: must be {kind}, got {value!r}")):
-            ik.load_dataset(path)
+            load_dataset(path)
 
     def test_sidecar_with_a_repeated_key_rejected(self, tmp_path):
         # formerly the last value won, silently: a data set with noise_sd 0.5
@@ -486,9 +488,9 @@ class TestDatasetIO:
         sidecar = path.with_suffix(".csv.meta.json")
         sidecar.write_text(sidecar.read_text().replace('"noise_sd": 0.2,', '"noise_sd": 0.2, "noise_sd": 0.5,'))
         with pytest.raises(ValueError, match=re.escape(f'{sidecar}: key "noise_sd" is repeated in one object')):
-            ik.load_dataset(path)
+            load_dataset(path)
 
     def test_shape_validation(self):
         design = ik.Design(np.array([1.0, 2.0]), 0.1, replicates=2)
         with pytest.raises(ValueError):
-            ik.Dataset(design, np.zeros((2, 3)))
+            Dataset(design, np.zeros((2, 3)))

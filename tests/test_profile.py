@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import identikit as ik
+from identikit import estimation
 from identikit.config import build_config
 from identikit.estimation import EstimateResult, log_likelihood
-from identikit.models import EvaluationError
-from identikit.recovery import DEFAULT_STARTS
+from identikit.fim import combination_variance
+from identikit.models import EvaluationError, Model, ParameterSpace, evaluate, restrict
 from identikit.profile import (
     BOUND,
     CLASS_FLAT,
@@ -31,6 +32,7 @@ from identikit.profile import (
     ProfileInterval,
     drop_threshold,
 )
+from identikit.recovery import DEFAULT_STARTS
 from oracles import one_parameter_end
 
 ROOT = Path(__file__).parents[1]
@@ -142,7 +144,7 @@ class TestProfileParameter:
         report = ik.fim_report(model, design, fit.theta)
         for i in range(2):
             curve = ik.profile_parameter(model, data, fit, i, points=21)
-            var_i = ik.combination_variance(report, np.eye(2)[i])
+            var_i = combination_variance(report, np.eye(2)[i])
             expect = curve.loglik_hat - (curve.grid - fit.theta[i]) ** 2 / (2 * var_i)
             np.testing.assert_allclose(curve.values, expect, atol=1e-8)
 
@@ -155,7 +157,7 @@ class TestProfileParameter:
         report = ik.fim_report(model, design, fit.theta)
         for i in range(2):
             curve = ik.profile_parameter(model, data, fit, i)
-            half = 1.959964 * np.sqrt(ik.combination_variance(report, np.eye(2)[i]))
+            half = 1.959964 * np.sqrt(combination_variance(report, np.eye(2)[i]))
             assert curve.interval.lower == pytest.approx(fit.theta[i] - half, rel=0.01)
             assert curve.interval.upper == pytest.approx(fit.theta[i] + half, rel=0.01)
             assert curve.classification == CLASS_IDENTIFIABLE
@@ -195,7 +197,7 @@ class TestProfileParameter:
                 theta = model.space.draw_feasible(lambda: rng.uniform(model.space.lower, model.space.upper))
                 theta[0] = g
                 objective = 0.5 * np.sum(
-                    (data.observations[:, 0] - ik.evaluate(model, design, theta)) ** 2
+                    (data.observations[:, 0] - evaluate(model, design, theta)) ** 2
                 )
                 assert p_val >= log_likelihood(objective, sigma) - 1e-9
 
@@ -220,15 +222,15 @@ class TestProfileParameter:
     def test_truncated_when_refits_fail(self):
         # a model that stops evaluating past part of the slice truncates the
         # sweep on that side and flags it
-        space = ik.ParameterSpace(np.array([0.1, 0.1]), np.array([10.0, 10.0]))
+        space = ParameterSpace(np.array([0.1, 0.1]), np.array([10.0, 10.0]))
 
         def fn(times, ths):
             return np.where(ths[:, :1] > 5.0, np.inf, ths[:, :1] + ths[:, 1:] * times)
 
-        model = ik.Model(name="partial", space=space, f=fn)
+        model = Model(name="partial", space=space, f=fn)
         design = ik.Design(np.linspace(0.0, 2.0, 5), 0.1)
         data = ik.generate_data(model, design, [1.0, 2.0], seed=0)
-        fit = ik.fit(model, data, [0.5, 1.0])
+        fit = estimation.fit(model, data, [0.5, 1.0])
         curve = ik.profile_parameter(
             model, data, fit, 0, grid=np.linspace(0.2, 9.0, 15)
         )
@@ -264,7 +266,7 @@ class TestProfileParameter:
         design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
         data = ik.generate_data(model, design, [0.5], seed=0)
         fit = best_fit(model, data, k=4)
-        broken = ik.EstimateResult(
+        broken = EstimateResult(
             theta=fit.theta, objective=fit.objective, sigma2=fit.sigma2,
             converged=False, iterations=1, start=fit.start, reason="max-iter",
         )
@@ -325,7 +327,7 @@ class TestLevelSetStop:
                 k = int(np.searchsorted(grid, end))
                 assert min(values[k - 1] - target, target - values[k]) <= ROOT_TOL
                 # ... and a refit at the end itself lies on it
-                refit = ik.fit(ik.restrict(model, {i: end}), data, np.delete(curve.theta_opt[k], i))
+                refit = estimation.fit(restrict(model, {i: end}), data, np.delete(curve.theta_opt[k], i))
                 assert refit.converged
                 assert log_likelihood(refit.objective, sigma) == pytest.approx(target, abs=2 * ROOT_TOL)
 
@@ -335,7 +337,7 @@ class TestLevelSetStop:
 
         def counting_fit(*args, **kwargs):
             calls.append(1)
-            return ik.fit(*args, **kwargs)
+            return estimation.fit(*args, **kwargs)
 
         monkeypatch.setattr("identikit.profile.fit", counting_fit)
         curves = [ik.profile_parameter(model, data, fit, i, points=points) for i in indices]
@@ -410,11 +412,11 @@ class TestExactEnds:
         model = ik.get_model("linear", design_matrix=rng.normal(size=(n, p)))
         design = ik.Design(np.arange(float(n)), float(rng.uniform(0.05, 1.0)))
         data = ik.generate_data(model, design, rng.uniform(-2.0, 2.0, p), seed=seed)
-        fit = ik.fit(model, data, np.zeros(p))
+        fit = estimation.fit(model, data, np.zeros(p))
         report = ik.fim_report(model, design, fit.theta)
         assume(report.classification == "identifiable")
         for i in range(p):
-            sd = float(np.sqrt(ik.combination_variance(report, np.eye(p)[i])))
+            sd = float(np.sqrt(combination_variance(report, np.eye(p)[i])))
             half = np.sqrt(2.0 * drop_threshold(0.95)) * sd
             assume(model.space.lower[i] < fit.theta[i] - half and fit.theta[i] + half < model.space.upper[i])
             interval = ik.profile_parameter(model, data, fit, i).interval
@@ -443,7 +445,7 @@ class TestRestrictedOncePerPoint:
         fit = ik.multi_start_fit(config.model, data, DEFAULT_STARTS, config.seed)[0]
         held = []
         monkeypatch.setattr("identikit.profile.restrict",
-                            lambda model, values: held.append(values) or ik.restrict(model, values))
+                            lambda model, values: held.append(values) or restrict(model, values))
         curve = ik.profile_parameter(config.model, data, fit, index, grid=grid, multistart=4, seed=config.seed)
         digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
                                          for a in (curve.grid, curve.values, curve.theta_opt, curve.converged)))
@@ -465,12 +467,12 @@ class TestStalls:
 
         def restricted(model, values):
             (value,) = values.values()
-            model = ik.restrict(model, values)
+            model = restrict(model, values)
             held[id(model)] = value
             return model
 
         def patched(model, dataset, start):
-            return change(ik.fit(model, dataset, start), held[id(model)])
+            return change(estimation.fit(model, dataset, start), held[id(model)])
         monkeypatch.setattr("identikit.profile.restrict", restricted)
         monkeypatch.setattr("identikit.profile.fit", patched)
 

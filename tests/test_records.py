@@ -11,6 +11,11 @@ import pytest
 
 import identikit as ik
 from identikit.config import Diagnostic
+from identikit.estimation import fit
+from identikit.fim import SloppinessStats
+from identikit.profile import ProfileInterval
+from identikit.recovery import recover_once
+from identikit.sensitivity import sensitivity_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "identikit"
 INPUTS = ("ParameterSpace", "Design", "Dataset", "Model", "OdeSystem", "Prior", "SensitivityMatrix")
@@ -24,12 +29,12 @@ def records():
     model = ik.get_model("reciprocal")
     design = ik.Design(np.linspace(1.0, 10.0, 10), 0.1)
     data = ik.generate_data(model, design, [0.5], seed=1)
-    best = ik.fit(model, data, np.array([0.3]))
+    best = fit(model, data, np.array([0.3]))
     report = ik.fim_report(model, design, best.theta)
     made = [model.space, design, data, model, ik.get_model("logistic").ode, ik.Prior.uniform_box(model.space),
-            ik.sensitivity_matrix(model, design, best.theta), best, report,
+            sensitivity_matrix(model, design, best.theta), best, report,
             ik.confidence_ellipsoid(report, best.theta, 0.95), ik.profile_parameter(model, data, best, 0),
-            ik.recover_once(model, design, [0.5], seed=2, n_starts=2),
+            recover_once(model, design, [0.5], seed=2, n_starts=2),
             ik.global_recovery(model, design, 2, seed=3, n_starts=2),
             ik.sobol_indices(model, design, n_samples=1024, bootstrap=0, seed=4)]
     return {type(record).__name__: record for record in made}
@@ -58,8 +63,8 @@ def test_fits_and_spaces_can_be_searched():
 
 @pytest.mark.parametrize("make", [
     lambda: Diagnostic("recover.k_trials", "must be an integer >= 1"),
-    lambda: ik.SloppinessStats(3.5, -1.2, 0.4, 0.97, 1e-3, True),
-    lambda: ik.ProfileInterval(0.8, 2.3, False, False, "level-set", "bound"),
+    lambda: SloppinessStats(3.5, -1.2, 0.4, 0.97, 1e-3, True),
+    lambda: ProfileInterval(0.8, 2.3, False, False, "level-set", "bound"),
 ])
 def test_array_free_records_compare_and_hash_by_value(make):
     a, b = make(), make()

@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import identikit as ik
+from identikit.estimation import fit
+from identikit.models import builtin_registry, restrict
 from identikit.sensitivity import fd_jacobian, forward_ode_solve, resolve_method
 
 MODELS = {  # model, design times
@@ -21,7 +23,7 @@ MODELS = {  # model, design times
     "reciprocal": (ik.get_model("reciprocal"), [1.0, 2.0, 5.0]),
     "logistic": (ik.get_model("logistic"), [0.5, 1.0, 2.0, 4.0, 8.0]),
 }
-assert {model.name for model, _ in MODELS.values()} == {model.name for model in ik.builtin_registry()}
+assert {model.name for model, _ in MODELS.values()} == {model.name for model in builtin_registry()}
 
 
 def chained(orderings=((0, 1), (1, 2))):
@@ -51,7 +53,7 @@ def test_restricted_values_are_the_full_models_free_columns_bit_for_bit(name, in
     assume(space.contains(point))
     held = {i: float(point[i]) for i in indices}
     free = [i for i in range(p) if i not in held]
-    restricted = ik.restrict(model, held)
+    restricted = restrict(model, held)
     box = restricted.space
     assert box.dimension == len(free) and resolve_method(restricted) == resolve_method(model)
     assert box.parameter_names() == tuple(space.parameter_names()[i] for i in free)
@@ -81,19 +83,19 @@ def test_restricted_values_are_the_full_models_free_columns_bit_for_bit(name, in
 class TestOrderings:
     def test_an_ordering_with_a_held_member_is_a_strict_bound(self):
         model = ik.get_model("biexponential", ordered=True)  # rate1 > rate2 on [0.01, 10]^2
-        upper = ik.restrict(model, {0: 2.0}).space
+        upper = restrict(model, {0: 2.0}).space
         assert upper.upper.tolist() == [math.nextafter(2.0, -math.inf)] and upper.lower.tolist() == [0.01]
         assert upper.orderings == () and upper.names == ("rate2",)
-        lower = ik.restrict(model, {1: 1.0}).space
+        lower = restrict(model, {1: 1.0}).space
         assert lower.lower.tolist() == [math.nextafter(1.0, math.inf)] and lower.upper.tolist() == [10.0]
         assert not lower.contains([1.0]) and lower.contains([math.nextafter(1.0, math.inf)])
 
     def test_an_ordering_between_free_parameters_is_renumbered(self):
-        space = ik.restrict(chained(), {0: 5.0}).space  # theta1 > theta2 > theta3
+        space = restrict(chained(), {0: 5.0}).space  # theta1 > theta2 > theta3
         assert space.orderings == ((0, 1),) and space.upper.tolist() == [math.nextafter(5.0, -math.inf), 10.0]
-        space = ik.restrict(chained(), {2: -5.0}).space
+        space = restrict(chained(), {2: -5.0}).space
         assert space.orderings == ((0, 1),) and space.lower.tolist() == [-10.0, math.nextafter(-5.0, math.inf)]
-        space = ik.restrict(chained(), {1: 0.0}).space  # each free member bounded, no ordering left
+        space = restrict(chained(), {1: 0.0}).space  # each free member bounded, no ordering left
         assert space.orderings == () and space.lower[0] > 0.0 and space.upper[1] < 0.0
 
     def test_a_restricted_fit_stays_in_the_ordering(self):
@@ -101,7 +103,7 @@ class TestOrderings:
         model = ik.get_model("biexponential", ordered=True)
         design = ik.Design(np.linspace(0.25, 3.0, 8), 0.05)
         data = ik.generate_data(model, design, [2.0, 1.5], seed=3)
-        res = ik.fit(ik.restrict(model, {0: 1.2}), data, [0.5])
+        res = fit(restrict(model, {0: 1.2}), data, [0.5])
         assert res.converged and res.reason in ("boundary", "small-gradient")
         assert 1.2 - 1e-8 < res.theta[0] < 1.2
 
@@ -114,29 +116,29 @@ class TestRules:
     def test_a_value_outside_the_box_is_rejected_by_name(self, value):
         message = f"held values {re.escape(repr({1: value}))} leave parameter 1 no admissible value"
         with pytest.raises(ik.OutOfBoundsError, match=message):
-            ik.restrict(ik.get_model("biexponential"), {1: value})
+            restrict(ik.get_model("biexponential"), {1: value})
 
     def test_held_values_that_break_an_ordering_are_rejected_by_name(self):
         with pytest.raises(ik.OutOfBoundsError, match="leave parameter 0 no admissible value"):
-            ik.restrict(chained(), {0: 1.0, 1: 2.0})
+            restrict(chained(), {0: 1.0, 1: 2.0})
         with pytest.raises(ik.OutOfBoundsError, match="leave parameter 0 no admissible value"):
-            ik.restrict(chained(((1, 0),)), {0: 2.0, 1: 2.0})
+            restrict(chained(((1, 0),)), {0: 2.0, 1: 2.0})
 
     @pytest.mark.parametrize("held, free", [({0: 0.01}, 1), ({1: 10.0}, 0)])
     def test_a_value_that_leaves_a_free_parameter_no_room_is_rejected(self, held, free):
         # rate1 > rate2 on [0.01, 10]^2: rate1 = 0.01 leaves rate2 nothing, and so does rate2 = 10 rate1
         with pytest.raises(ik.OutOfBoundsError, match=f"leave parameter {free} no admissible value"):
-            ik.restrict(ik.get_model("biexponential", ordered=True), held)
+            restrict(ik.get_model("biexponential", ordered=True), held)
 
     def test_a_restricted_ode_model_is_not_restricted_again(self):
         # its system's functions take the full vector, so the two restrictions would have to compose
-        once = ik.restrict(ik.get_model("logistic"), {2: 0.5})
+        once = restrict(ik.get_model("logistic"), {2: 0.5})
         with pytest.raises(ValueError, match="model logistic is restricted already"):
-            ik.restrict(once, {0: 1.0})
+            restrict(once, {0: 1.0})
 
     def test_holding_nothing_is_the_model(self):
         model, times = MODELS["redundant-exponential"]
-        restricted = ik.restrict(model, {})
+        restricted = restrict(model, {})
         thetas = np.array([[1.0, -0.5, 0.5], [2.0, 0.3, -1.0]])
         assert restricted.f(np.array(times), thetas).tobytes() == model.f(np.array(times), thetas).tobytes()
         assert restricted.space.lower.tolist() == model.space.lower.tolist()

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from scipy.integrate import odeint
 
 import identikit as ik
+from identikit import models, sensitivity
+from identikit.models import Model, OdeSystem, ParameterSpace, biexponential_model, builtin_registry, evaluate
+from identikit.sensitivity import fd_jacobian, forward_ode_jacobian, forward_ode_solve, sensitivity_matrix
 from oracles import cross_check, relative_difference
 
 LOGISTIC_TIMES = np.array(json.loads(
@@ -34,7 +37,7 @@ def interior_points(space, count, seed, inset=0.05):
 def fd_columns_reference(model, design, theta):
     """The finite-difference Jacobian column by column, one evaluation per point."""
     theta = np.asarray(theta, dtype=float)
-    h = ik.sensitivity.default_step(theta)
+    h = sensitivity.default_step(theta)
     cols, one_sided, base = [], [], None
     for j in range(theta.size):
         up, dn = theta.copy(), theta.copy()
@@ -42,11 +45,11 @@ def fd_columns_reference(model, design, theta):
         dn[j] -= h[j]
         up_ok, dn_ok = model.space.contains(up), model.space.contains(dn)
         if up_ok and dn_ok:
-            cols.append((ik.evaluate(model, design, up) - ik.evaluate(model, design, dn)) / (2 * h[j]))
+            cols.append((evaluate(model, design, up) - evaluate(model, design, dn)) / (2 * h[j]))
         else:
-            base = ik.evaluate(model, design, theta) if base is None else base
+            base = evaluate(model, design, theta) if base is None else base
             side, sign = (up, 1.0) if up_ok else (dn, -1.0)
-            cols.append(sign * (ik.evaluate(model, design, side) - base) / h[j])
+            cols.append(sign * (evaluate(model, design, side) - base) / h[j])
             one_sided.append(j)
     return np.column_stack(cols), tuple(one_sided)
 
@@ -55,7 +58,7 @@ class TestFdJacobian:
     def test_reciprocal_derivative(self):
         model = ik.get_model("reciprocal")
         design = ik.Design(np.array([1.0]), 0.1)
-        fd = ik.fd_jacobian(model, design, [2.0])
+        fd = fd_jacobian(model, design, [2.0])
         assert abs(fd.values[0, 0] - (-0.25)) < 1e-6
         assert fd.method == "finite-difference"
 
@@ -63,38 +66,38 @@ class TestFdJacobian:
         X = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0) ** 2 / 10])
         model = ik.get_model("linear", design_matrix=X)
         design = ik.Design(np.arange(6.0), 0.1)
-        fd = ik.fd_jacobian(model, design, [0.5, -1.0, 2.0])
+        fd = fd_jacobian(model, design, [0.5, -1.0, 2.0])
         np.testing.assert_allclose(fd.values, X, rtol=0, atol=1e-9)
 
     def test_biexponential_equal_columns_at_symmetric_point(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.linspace(0.25, 3.0, 6), 0.1)
-        fd = ik.fd_jacobian(model, design, [1.0, 1.0])
+        fd = fd_jacobian(model, design, [1.0, 1.0])
         np.testing.assert_allclose(fd.values[:, 0], fd.values[:, 1], atol=1e-8)
 
     def test_matches_analytic_on_all_builtins(self):
         # every registered analytic Jacobian, 20 random interior points each
-        for model in ik.builtin_registry():
+        for model in builtin_registry():
             if model.jacobian is None:
                 continue
             times = np.arange(4.0) if model.name == "linear" else np.linspace(0.1, 3.0, 6)
             design = ik.Design(times, 0.1)
             for theta in interior_points(model.space, 20, seed=7):
-                fd = ik.fd_jacobian(model, design, theta)
-                analytic = ik.sensitivity_matrix(model, design, theta)
+                fd = fd_jacobian(model, design, theta)
+                analytic = sensitivity_matrix(model, design, theta)
                 assert analytic.method == "analytic"
                 assert relative_difference(fd.values, analytic.values) < 1e-5
 
     def test_one_sided_fallback_at_boundary(self):
         model = ik.get_model("biexponential")  # box [0.01, 10]^2
         design = ik.Design(np.array([0.5, 1.0]), 0.1)
-        fd = ik.fd_jacobian(model, design, [0.01, 5.0])
+        fd = fd_jacobian(model, design, [0.01, 5.0])
         assert fd.one_sided == (0,)
-        analytic = ik.sensitivity_matrix(model, design, [0.01, 5.0])
+        analytic = sensitivity_matrix(model, design, [0.01, 5.0])
         assert analytic.method == "analytic"
         assert relative_difference(fd.values, analytic.values) < 1e-4
 
-    @pytest.mark.parametrize("model", ik.builtin_registry() + [ik.biexponential_model(ordered=True)],
+    @pytest.mark.parametrize("model", builtin_registry() + [biexponential_model(ordered=True)],
                              ids=lambda m: f"{m.name}-{len(m.space.orderings)}")
     def test_batched_columns_match_column_by_column(self, model):
         # interior points, box corners (every column one-sided), the boundary
@@ -109,7 +112,7 @@ class TestFdJacobian:
         for theta in points:
             if not model.space.contains(theta):
                 continue
-            fd = ik.fd_jacobian(model, design, theta)
+            fd = fd_jacobian(model, design, theta)
             values, one_sided = fd_columns_reference(model, design, theta)
             assert np.array_equal(fd.values, values), theta
             assert fd.one_sided == one_sided, theta
@@ -121,8 +124,8 @@ class TestFdJacobian:
         exact = -0.25
         err = {}
         for h in (2e-3, 1e-3):
-            monkeypatch.setattr(ik.sensitivity, "default_step", lambda t, hh=h: np.full(1, hh))
-            err[h] = abs(ik.fd_jacobian(model, design, [2.0]).values[0, 0] - exact)
+            monkeypatch.setattr(sensitivity, "default_step", lambda t, hh=h: np.full(1, hh))
+            err[h] = abs(fd_jacobian(model, design, [2.0]).values[0, 0] - exact)
         ratio = err[2e-3] / err[1e-3]
         assert 3.9 < ratio < 4.1
 
@@ -135,20 +138,20 @@ class TestForwardOde:
     def test_agrees_with_finite_differences(self):
         # finite differences are the oracle for the augmented-ODE route
         for theta in interior_points(self.model.space, 10, seed=11):
-            fd = ik.fd_jacobian(self.model, self.design, theta)
-            fo = ik.forward_ode_jacobian(self.model, self.design, theta)
+            fd = fd_jacobian(self.model, self.design, theta)
+            fo = forward_ode_jacobian(self.model, self.design, theta)
             assert relative_difference(fd.values, fo.values) < 1e-4
 
     def test_initial_state_sensitivity_at_t0(self):
         design = ik.Design(np.array([0.0]), 0.1)
-        fo = ik.forward_ode_jacobian(self.model, design, [1.0, 2.0, 0.5])
+        fo = forward_ode_jacobian(self.model, design, [1.0, 2.0, 0.5])
         np.testing.assert_allclose(fo.values[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_solve_gives_the_jacobian_and_the_outputs(self):
         for theta in interior_points(self.model.space, 20, seed=11):
-            outputs, sens = ik.forward_ode_solve(self.model, self.design, theta)
-            assert sens.tobytes() == ik.forward_ode_jacobian(self.model, self.design, theta).values.tobytes()
-            assert relative_difference(outputs, ik.evaluate(self.model, self.design, theta)) <= 1e-9
+            outputs, sens = forward_ode_solve(self.model, self.design, theta)
+            assert sens.tobytes() == forward_ode_jacobian(self.model, self.design, theta).values.tobytes()
+            assert relative_difference(outputs, evaluate(self.model, self.design, theta)) <= 1e-9
 
     def test_augmented_matches_the_generic_formula_bitwise(self):
         # the explicit partials, combined as (dg/dx) @ s + dg/dtheta on arrays
@@ -161,8 +164,8 @@ class TestForwardOde:
 
         generic = replace(self.model, ode=replace(self.model.ode, augmented=reference))
         for theta in interior_points(self.model.space, 20, seed=5):
-            own = ik.forward_ode_jacobian(self.model, self.design, theta).values
-            assert own.tobytes() == ik.forward_ode_jacobian(generic, self.design, theta).values.tobytes()
+            own = forward_ode_jacobian(self.model, self.design, theta).values
+            assert own.tobytes() == forward_ode_jacobian(generic, self.design, theta).values.tobytes()
 
     def test_rhs_matches_an_array_returning_rhs_bitwise(self):
         # the plain-state route: the built-in rhs returns a list, this one an array of numpy scalars
@@ -172,13 +175,13 @@ class TestForwardOde:
         ode = replace(self.model.ode, rhs=reference)
         generic = replace(self.model, f=ode.outputs, ode=ode)
         for theta in interior_points(self.model.space, 20, seed=5):
-            own = ik.evaluate(self.model, self.design, theta)
-            assert own.tobytes() == ik.evaluate(generic, self.design, theta).tobytes()
+            own = evaluate(self.model, self.design, theta)
+            assert own.tobytes() == evaluate(generic, self.design, theta).tobytes()
 
     def test_requires_ode_partials(self):
         model = ik.get_model("reciprocal")
         with pytest.raises(ValueError):
-            ik.forward_ode_jacobian(model, self.design, [1.0])
+            forward_ode_jacobian(model, self.design, [1.0])
 
     def test_empty_design_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +203,7 @@ def logistic_points():
 def stiff_tracking_system():
     """x' = theta (cos t - x): tracking cos t at theta = 1e8 to t = 1000 takes LSODA
     more than its 500 steps."""
-    return ik.OdeSystem(
+    return OdeSystem(
         rhs=lambda t, x, theta: theta[0] * (np.cos(t) - x),
         augmented=lambda t, z, theta: np.array([
             theta[0] * (np.cos(t) - z[0]), -theta[0] * z[1] + (np.cos(t) - z[0])
@@ -220,7 +223,7 @@ class TestLsoda:
     @given(logistic_points())
     def test_outputs_match_the_closed_form(self, theta):
         exact = logistic_closed_form(theta, LOGISTIC_TIMES)
-        assert relative_difference(ik.evaluate(self.model, self.design, theta), exact) <= 1e-9
+        assert relative_difference(evaluate(self.model, self.design, theta), exact) <= 1e-9
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(logistic_points())
@@ -229,7 +232,7 @@ class TestLsoda:
         exact = np.column_stack([
             logistic_closed_form(theta + 1j * step * e, LOGISTIC_TIMES).imag / step for e in np.eye(3)
         ])
-        _, sens = ik.forward_ode_solve(self.model, self.design, theta)
+        _, sens = forward_ode_solve(self.model, self.design, theta)
         assert relative_difference(sens, exact) <= 1e-9
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -261,25 +264,25 @@ class TestLsoda:
 
     def test_missing_lsoda_extension_is_an_import_error_naming_the_path(self, monkeypatch):
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-        ik.models._scipy_extension.cache_clear()
+        models._scipy_extension.cache_clear()
         try:
             with pytest.raises(ImportError, match=r"integrate[/\\]_odepack with the suffixes \.missing"):
-                ik.models._scipy_extension("integrate", "_odepack")
+                models._scipy_extension("integrate", "_odepack")
         finally:
-            ik.models._scipy_extension.cache_clear()
+            models._scipy_extension.cache_clear()
 
     def test_excess_work_is_an_evaluation_error_without_warnings(self):
         ode = stiff_tracking_system()
-        space = ik.ParameterSpace(np.array([1e7]), np.array([1e9]))
-        model = ik.Model(name="stiff", space=space, f=ode.outputs, ode=ode)
+        space = ParameterSpace(np.array([1e7]), np.array([1e9]))
+        model = Model(name="stiff", space=space, f=ode.outputs, ode=ode)
         design = ik.Design(np.array([1000.0]), 0.1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ik.EvaluationError, match="Excess work done"):
-                ik.forward_ode_solve(model, design, [1e8])
+                forward_ode_solve(model, design, [1e8])
             with pytest.raises(ik.EvaluationError):
-                ik.evaluate(model, design, [1e8])
-            assert np.isnan(ik.models.evaluate_batch(model, design, [[1e8]])).all()
+                evaluate(model, design, [1e8])
+            assert np.isnan(models.evaluate_batch(model, design, [[1e8]])).all()
         assert caught == []
 
 
@@ -287,12 +290,12 @@ class TestDispatcher:
     def test_auto_prefers_analytic(self):
         model = ik.get_model("biexponential")
         design = ik.Design(np.array([1.0]), 0.1)
-        assert ik.sensitivity_matrix(model, design, [2.0, 1.0]).method == "analytic"
+        assert sensitivity_matrix(model, design, [2.0, 1.0]).method == "analytic"
 
     def test_auto_uses_forward_ode_for_ode_models(self):
         model = ik.get_model("logistic")
         design = ik.Design(np.array([1.0]), 0.1)
-        assert ik.sensitivity_matrix(model, design, [1.0, 1.0, 0.5]).method == "forward-ode"
+        assert sensitivity_matrix(model, design, [1.0, 1.0, 0.5]).method == "forward-ode"
 
     def test_cross_check_logistic(self):
         model = ik.get_model("logistic")

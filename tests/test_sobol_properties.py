@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import identikit as ik
 from identikit import sobol
+from identikit.models import Model, ParameterSpace, evaluate
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -55,8 +56,8 @@ def test_same_seed_same_report(name, seed):
        shift=st.floats(-10.0, 10.0))
 def test_affine_output_change_leaves_indices(name, seed, scale, sign, shift):
     model = CASES[name][0]
-    affine = ik.Model(f"affine-{name}", model.space,
-                      f=lambda times, thetas: sign * scale * model.f(times, thetas) + shift)
+    affine = Model(f"affine-{name}", model.space,
+                   f=lambda times, thetas: sign * scale * model.f(times, thetas) + shift)
     a, b = _sobol(name, seed), _sobol(name, seed, model=affine)
     for field in ("first", "total", "first_se", "total_se", "per_time_first", "per_time_total"):
         np.testing.assert_allclose(getattr(b, field), getattr(a, field), rtol=0, atol=1e-9,
@@ -70,13 +71,13 @@ def _reference_se(name, seed, rounds):
     rng_samples, rng_boot = (np.random.default_rng(c)
                              for c in np.random.SeedSequence(seed).spawn(2))
     A, B = prior.sample(1024, rng_samples), prior.sample(1024, rng_samples)
-    fA = np.array([ik.evaluate(model, design, a) for a in A])
-    fB = np.array([ik.evaluate(model, design, b) for b in B])
+    fA = np.array([evaluate(model, design, a) for a in A])
+    fB = np.array([evaluate(model, design, b) for b in B])
     crosses = []
     for i in range(prior.dimension):
         AB = A.copy()
         AB[:, i] = B[:, i]
-        crosses.append([ik.evaluate(model, design, row) for row in AB])
+        crosses.append([evaluate(model, design, row) for row in AB])
     fAB = np.array(crosses)
     first, total = [], []
     for _ in range(rounds):
@@ -121,8 +122,8 @@ PINNED_REDRAWS = {
 @PROPERTY_SETTINGS
 @given(seed=st.sampled_from(sorted(PINNED_REDRAWS)))
 def test_failed_rows_redrawn_in_the_same_order(seed):
-    space = ik.ParameterSpace(np.zeros(2), np.ones(2))
-    model = ik.Model("patchy", space, f=_patchy)
+    space = ParameterSpace(np.zeros(2), np.ones(2))
+    model = Model("patchy", space, f=_patchy)
     # two design times, so the output blocks fA and fB are the final A and B
     design = ik.Design(np.array([0.0, 1.0]), 1.0)
     with mock.patch.object(sobol, "_pick_freeze_estimates",

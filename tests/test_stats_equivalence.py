@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, qmc
 
 import identikit as ik
+from identikit.estimation import latin_hypercube_starts
 from identikit.fim import chi2_quantile
+from identikit.models import builtin_registry
 
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
-MODELS = ik.builtin_registry() + [ik.get_model("biexponential", ordered=True)]
+MODELS = builtin_registry() + [ik.get_model("biexponential", ordered=True)]
 
 
 def scipy_starts(model, k_starts, seed):
@@ -44,7 +46,7 @@ def scipy_starts(model, k_starts, seed):
 @given(model=st.sampled_from(MODELS), k_starts=st.integers(1, 64),
        seed=st.integers(0, 2**32 - 1))
 def test_latin_hypercube_starts_equal_scipy_bitwise(model, k_starts, seed):
-    ours = ik.latin_hypercube_starts(model, k_starts, seed)
+    ours = latin_hypercube_starts(model, k_starts, seed)
     assert ours.tobytes() == scipy_starts(model, k_starts, seed).tobytes()
 
 
@@ -54,7 +56,7 @@ def test_ordered_model_takes_the_redraw_path():
     unit = qmc.LatinHypercube(d=2, seed=np.random.default_rng(0)).random(32)
     assert not all(space.contains(space.lower + u * (space.upper - space.lower))
                    for u in unit)
-    ours = ik.latin_hypercube_starts(model, 32, 0)
+    ours = latin_hypercube_starts(model, 32, 0)
     assert ours.tobytes() == scipy_starts(model, 32, 0).tobytes()
 
 

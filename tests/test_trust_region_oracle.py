@@ -1,15 +1,17 @@
-"""Bitwise oracle for the trust-region kernel behind :func:`identikit.fit`.
+"""Bitwise oracle for the trust-region kernel behind :func:`identikit.estimation.fit`.
 
 The reference below is the solver and the residual/Jacobian set-up as they
 stood before the kernel was rewritten to make fewer numpy calls, copied
 verbatim (only the parameter mask, since replaced by the model that
-:func:`identikit.restrict` makes, and the route and budget options, since
+:func:`identikit.models.restrict` makes, and the route and budget options, since
 replaced by the model's own route and the module's constants, are spelled
-out).  The rewrite must do the same floating-point operations, so on every draw
-:func:`identikit.fit` must hand its solver the same points, in the same order,
-and get back the same bytes and status as the reference does.  A fit that holds
-a parameter fits the restricted model, and the reference's mask then runs over
-that model's box, where an ordering with a held member is a bound.
+out).  It has since gained the rule that, at a stop, lands a coordinate that
+creeps toward a bound on that bound, at an admissible point only.  The rewrite
+must do the same floating-point operations, so on every draw
+:func:`identikit.estimation.fit` must hand its solver the same points, in the
+same order, and get back the same bytes and status as the reference does.  A fit
+that holds a parameter fits the restricted model, and the reference's mask then
+runs over that model's box, where an ordering with a held member is a bound.
 
 The draws are derandomised by ``hypothesis`` so that a failure reproduces
 exactly.
@@ -27,8 +29,8 @@ from hypothesis import strategies as st
 
 import identikit as ik
 from identikit import estimation
-from identikit.models import _outputs
-from identikit.estimation import GRADIENT_TOL, STEP_TOL
+from identikit.estimation import GRADIENT_TOL, STEP_TOL, fit
+from identikit.models import _outputs, restrict
 from identikit.sensitivity import FORWARD_ODE, forward_ode_solve, resolve_method, sensitivity_matrix
 
 ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -39,7 +41,7 @@ ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 # ---------------------------------------------------------------------------
 
 
-def reference_solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
+def reference_solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissible):
     x = np.clip(x, lower + 1e-10 * np.maximum(1.0, np.abs(lower)),
                 upper - 1e-10 * np.maximum(1.0, np.abs(upper)))
     inside = np.nextafter(lower, upper), np.nextafter(upper, lower)
@@ -64,6 +66,25 @@ def reference_solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev
         g_norm = float(np.max(np.abs(g * v)))
         if g_norm < gtol:
             status = 1
+        if status is not None:  # land the first coordinate that creeps toward a bound, if S falls
+            for i in range(x.size):
+                target = inside[1][i] if g[i] < 0 else inside[0][i]
+                if not abs(g[i]) >= gtol or x[i] == target or nfev == max_nfev:
+                    continue
+                x_new = x.copy()
+                x_new[i] = target
+                if not admissible(x_new):
+                    continue
+                f_new = fun(x_new)
+                nfev += 1
+                cost_new = 0.5 * float(f_new @ f_new)
+                if cost_new < cost:
+                    x, f, cost, status = x_new, f_new, cost_new, None
+                    J = jac(x)
+                    g = J.T @ f
+                    break
+            if status is None:
+                continue
         if status is not None or nfev == max_nfev:
             return x, f, status or 0
         d, c = np.sqrt(v), np.abs(g)
@@ -141,8 +162,8 @@ def reference_lm_parameter(suf, s, delta, alpha, full_rank):
 
 
 def reference_problem(model, dataset, start, fixed):
-    """The residuals, Jacobian, start and box that ``fit`` handed the reference solver; with
-    ``fixed``, the box is that of the restricted model."""
+    """The residuals, Jacobian, start, box and admissibility test that ``fit`` hands the reference
+    solver; with ``fixed``, the box and the test are those of the restricted model."""
     space = model.space
     start = space.require(start)
     pinned = np.isin(np.arange(start.size), list(fixed or {}))  # the mask's flags
@@ -178,8 +199,8 @@ def reference_problem(model, dataset, start, fixed):
             V = sensitivity_matrix(box, design, point).values
         return np.repeat(V, design.replicates, axis=0)[:, free]
 
-    bounds = ik.restrict(model, fixed).space if fixed else space
-    return residuals, jacobian, theta[free], bounds.lower, bounds.upper
+    bounds = restrict(model, fixed).space if fixed else space
+    return residuals, jacobian, theta[free], bounds.lower, bounds.upper, bounds.contains
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +222,13 @@ def recorded(fun, jac, calls):
     return logged_fun, logged_jac
 
 
-def run(solver, fun, jac, x0, lower, upper, budget):
+def run(solver, fun, jac, x0, lower, upper, budget, admissible=lambda x: True):
     """The solver's (x, f, status) and a record of it: (x bytes, f bytes, status) and
     the calls, or the evaluation error and the calls up to it."""
     calls = []
     logged_fun, logged_jac = recorded(fun, jac, calls)
     try:
-        out = solver(logged_fun, logged_jac, x0, lower, upper, GRADIENT_TOL, STEP_TOL, budget)
+        out = solver(logged_fun, logged_jac, x0, lower, upper, GRADIENT_TOL, STEP_TOL, budget, admissible)
     except ik.EvaluationError as exc:
         return exc, (("raised", str(exc)), calls)
     x, f, status = out
@@ -215,14 +236,14 @@ def run(solver, fun, jac, x0, lower, upper, budget):
 
 
 def kernel_runs_of_fit(model, dataset, start, fixed, budget):
-    """The record of every solver run inside ``ik.fit`` with ``budget`` evaluations, as
+    """The record of every solver run inside ``fit`` with ``budget`` evaluations, as
     :func:`run` gives it, and the fit."""
     runs = []
     kernel = estimation._solve_trust_region
 
-    def spy(fun, jac, x0, lower, upper, gtol, xtol, max_nfev):
+    def spy(fun, jac, x0, lower, upper, gtol, xtol, max_nfev, admissible):
         assert (gtol, xtol, max_nfev) == (GRADIENT_TOL, STEP_TOL, budget)
-        out, record = run(kernel, fun, jac, x0, lower, upper, budget)
+        out, record = run(kernel, fun, jac, x0, lower, upper, budget, admissible)
         runs.append(record)
         if isinstance(out, ik.EvaluationError):
             raise out
@@ -232,9 +253,9 @@ def kernel_runs_of_fit(model, dataset, start, fixed, budget):
             mock.patch.object(estimation, "MAX_EVALUATIONS", budget):
         try:
             if fixed:
-                result = ik.fit(ik.restrict(model, fixed), dataset, np.delete(start, list(fixed)))
+                result = fit(restrict(model, fixed), dataset, np.delete(start, list(fixed)))
             else:
-                result = ik.fit(model, dataset, start)
+                result = fit(model, dataset, start)
         except ik.EvaluationError as exc:
             result = exc
     return runs, result
@@ -244,17 +265,20 @@ BRANCHES = {  # a line of each branch of estimation._solve_one, by name
     "Gauss-Newton step": "p_h, alpha = gauss_newton, 0.0",
     "LM step": "alpha = _lm_parameter(",
     "cut at the bound": "p_h = back_off * cut * p_h",
+    "landing on a bound": "x, x_array, f, cost, status = inside[g < 0]",
 }
+LANDING = {"landing on a bound": "x, f, cost, status = x_new, f_new, cost_new, None"}  # of _solve_trust_region
 
 
-def branches_taken(call):
-    """The names of the BRANCHES of ``estimation._solve_one`` that ``call()`` runs, by
-    tracing the lines that run in it."""
-    lines, first = inspect.getsourcelines(estimation._solve_one)
+def branches_taken(call, kernel=None, branches=BRANCHES):
+    """The names of the ``branches`` of ``kernel`` (``estimation._solve_one`` by default) that
+    ``call()`` runs, by tracing the lines that run in it."""
+    kernel = kernel or estimation._solve_one
+    lines, first = inspect.getsourcelines(kernel)
     where = {first + i: name for i, line in enumerate(lines)
-             for name, text in BRANCHES.items() if text in line}
-    assert sorted(where.values()) == sorted(BRANCHES)
-    code, taken = estimation._solve_one.__code__, set()
+             for name, text in branches.items() if text in line}
+    assert sorted(where.values()) == sorted(branches)
+    code, taken = kernel.__code__, set()
 
     def line(frame, event, arg):
         if event == "line" and frame.f_lineno in where:
@@ -335,8 +359,8 @@ def test_fit_drives_its_solver_bit_for_bit_as_the_reference(problem):
         return  # raised at the first evaluation, before the solver ran
     assert len(runs) == 1, name
     new, new_calls = runs[0]
-    fun, jac, x0, lower, upper = reference_problem(model, dataset, start, fixed)
-    _, (expected, expected_calls) = run(reference_solve_trust_region, fun, jac, x0, lower, upper, budget)
+    fun, jac, x0, lower, upper, admissible = reference_problem(model, dataset, start, fixed)
+    _, (expected, expected_calls) = run(reference_solve_trust_region, fun, jac, x0, lower, upper, budget, admissible)
     assert new_calls == expected_calls, name
     assert new == expected, name
     assert len([c for c in new_calls if c[0] == "fun"]) <= budget
@@ -384,7 +408,7 @@ def test_every_case_is_drawn():
                           "budget 1", "budget 2", "budget 3", "budget 500"} <= seen
     assert set(itertools.product(["held", "nothing held"], ["ordered", "unordered"])) <= seen
     assert {"one free: status 0", "one free: status 1", "one free: status 3",
-            "one free: Gauss-Newton step", "one free: LM step"} <= seen
+            "one free: Gauss-Newton step", "one free: LM step", "one free: landing on a bound"} <= seen
 
 
 def test_one_free_parameter_cut_at_the_bound_is_bit_for_bit():
@@ -414,6 +438,27 @@ def test_one_free_parameter_cut_at_the_bound_is_bit_for_bit():
     assert "cut at the bound" in taken
 
 
+def test_landings_on_a_bound_are_bit_for_bit():
+    """Fits to data whose larger rate lies on the bound 10, with both rates free, with the other held and on
+    the ordered space: both kernels make the same calls and return the same bytes, and both kernels land a
+    rate on the bound (which the random draws above do not always reach with more than one free parameter)."""
+    rng = np.random.default_rng(3)
+    taken = set()
+    for seed in range(12):
+        for name, fixed in (("biexponential", None), ("biexponential", {1: 1.0}), ("biexponential-ordered", None)):
+            model, times = MODELS[name]
+            dataset = ik.generate_data(model, ik.Design(np.array(times), 0.05), [10.0, 1.0], seed=seed)
+            start = np.array([rng.uniform(2.0, 9.0), rng.uniform(0.1, 1.9)])
+            runs = []
+            taken |= branches_taken(lambda: runs.extend(kernel_runs_of_fit(model, dataset, start, fixed, 500)[0]))
+            taken |= {f"{len(start) - len(fixed or {})} free: {branch}" for branch in branches_taken(
+                lambda: kernel_runs_of_fit(model, dataset, start, fixed, 500), estimation._solve_trust_region,
+                LANDING)}
+            fun, jac, x0, lower, upper, admissible = reference_problem(model, dataset, start, fixed)
+            assert runs == [run(reference_solve_trust_region, fun, jac, x0, lower, upper, 500, admissible)[1]]
+    assert {"landing on a bound", "2 free: landing on a bound"} <= taken
+
+
 def test_repeated_multi_start_is_bitwise_equal_around_a_fit_of_another_size():
     """No state outlives a solver run: a fit with another parameter count in between
     leaves a repeated multi-start fit equal byte for byte."""
@@ -427,8 +472,8 @@ def test_repeated_multi_start_is_bitwise_equal_around_a_fit_of_another_size():
                  r.iterations, r.reason) for r in results]
 
     first = fields(ik.multi_start_fit(biexp, data, 6, seed=3))
-    ik.fit(redundant, data3, [2.0, 0.3, -1.0])
-    ik.fit(MODELS["reciprocal"][0], ik.generate_data(
+    fit(redundant, data3, [2.0, 0.3, -1.0])
+    fit(MODELS["reciprocal"][0], ik.generate_data(
         MODELS["reciprocal"][0], ik.Design(np.arange(1.0, 7.0), 0.1, 2), [0.5], seed=1), [40.0])
     assert fields(ik.multi_start_fit(biexp, data, 6, seed=3)) == first
 
