@@ -97,25 +97,26 @@ class SobolReport:
     resampled: int
 
 
-def _pick_freeze_estimates(fA, fB, fAB):
-    """Per-time indices and aggregation weights from evaluated sample blocks.
+def _pick_freeze_estimates(f):
+    """Per-time indices and aggregation weights from the blocks ``f`` of
+    :func:`_pick_freeze_outputs`; the weights are the variances of the raw f_A.
 
-    Outputs are centred on the pooled sample mean first; that removes the
+    ``f`` is then centred in place on the pooled sample mean; that removes the
     mean-leakage term from the first-order estimator and makes both indices
-    exactly invariant to affine output rescaling under a shared seed.
+    exactly invariant to affine output rescaling under a shared seed.  Each
+    parameter's two numerators are formed in the same two scratch blocks.
     """
-    var_t = np.var(fA, axis=0, ddof=1)          # (n,)
-    center = 0.5 * (np.mean(fA, axis=0) + np.mean(fB, axis=0))
-    fAc = fA - center
-    fBc = fB - center
-    p = fAB.shape[0]
-    n = fA.shape[1]
+    var_t = np.var(f[0], axis=0, ddof=1)          # (n_times,)
+    f -= 0.5 * (np.mean(f[0], axis=0) + np.mean(f[1], axis=0))
+    p, n = f.shape[0] - 2, f.shape[2]
     first = np.zeros((n, p))
     total = np.zeros((n, p))
     live = var_t > 0
+    diff, product = np.empty((2,) + f.shape[1:])
     for i in range(p):
-        num_first = np.mean(fBc * ((fAB[i] - center) - fAc), axis=0)
-        num_total = np.mean((fAc - (fAB[i] - center)) ** 2, axis=0) / 2.0
+        np.subtract(f[2 + i], f[0], out=diff)
+        num_first = np.mean(np.multiply(f[1], diff, out=product), axis=0)
+        num_total = np.mean(np.multiply(diff, diff, out=product), axis=0) / 2.0
         first[live, i] = num_first[live] / var_t[live]
         total[live, i] = num_total[live] / var_t[live]
     return first, total, var_t
@@ -141,23 +142,25 @@ def _pick_freeze_outputs(model: Model, design: Design, A: np.ndarray, B: np.ndar
 
 def _bootstrap_se(f: np.ndarray, rounds: int, rng: np.random.Generator):
     """Bootstrap standard errors of the aggregate first- and total-order indices
-    from the blocks ``f`` of :func:`_pick_freeze_outputs`, which it centres in place."""
+    from the blocks ``f`` that :func:`_pick_freeze_estimates` centred.  Each block
+    of rounds forms the 2p + 1 products again, one at a time in two scratch blocks."""
     p, n = f.shape[0] - 2, f.shape[1]
-    f -= 0.5 * (np.mean(f[0], axis=0) + np.mean(f[1], axis=0))
-    # f1 * diff, diff * diff / 2 and f0 * f0, each written where it is kept
-    products = np.empty((2 * p + 1,) + f.shape[1:])
-    diff = np.subtract(f[2:], f[0], out=products[p:-1])
-    np.multiply(f[1], diff, out=products[:p])
-    np.multiply(diff, diff, out=diff)
-    diff /= 2.0
-    np.multiply(f[0], f[0], out=products[-1])
+    diff, product = np.empty((2,) + f.shape[1:])
     boot = np.empty((rounds, 2 * p))
     counts = np.empty((BOOTSTRAP_BLOCK, n))
     for start in range(0, rounds, BOOTSTRAP_BLOCK):
         w = counts[: min(BOOTSTRAP_BLOCK, rounds - start)]
         for row in w:
             row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        means, moments = np.matmul(w, f) / n, np.matmul(w, products) / n
+        means = np.matmul(w, f) / n
+        # f1 * diff, then diff * diff / 2, per parameter, and f0 * f0 last
+        moments = np.empty((2 * p + 1,) + means.shape[1:])
+        for i in range(p):
+            np.subtract(f[2 + i], f[0], out=diff)
+            moments[i] = np.matmul(w, np.multiply(f[1], diff, out=product)) / n
+            np.divide(np.multiply(diff, diff, out=diff), 2.0, out=diff)
+            moments[p + i] = np.matmul(w, diff) / n
+        moments[-1] = np.matmul(w, np.multiply(f[0], f[0], out=product)) / n
         var_t = (moments[-1] - means[0] ** 2) * (n / (n - 1))
         # the round's own centre, relative to the full-sample one, in the first-order numerator
         moments[:p] -= 0.5 * (means[0] + means[1]) * (means[2:] - means[0])
@@ -198,9 +201,9 @@ def sobol_indices(
     :func:`~identikit.models.linear_model`'s do not.  Points with any non-finite
     output are redrawn from the prior (A row, then B row, in index order; the
     count is reported) and evaluated again, block by block, each round.  With T
-    design times the working set is 8 n T (3p + 3) bytes of outputs and bootstrap
-    products, 8 n BOOTSTRAP_BLOCK bytes of resample counts, and the model's
-    temporaries over one block of n rows.
+    design times the working set is 8 n T (p + 4) bytes of outputs, centred in
+    place, and two scratch blocks for products, 8 n BOOTSTRAP_BLOCK bytes of
+    resample counts, and the model's temporaries over one block of n rows.
 
     The bootstrap runs ``bootstrap`` rounds, an integer: 0 for none, else at least 2.  It
     draws each round's n resample indices as the per-round estimator would,
@@ -234,7 +237,7 @@ def sobol_indices(
         f[:, pending], ok = _pick_freeze_outputs(model, design, A[pending], B[pending])
         pending = pending[~ok]
 
-    per_first, per_total, var_t = _pick_freeze_estimates(f[0], f[1], f[2:])
+    per_first, per_total, var_t = _pick_freeze_estimates(f)
     variance_total = float(np.sum(var_t))
     degenerate = variance_total <= 0
     first = _aggregate(per_first, var_t)
