@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .models import Dataset, EvaluationError, Model, _checked, _integer, _outputs, evaluate
 from .sensitivity import ANALYTIC, FORWARD_ODE, _matrix, forward_ode_solve, resolve_method, sensitivity_matrix
@@ -28,7 +27,6 @@ GRADIENT_TOL = 1e-8
 STEP_TOL = 1e-10
 MAX_EVALUATIONS = 500  # residual evaluations per fit
 _EPS = np.finfo(float).eps
-_SVD = getattr(_umath_linalg, "svd_s", None) or _umath_linalg.svd_n_s  # see _svd
 
 
 @dataclass(eq=False)
@@ -50,17 +48,6 @@ def log_likelihood(objective: float, noise_sd: float) -> float:
 
 def _norm(a) -> np.float64:  # np.linalg.norm of a contiguous 1-D float array: its sqrt(a.dot(a))
     return np.float64(math.sqrt(a.dot(a)))
-
-
-def _svd_failed(error, flag):
-    raise LinAlgError("SVD did not converge")
-
-
-def _svd(a):
-    """np.linalg.svd(a, full_matrices=False) of a tall float a: the gufunc it calls, ``svd_s`` on numpy
-    >= 2 and ``svd_n_s`` on 1.26 (private to numpy, see README "Dependencies"), in its errstate."""
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _SVD(a, signature="d->ddd")
 
 
 def _clip(value: float, low: float, high: float) -> float:  # np.clip's: NaN passes, a tie gives the bound
@@ -94,10 +81,11 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissi
 
     With so few parameters numpy's per-call cost outweighs the arithmetic, so p-vector
     elementwise work runs on Python floats, the same IEEE operations, and array work
-    calls array methods (``a.sum()``) and the SVD gufunc (:func:`_svd`), not the ``np.*``
-    wrappers.  Two traps move the last digits: ``a.sum()`` (pairwise) and ``a.dot(a)``
-    (BLAS, as in ``np.linalg.norm``) round differently, and so does ``J.T @ f`` on a
-    C-contiguous J against the F-contiguous one that ``fit`` hands over.
+    calls array methods (``a.sum()``), not the ``np.*`` wrappers.  The SVD is
+    ``np.linalg.svd`` itself: its wrapper adds a few microseconds to a call, a few
+    milliseconds to a run.  Two traps move the last digits: ``a.sum()`` (pairwise) and
+    ``a.dot(a)`` (BLAS, as in ``np.linalg.norm``) round differently, and so does ``J.T @ f``
+    on a C-contiguous J against the F-contiguous one that ``fit`` hands over.
     A run with one free parameter goes to :func:`_solve_one`, the same loop on floats.
     """
     if x.size == 1:
@@ -148,7 +136,7 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissi
         d, c = np.sqrt(v), np.abs(g)
         J_h, g_h = J * d, d * g
         augmented[:n], diagonal[:] = J_h, np.sqrt(c)
-        U, s, Vt = _svd(augmented)
+        U, s, Vt = np.linalg.svd(augmented, full_matrices=False)
         suf = s * (U[:n].T @ f)
         full_rank = s[-1] > _EPS * n * s[0]
         gauss_newton = -Vt.T @ (suf / s**2) if full_rank else None
@@ -248,7 +236,7 @@ def _solve_one(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
         g_h = d * g
         np.multiply(J[:, 0], d, out=J_h)
         augmented[n, 0] = math.sqrt(c)
-        U, s, Vt = _svd(augmented)
+        U, s, Vt = np.linalg.svd(augmented, full_matrices=False)
         s0, vt = s.item(), Vt.item()
         suf = s0 * (U[:n].T @ f).item()
         full_rank = s0 > rank_tol * s0

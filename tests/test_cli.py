@@ -164,6 +164,19 @@ class TestValidation:
             ("config", "seed"), ("config", "fit"), ("model.constants", "bounds"), ("design.times[0]", "a"),
             ("fit", "starts"))]
 
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        (lambda path: path.mkdir(), "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+        (lambda path: path.write_text("[1, 2]"), "document must be a JSON object"),
+    ], ids=["missing", "a directory", "a list"])
+    def test_an_unreadable_or_non_object_document_is_named_and_exits_2(self, tmp_path, capsys, write, message):
+        cfg = tmp_path / "run.json"
+        write(cfg)
+        message = message.format(path=cfg)
+        assert load_raw(cfg) == (None, [Diagnostic("config", message)])
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error - config: {message}\n"
+
     def test_a_document_nested_too_deeply_is_named_and_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"model": ' + "[" * 5000 + "]" * 5000 + "}")
@@ -269,6 +282,21 @@ class TestValidation:
         assert any(d.field == field for d in validate_config(doc))
         cfg = write_config(tmp_path, doc)
         assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("path, value, diagnostic", [
+        (("fim", "theta"), [20.0, 1.0], "fim.theta: lies outside the admissible parameter set"),
+        (("data", "theta_true"), [2.0, 0.0], "data.theta_true: lies outside the admissible parameter set"),
+        (("recover", "prior"), [{"kind": "uniform", "lower": 0.1}] * 2,
+         "recover.prior: entry 0 needs exactly kind, lower and upper numbers"),
+        (("recover", "prior"), [{"kind": "uniform", "lower": 0.1, "upper": 2.0},
+                                {"kind": "uniform", "lower": 0.1, "upper": "2"}],
+         "recover.prior: entry 1 needs exactly kind, lower and upper numbers"),
+    ])
+    def test_bad_value_is_named_with_its_reason_and_exits_2(self, tmp_path, capsys, path, value, diagnostic):
+        doc = with_field(FULL_CONFIG, path, value)
+        assert [str(d) for d in validate_config(doc)] == [diagnostic]
+        assert main(["all", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error - {diagnostic}\n"
 
 
 class TestRun:

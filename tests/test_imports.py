@@ -41,10 +41,9 @@ def test_the_scan_finds_an_unused_import():
 
 
 # Private modules of other packages that src/ may bind, each held bit for bit to the public
-# function it replaces by its own test (README "Dependencies"): numpy's SVD gufunc by
-# tests/test_estimation.py::TestSvdBinding, LSODA and gammaincinv by the tests named there.
+# function it replaces by its own test (README "Dependencies"): LSODA and gammaincinv, both
+# scipy extensions that a run loads only when it needs them.
 PRIVATE_BINDINGS = {
-    "numpy.linalg._umath_linalg",
     "scipy.integrate._odepack",
     "scipy.special._special_ufuncs",
 }

@@ -106,6 +106,15 @@ class TestParameterSpace:
         with pytest.raises(ValueError):
             ParameterSpace(np.array([2.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("lower, upper, names, message", [
+        ([0.0, 0.0], [1.0], None, "bounds must be equal-length 1-D arrays"),
+        ([0.0, 0.0], [1.0, 1.0], ("a",), "names must match the parameter count"),
+        ([0.0], [1.0], ("a", "b"), "names must match the parameter count"),
+    ])
+    def test_mismatched_lengths_rejected(self, lower, upper, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ParameterSpace(np.array(lower), np.array(upper), names=names)
+
     def test_ordering_constraints_validated(self):
         with pytest.raises(ValueError):
             ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 0),))
@@ -224,6 +233,12 @@ class TestEvaluate:
         assert evaluate(model, design, [1.0])[0] == 1.0
         with pytest.raises(ik.EvaluationError):
             evaluate(model, design, [6.0])
+
+    @pytest.mark.parametrize("times", [[0.0, 4.0], [-1.0, 0.0]])
+    def test_linear_model_outside_its_rows_signalled(self, times):
+        model = ik.get_model("linear")  # four rows, t = 0..3
+        with pytest.raises(ik.EvaluationError, match=r"^linear model defined for t in 0\.\.3$"):
+            evaluate(model, ik.Design(np.array(times), 0.1), [1.0, 2.0])
 
     def test_bitwise_pure(self):
         model = ik.get_model("logistic")
@@ -480,6 +495,12 @@ class TestDatasetIO:
         meta = json.loads(sidecar.read_text())
         sidecar.write_text(json.dumps({**meta, key: value}))
         with pytest.raises(ValueError, match=re.escape(f"field {key}: must be {kind}, got {value!r}")):
+            load_dataset(path)
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_text(path.read_text().replace("time,replicate,value", "t,rep,y", 1))
+        with pytest.raises(ValueError, match=re.escape("unexpected dataset header: 't,rep,y'")):
             load_dataset(path)
 
     def test_sidecar_with_a_repeated_key_rejected(self, tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import identikit as ik
+from identikit import sobol
 from identikit.models import Design, Model, ParameterSpace
 from identikit.sobol import BOOTSTRAP_BLOCK, Prior, screen_unidentifiable, sobol_indices
 
@@ -32,6 +33,10 @@ class TestPrior:
             Prior(("log-uniform",), np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             Prior(("triangular",), np.array([0.0]), np.array([1.0]))
+
+    def test_kinds_and_bounds_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="^kinds and bounds must have equal length$"):
+            Prior(("uniform",), np.zeros(2), np.ones(2))
 
     def test_log_uniform_sampling_range(self):
         prior = Prior(("log-uniform",), np.array([0.01]), np.array([100.0]))
@@ -157,6 +162,15 @@ class TestSobolIndices:
         report = sobol_indices(model, ONE_TIME, Prior.uniform_box(space), 2**10, seed=0)
         assert report.resampled > 0
         assert np.all(np.isfinite(report.first))
+
+    def test_points_that_never_evaluate_give_up_after_the_last_round(self, monkeypatch):
+        monkeypatch.setattr(sobol, "MAX_RESAMPLE_ROUNDS", 3)
+        calls = []
+        model = Model("nowhere", ParameterSpace(np.zeros(2), np.ones(2)),
+                      f=lambda times, ths: calls.append(len(ths)) or np.full((len(ths), len(times)), np.nan))
+        with pytest.raises(ik.EvaluationError, match="^1024 sample points keep failing to evaluate$"):
+            sobol_indices(model, ONE_TIME, Prior.uniform_box(model.space), 2**10, seed=0)
+        assert calls == [1024] * 4 * (1 + 3)  # the blocks A, B, A_B(1), A_B(2): the first draw and 3 rounds
 
     def test_deterministic_in_seed(self):
         model = algebraic_model("additive", lambda th: th[0] + th[1], [0, 0], [1, 1])
