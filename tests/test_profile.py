@@ -30,12 +30,20 @@ from identikit.profile import (
     UNCONVERGED,
     ProfileCurve,
     ProfileInterval,
+    _quadratic_root,
     drop_threshold,
 )
 from identikit.recovery import DEFAULT_STARTS
 from oracles import one_parameter_end
 
 ROOT = Path(__file__).parents[1]
+
+
+def curve_digest(curve) -> str:
+    """sha256 prefix of the curve's grid, values, theta_opt and converged, bit for bit."""
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                     for a in (curve.grid, curve.values, curve.theta_opt, curve.converged)))
+    return digest.hexdigest()[:16]
 
 
 def best_fit(model, data, k=16, seed=0):
@@ -295,6 +303,12 @@ CASES = {
     "biexp-all": lambda: config_case("configs/biexponential_all.json"),
     "linear": linear_case,
 }
+# curve_digest of each default-sweep curve of CASES, by (name, index): a change that moves a digit fails
+PINNED = {
+    ("biexp-all", 0): "a47cf9bae2a31815", ("biexp-all", 1): "ee34c525e2cd117c",
+    ("linear", 0): "0770fad83c655e73", ("linear", 1): "ee4f8446c90e0a7a",
+    ("logistic-ode", 0): "600d23722db5acf9", ("logistic-ode", 1): "563e3348c42644d5",
+}
 
 
 class TestLevelSetStop:
@@ -307,6 +321,7 @@ class TestLevelSetStop:
         sigma = data.design.noise_sd
         for i in indices:
             curve = ik.profile_parameter(model, data, fit, i, points=points)
+            assert curve_digest(curve) == PINNED[name, i]
             grid, values = curve.grid, curve.values
             # the fit is the curve's highest point, taken as it is, and the points increase
             at = int(np.flatnonzero(grid == fit.theta[i])[0])
@@ -330,6 +345,13 @@ class TestLevelSetStop:
                 refit = estimation.fit(restrict(model, {i: end}), data, np.delete(curve.theta_opt[k], i))
                 assert refit.converged
                 assert log_likelihood(refit.objective, sigma) == pytest.approx(target, abs=2 * ROOT_TOL)
+
+    def test_redundant_structural_curve_is_flat_to_both_bounds(self):
+        model, data, fit, indices, points = config_case("configs/redundant_structural.json")
+        curve = ik.profile_parameter(model, data, fit, indices[0], points=points)
+        assert curve_digest(curve) == "fdb622c1390a170d"
+        assert curve.sweep_ends == (BOUND, BOUND) and curve.classification == CLASS_FLAT
+        assert (curve.interval.lower, curve.interval.upper) == (model.space.lower[0], model.space.upper[0])
 
     def test_logistic_refit_count(self, monkeypatch):
         model, data, fit, indices, points = CASES["logistic-ode"]()
@@ -447,9 +469,7 @@ class TestRestrictedOncePerPoint:
         monkeypatch.setattr("identikit.profile.restrict",
                             lambda model, values: held.append(values) or restrict(model, values))
         curve = ik.profile_parameter(config.model, data, fit, index, grid=grid, multistart=4, seed=config.seed)
-        digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
-                                         for a in (curve.grid, curve.values, curve.theta_opt, curve.converged)))
-        assert digest.hexdigest()[:16] == pinned
+        assert curve_digest(curve) == pinned
         if grid is None:
             assert len(held) == curve.refits == 15
         else:
@@ -543,6 +563,29 @@ class TestStalls:
         assert (curve.interval.lower_end, curve.interval.upper_end) == (REFIT_CAP, REFIT_CAP)
         assert curve.classification == CLASS_INCONCLUSIVE
 
+    def test_a_failed_refit_inside_a_bracket_ends_its_refinement(self, monkeypatch):
+        # every refit nearer the fit than one before it on its side is a refinement: each fails, so
+        # each side keeps the bracket its sweep ended on, and its end is that bracket's chord
+        model, data, fit, _, _ = linear_case()
+        center, swept = fit.theta[0], []
+
+        def fail_inside(result, value):
+            if any((v > center) == (value > center) and abs(v - center) > abs(value - center) for v in swept):
+                raise EvaluationError("no output inside the bracket")
+            swept.append(value)
+            return result
+
+        self.refits_that(monkeypatch, fail_inside)
+        curve = ik.profile_parameter(model, data, fit, 0)
+        assert sorted(swept + [center]) == curve.grid.tolist()
+        assert curve.sweep_ends == (LEVEL_SET, LEVEL_SET) and not curve.truncated
+        target = curve.loglik_hat - drop_threshold(curve.level)
+        grid, values, interval = curve.grid, curve.values, curve.interval
+        for end, (inside, out) in ((interval.lower, (1, 0)), (interval.upper, (-2, -1))):
+            assert min(values[inside] - target, target - values[out]) > ROOT_TOL  # not refined
+            assert end == reference_crossing(grid[inside], values[inside], grid[out], values[out], target)
+        assert curve.classification == CLASS_IDENTIFIABLE
+
     def test_open_side_of_an_explicit_grid_says_grid_end(self):
         model, data, fit, _, _ = linear_case()
         grid = fit.theta[0] + np.linspace(-0.1, 0.1, 5)
@@ -551,6 +594,22 @@ class TestStalls:
         assert (interval.lower_end, interval.upper_end) == (GRID_END, GRID_END)
         assert (interval.lower, interval.upper) == (grid[0], grid[-1])
         assert curve.classification == CLASS_PRACTICAL
+
+
+class TestQuadraticRoot:
+    """The refinement's interpolation step, where it has no root of its own to give."""
+
+    def test_collinear_points_give_the_fallback(self):
+        # qa == 0: the "quadratic" through the three points is the line, whose root the chord already is
+        assert _quadratic_root(0.0, 0.0, 1.0, -1.0, 2.0, -2.0, -1.5, 1.25) == 1.25
+
+    def test_a_quadratic_that_misses_the_target_gives_the_fallback(self):
+        # disc < 0: v = -x^2 through -1, 0 and 1 never reaches 0.5
+        assert _quadratic_root(-1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 0.5, 0.75) == 0.75
+
+    def test_the_root_inside_the_bracket(self):
+        # v = -x^2 reaches -0.25 at x = 0.5 between 0 and 1 (and at -0.5 outside it)
+        assert _quadratic_root(-1.0, -1.0, 0.0, 0.0, 1.0, -1.0, -0.25, 0.9) == pytest.approx(0.5, abs=1e-15)
 
 
 # The interval and classification as they were computed before a curve derived them:
