@@ -193,8 +193,10 @@ def _design(diags: list[Diagnostic], section) -> Design | None:
 def build_config(raw: dict) -> RunConfig:
     """Check every field of a configuration document and build the typed configuration.
 
-    Raises :class:`ConfigError` listing every bad, missing or unknown field.
+    Raises :class:`ConfigError` listing every bad, missing or unknown field, or naming a non-object document.
     """
+    if not isinstance(raw, dict):  # as load_raw names it
+        raise ConfigError([Diagnostic("config", "document must be a JSON object")])
     diags: list[Diagnostic] = []
     sections = ("model", "design", "data", "fit") + ANALYSIS_SECTIONS
     # a section passes as it is here; its fields are read once the model is known

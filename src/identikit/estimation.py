@@ -319,8 +319,11 @@ def _residuals(outputs: np.ndarray, design, y: np.ndarray) -> np.ndarray:
 
 
 def objective_at(model: Model, dataset: Dataset, theta) -> float:
-    """S(theta) = 0.5 ||f(theta) - y||^2 at a point of the admissible set, as :func:`fit` computes it."""
-    r = _residuals(evaluate(model, dataset.design, theta), dataset.design, dataset.observations.ravel())
+    """S(theta) = 0.5 ||f(theta) - y||^2 at a point of the admissible set, as :func:`fit` computes it: on the
+    forward-ODE route from the outputs of the augmented system that ``fit`` integrates."""
+    ode = resolve_method(model) == FORWARD_ODE
+    outputs = forward_ode_solve(model, dataset.design, theta)[0] if ode else evaluate(model, dataset.design, theta)
+    r = _residuals(outputs, dataset.design, dataset.observations.ravel())
     return 0.5 * float(r @ r)
 
 

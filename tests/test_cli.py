@@ -177,6 +177,15 @@ class TestValidation:
         assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error - config: {message}\n"
 
+    @pytest.mark.parametrize("doc", [[], None, "x", 1.5, [FULL_CONFIG]])
+    def test_a_non_object_document_is_a_config_error(self, doc):
+        # formerly AttributeError: 'NoneType' object has no attribute 'pop'
+        expected = [Diagnostic("config", "document must be a JSON object")]
+        assert validate_config(doc) == expected
+        with pytest.raises(ConfigError) as raised:
+            build_config(doc)
+        assert raised.value.diagnostics == expected
+
     def test_a_document_nested_too_deeply_is_named_and_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"model": ' + "[" * 5000 + "]" * 5000 + "}")

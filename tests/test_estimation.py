@@ -664,10 +664,14 @@ class TestStopRule:
         with pytest.raises(ValueError, match="^stop_after must be an integer >= 1$"):
             ik.multi_start_fit(model, data, 4, 0, stop_after=stop_after)
 
+    @pytest.mark.parametrize("name, times, sd, theta, start", [
+        ("biexponential", np.linspace(0.25, 3.0, 7), 0.05, [2.0, 1.0], [1.5, 0.5]),
+        # forward-ODE route: S from the augmented system that fit integrates, not from the rhs alone
+        ("logistic", np.array([0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10]), 0.02, [1.0, 2.0, 0.1], [0.8, 1.5, 0.2]),
+    ], ids=["biexponential", "logistic"])
     @pytest.mark.parametrize("replicates", [1, 3])
-    def test_objective_at_is_the_objective_fit_reports(self, replicates):
-        model = ik.get_model("biexponential")
-        design = ik.Design(np.linspace(0.25, 3.0, 7), 0.05, replicates=replicates)
-        data = ik.generate_data(model, design, [2.0, 1.0], seed=5)
-        res = estimation.fit(model, data, [1.5, 0.5])
+    def test_objective_at_is_the_objective_fit_reports(self, name, times, sd, theta, start, replicates):
+        model = ik.get_model(name)
+        data = ik.generate_data(model, ik.Design(times, sd, replicates=replicates), theta, seed=5)
+        res = estimation.fit(model, data, start)
         assert res.converged and estimation.objective_at(model, data, res.theta) == res.objective
