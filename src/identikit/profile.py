@@ -16,8 +16,8 @@ each side is swept outward from it (after Raue et al. 2009, Bioinformatics
 - each refit fits the model restricted to the profiled value (:func:`restrict`),
   from the line through the last two optima clipped into that model's box;
 - a side ends one refit past the level set, at the first value more than
-  :func:`drop_threshold` below both the fit's and the highest so far, or on
-  the bound, a failed refit or its ``points``-th refit.
+  :func:`drop_threshold` below the fit's, or on the bound, a failed refit or
+  its ``points``-th refit.
 
 Each crossing is then refined by bracketed refits, quadratic interpolation
 safeguarded by bisection as in Brent's method, until a point that brackets it
@@ -119,12 +119,9 @@ class ProfileCurve:
         A side with no crossing before its last point is open: the interval is
         unbounded within the profiled range.
         """
-        target = float(np.max(self.values)) - drop_threshold(self.level)
-        peak = int(np.argmax(self.values))
-        sides = []
-        for walk, swept in ((np.arange(peak, -1, -1), self.sweep_ends[0]),
-                            (np.arange(peak, self.grid.size), self.sweep_ends[1])):
-            k = _crossing(self.values[walk], target)
+        drop, sides = drop_threshold(self.level), []
+        for d, swept in zip((-1, 1), self.sweep_ends):
+            target, walk, k = _bracket(self.values, d, drop)
             if k is None:
                 sides.append((float(self.grid[walk[-1]]), True, swept))
             else:
@@ -290,11 +287,8 @@ def profile_parameter(
                 step = min(step, max(last / GROWTH, reach))
         return min(x + step, hi) if d > 0 else max(x - step, lo)
 
-    highest = loglik_hat  # over both sides
-
     def sweep(d: int) -> tuple[list, str]:
         """The rows of side ``d``, outward, each refit warm from the line through the two before; how it ended."""
-        nonlocal highest
         side = rows[:1]
         while len(side) <= cap:
             x = next_value(d, side)
@@ -304,17 +298,15 @@ def profile_parameter(
             if row is None:
                 return side[1:], REFIT_FAILED
             side.append(row)
-            highest = max(highest, row[1])
-            if row[1] < min(loglik_hat, highest) - drop:
+            if row[1] < loglik_hat - drop:
                 return side[1:], LEVEL_SET
         return side[1:], REFIT_CAP
 
     upper, upper_end = sweep(1)
     lower, lower_end = sweep(-1)
     rows = lower[::-1] + rows + upper
-    if grid is None:
-        for d, budget in ((1, cap - len(upper)), (-1, cap - len(lower))):
-            rows = _refine(rows, d, budget, drop, refit)
+    for d, budget in ((1, cap - len(upper)), (-1, cap - len(lower))):  # a grid's infinite drop: no crossing
+        rows = _refine(rows, d, budget, drop, refit)
     xs, values, refits = zip(*rows)
     return ProfileCurve(
         index=index, grid=np.array(xs), values=np.array(values),
@@ -335,10 +327,7 @@ def _refine(rows: list, d: int, budget: int, drop: float, refit) -> list:
     while budget > 0:
         xs = np.array([r[0] for r in rows])
         values = np.array([r[1] for r in rows])
-        target = float(values.max()) - drop
-        peak = int(np.argmax(values))
-        walk = np.arange(peak, xs.size) if d > 0 else np.arange(peak, -1, -1)
-        k = _crossing(values[walk], target)
+        target, walk, k = _bracket(values, d, drop)
         if k is None:
             return rows
         a, b = walk[k - 1], walk[k]
@@ -363,15 +352,18 @@ def _refine(rows: list, d: int, budget: int, drop: float, refit) -> list:
     return rows
 
 
-def _crossing(values, target) -> int | None:
-    """The first k >= 1 with ``values[k]`` below ``target``, None if there is none."""
-    below = np.flatnonzero(values[1:] < target)
-    return int(below[0]) + 1 if below.size else None
+def _bracket(values: np.ndarray, d: int, drop: float) -> tuple[float, np.ndarray, int | None]:
+    """On side ``d`` (+1 up, -1 down): the level, ``drop`` below the highest of ``values``; the walk of indices
+    outward from the first highest; and the first position k >= 1 on it below the level (None if there is
+    none), so that ``walk[k - 1]`` and ``walk[k]`` bracket the crossing of the level set."""
+    target, peak = float(np.max(values)) - drop, int(np.argmax(values))
+    walk = np.arange(peak, values.size) if d > 0 else np.arange(peak, -1, -1)
+    below = np.flatnonzero(values[walk[1:]] < target)
+    return target, walk, int(below[0]) + 1 if below.size else None
 
 
 def _chord(x_in, v_in, x_out, v_out, target) -> float:
-    if v_out == v_in:
-        return float(x_out)
+    """Where the chord from (``x_in``, ``v_in`` >= ``target``) to (``x_out``, ``v_out`` < ``target``) meets it."""
     w = (v_in - target) / (v_in - v_out)
     return float(x_in + w * (x_out - x_in))
 

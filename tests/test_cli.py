@@ -177,7 +177,7 @@ class TestValidation:
         assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error - config: {message}\n"
 
-    @pytest.mark.parametrize("doc", [[], None, "x", 1.5, [FULL_CONFIG]])
+    @pytest.mark.parametrize("doc", [[], None, "x"], ids=["a list", "null", "a string"])
     def test_a_non_object_document_is_a_config_error(self, doc):
         # formerly AttributeError: 'NoneType' object has no attribute 'pop'
         expected = [Diagnostic("config", "document must be a JSON object")]
@@ -300,6 +300,8 @@ class TestValidation:
         (("recover", "prior"), [{"kind": "uniform", "lower": 0.1, "upper": 2.0},
                                 {"kind": "uniform", "lower": 0.1, "upper": "2"}],
          "recover.prior: entry 1 needs exactly kind, lower and upper numbers"),
+        # an integer beyond a double is no number (math.isfinite overflows on it)
+        (("design", "noise_sd"), 10**400, "design.noise_sd: must be a number >= 1e-12"),
     ])
     def test_bad_value_is_named_with_its_reason_and_exits_2(self, tmp_path, capsys, path, value, diagnostic):
         doc = with_field(FULL_CONFIG, path, value)

@@ -596,20 +596,12 @@ class TestStalls:
         assert curve.classification == CLASS_PRACTICAL
 
 
-class TestQuadraticRoot:
-    """The refinement's interpolation step, where it has no root of its own to give."""
-
-    def test_collinear_points_give_the_fallback(self):
-        # qa == 0: the "quadratic" through the three points is the line, whose root the chord already is
-        assert _quadratic_root(0.0, 0.0, 1.0, -1.0, 2.0, -2.0, -1.5, 1.25) == 1.25
-
-    def test_a_quadratic_that_misses_the_target_gives_the_fallback(self):
-        # disc < 0: v = -x^2 through -1, 0 and 1 never reaches 0.5
-        assert _quadratic_root(-1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 0.5, 0.75) == 0.75
-
-    def test_the_root_inside_the_bracket(self):
-        # v = -x^2 reaches -0.25 at x = 0.5 between 0 and 1 (and at -0.5 outside it)
-        assert _quadratic_root(-1.0, -1.0, 0.0, 0.0, 1.0, -1.0, -0.25, 0.9) == pytest.approx(0.5, abs=1e-15)
+@pytest.mark.parametrize("points, target, fallback", [
+    ((0.0, 0.0, 1.0, -1.0, 2.0, -2.0), -1.5, 1.25),  # qa == 0: collinear, the chord's root is the line's
+    ((-1.0, -1.0, 0.0, 0.0, 1.0, -1.0), 0.5, 0.75),  # disc < 0: v = -x^2 never reaches 0.5
+], ids=["collinear", "no real root"])
+def test_quadratic_root_without_a_root_of_its_own_is_the_fallback(points, target, fallback):
+    assert _quadratic_root(*points, target, fallback) == fallback
 
 
 # The interval and classification as they were computed before a curve derived them:
