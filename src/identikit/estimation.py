@@ -59,7 +59,7 @@ def _divide(a: float, b: float) -> float:  # numpy's: a zero divisor gives inf o
     return a / b if b else float(np.divide(a, b))
 
 
-def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissible):
+def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev):
     """Bounded trust-region Levenberg-Marquardt for min 0.5 ||fun(x)||^2, dense, small n.
 
     Coleman-Li affine scaling (Coleman & Li 1996; Branch, Coleman & Li 1999): v_i is
@@ -73,9 +73,8 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissi
     inside.  The start is moved 1e-10 (relative) off any bound it sits on, and the
     first radius is ||x0 / sqrt(v)||.  Radius update and stopping tests are trf's, but
     at a stop the first x_i short of the bound -g_i points at, with |g_i| >= gtol, is
-    tried on it (one ulp inside), and the run goes on from there if S falls and
-    ``admissible`` holds there (one free parameter has no ordering to break, so
-    :func:`_solve_one` does not ask).  ``fun`` is called at most ``max_nfev`` times.
+    tried on it (one ulp inside), and the run goes on from there if S falls.
+    ``fun`` is called at most ``max_nfev`` times.
     Returns (x, fun(x), status): status 1 is ||v g||_inf < gtol, 3 a step shorter
     than xtol (xtol + ||x||), and 0 the budget spent.
 
@@ -123,7 +122,7 @@ def _solve_trust_region(fun, jac, x, lower, upper, gtol, xtol, max_nfev, admissi
             for i, gi in enumerate(g.tolist()):
                 x_new = x.copy()
                 x_new[i] = inside[i][gi < 0]  # the bound -g points at, one ulp inside
-                if abs(gi) >= gtol and x_new[i] != x[i] and nfev < max_nfev and admissible(x_new):
+                if abs(gi) >= gtol and x_new[i] != x[i] and nfev < max_nfev:
                     f_new, nfev = fun(x_new), nfev + 1
                     if (cost_new := 0.5 * float(f_new @ f_new)) < cost:
                         x, f, cost, status = x_new, f_new, cost_new, None
@@ -346,19 +345,21 @@ def fit(model: Model, dataset: Dataset, start) -> EstimateResult:
     with ``converged=False`` when the budget is spent.  An optimum on a bound is
     reached, not crept toward: before it stops, the solver tries a parameter
     whose unscaled gradient still points at a bound on that bound, and goes on.
+    An evaluation failure mid-run returns the best point so far, not converged,
+    as ``max-iter`` with the message in ``failure``; one at the first evaluation is raised.
 
-    The solver cannot express ordering constraints: it runs over the box,
-    evaluating without the ordering check, and lands a parameter on a bound only
-    inside them.  If it ends outside them the best admissible point it visited
-    is returned, not converged, as ``boundary``.  An evaluation failure mid-run
-    returns the best admissible point so far, not converged, as ``max-iter``
-    with the message in ``failure``; one at the first evaluation is raised.
+    On a space with orderings the start may be anywhere in the box, the solver runs
+    over the box, and the point returned is ``model.canonical`` of the one it reached,
+    which the orderings admit (a model with orderings and no such map: ValueError).
     """
     space = model.space
-    start = space.require(start)
+    if space.orderings and model.canonical is None:
+        raise ValueError(f"model {model.name} has orderings but no canonical map onto them")
+    box = replace(model, space=replace(space, orderings=())) if space.orderings else model
+    canonical = model.canonical if space.orderings else np.asarray
+    start = box.space.require(start)
     design = dataset.design
     y = dataset.observations.ravel()
-    box = replace(model, space=replace(space, orderings=())) if space.orderings else model
     route = resolve_method(model)
     best_theta, best_objective = None, np.inf
     jacobians = 0
@@ -373,9 +374,9 @@ def fit(model: Model, dataset: Dataset, start) -> EstimateResult:
             outputs = _outputs(model, design, x)
         r = _residuals(outputs, design, y)
         objective = 0.5 * float(r @ r)
-        # kept without orderings too: the solver's clip passes NaN, and a NaN point
-        # can improve the objective of a model that is finite at NaN
-        if objective < best_objective and space.contains(x):
+        # the solver's clip passes NaN, and a NaN point can improve the objective
+        # of a model that is finite at NaN
+        if objective < best_objective and box.space.contains(x):
             best_theta, best_objective = x, objective
         return r
 
@@ -394,24 +395,18 @@ def fit(model: Model, dataset: Dataset, start) -> EstimateResult:
     def result(theta, objective, converged, reason, failure=None):
         sigma2 = 2.0 * objective / (y.size - start.size) if y.size > start.size else float("nan")
         return EstimateResult(
-            theta=theta.copy(), objective=float(objective), sigma2=float(sigma2),
+            theta=np.array(canonical(theta)), objective=float(objective), sigma2=float(sigma2),
             converged=converged, iterations=jacobians, reason=reason,
             start=start.copy(), failure=failure,
         )
 
     try:
         x, r, status = _solve_trust_region(
-            residuals, jacobian, start, space.lower, space.upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS,
-            space.contains,
-        )
+            residuals, jacobian, start, space.lower, space.upper, GRADIENT_TOL, STEP_TOL, MAX_EVALUATIONS)
     except EvaluationError as exc:
         if best_theta is None:
             raise
         return result(best_theta, best_objective, False, MAX_ITER, failure=str(exc))
-    if not space.contains(x):
-        if best_theta is None:  # the start, nudged off a bound, already broke an ordering
-            residuals(start)
-        return result(best_theta, best_objective, False, BOUNDARY)
     objective = 0.5 * float(r @ r)
     if status == 0:
         return result(x, objective, False, MAX_ITER)
@@ -427,26 +422,19 @@ RECUR_RTOL = 1e-9  # a converged start within this of the best objective (relati
 
 
 def latin_hypercube_starts(model: Model, k_starts: int, seed: int) -> np.ndarray:
-    """``k_starts`` (an integer >= 1) Latin-hypercube start points over the admissible box.
+    """``k_starts`` (an integer >= 1) Latin-hypercube start points over the box, orderings aside
+    (:func:`fit` takes a start anywhere in it).
 
-    The hypercube comes from a child generator spawned from
-    ``default_rng(seed)``; rows violating ordering constraints are replaced
-    by uniform redraws from the parent (:meth:`ParameterSpace.draw_feasible`),
-    so every start is feasible.  The starts depend on numpy alone, not on
-    scipy's ``QMCEngine`` seeding.
+    The hypercube comes from a child generator spawned from ``default_rng(seed)``,
+    as scipy's ``LatinHypercube`` spawns it, but with numpy alone.
     """
     (k_starts,) = _checked(MULTI_START_RULES, k_starts=k_starts)
     space = model.space
-    rng = np.random.default_rng(seed)
-    lhs = rng.spawn(1)[0]
+    lhs = np.random.default_rng(seed).spawn(1)[0]
     jitter = lhs.uniform(size=(k_starts, space.dimension))
     strata = np.column_stack([lhs.permutation(k_starts) for _ in range(space.dimension)])
     unit = (strata + 1 - jitter) / k_starts
-    starts = space.lower + unit * (space.upper - space.lower)
-    for k in range(k_starts):
-        if not space.contains(starts[k]):
-            starts[k] = space.draw_feasible(lambda: rng.uniform(space.lower, space.upper))
-    return starts
+    return space.lower + unit * (space.upper - space.lower)
 
 
 def _recurrences(results: list[EstimateResult]) -> int:

@@ -113,9 +113,9 @@ def _checked(rules: dict, **arguments) -> list:
 class ParameterSpace:
     """Axis-aligned box of admissible parameters, plus optional orderings.
 
-    ``orderings`` is a tuple of index pairs (i, j) meaning theta_i > theta_j.
-    Ordering constraints are enforced at membership-test time; :func:`restrict`
-    turns one whose member it holds into a bound on the other.
+    ``orderings`` is a tuple of index pairs (i, j) meaning theta_i >= theta_j, the image
+    of the model's ``canonical`` map.  Ordering constraints are enforced at membership-test
+    time; :func:`restrict` turns one whose member it holds into a bound on the other.
     """
 
     lower: np.ndarray
@@ -158,7 +158,7 @@ class ParameterSpace:
         for v, (lo, hi) in zip(values, self._box):  # a loop, not all(...): called on every fit step
             if not lo <= v <= hi:
                 return False
-        return all(values[i] > values[j] for i, j in self.orderings) if self.orderings else True
+        return all(values[i] >= values[j] for i, j in self.orderings) if self.orderings else True
 
     def require(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -184,9 +184,9 @@ class ParameterSpace:
             rejected.append(theta)
         rejected = np.array(rejected)
         names = self.parameter_names()
-        constraints = ["the bounds"] + [f"{names[i]} > {names[j]}" for i, j in self.orderings]
+        constraints = ["the bounds"] + [f"{names[i]} >= {names[j]}" for i, j in self.orderings]
         met = [np.all((rejected >= self.lower) & (rejected <= self.upper), axis=1).any()]
-        met += [np.any(rejected[:, i] > rejected[:, j]) for i, j in self.orderings]
+        met += [np.any(rejected[:, i] >= rejected[:, j]) for i, j in self.orderings]
         unmet = [c for c, m in zip(constraints, met) if not m]
         what = " and ".join(unmet) if unmet else " and ".join(constraints) + " together"
         raise RuntimeError(f"no feasible point in {MAX_DRAWS} draws: {what} never held")
@@ -347,7 +347,8 @@ class Model:
     non-finite outputs in its row.  The output is scalar: one value per time.
     A model with a relabelling symmetry, a permutation of the parameters that
     leaves ``f`` unchanged bit for bit, registers ``canonical(theta)``: the
-    representative of theta's orbit, at which recovery scores each estimate.
+    representative of theta's orbit, at which recovery scores each estimate.  A
+    space with orderings needs it: ``fit`` runs over the box and maps its end point.
     """
 
     name: str
@@ -396,7 +397,7 @@ def restrict(model: Model, held: dict[int, float]) -> Model:
     """``model`` with each ``held`` parameter fixed at its value: a model over the free parameters, in their
     order, whose ``f``, analytic ``jacobian`` and forward-ODE sensitivities are the full model's at the full
     point, bit for bit (free columns), with no ``canonical`` map.  An ordering between free parameters is
-    renumbered; one with a held member becomes a strict bound on the other.  A key that is no index in [0, p),
+    renumbered; one with a held member bounds the other by the held value.  A key that is no index in [0, p),
     holding every parameter or restricting a restricted ODE model raises ValueError; held values that leave one
     no value, OutOfBoundsError."""
     space, p = model.space, model.space.dimension
@@ -411,9 +412,8 @@ def restrict(model: Model, held: dict[int, float]) -> Model:
     if model.ode is not None and model.ode.restriction is not None:  # its system takes the unrestricted vector
         raise ValueError(f"model {model.name} is restricted already: hold its parameters in one restrict call")
     lower, upper, rank = space.lower.copy(), space.upper.copy(), free.cumsum() - 1
-    for i, j in space.orderings:  # theta_i > theta_j: a held member bounds the other (fmax and fmin skip NaN)
-        lower[i] = np.fmax(lower[i], math.nextafter(point[j], math.inf))
-        upper[j] = np.fmin(upper[j], math.nextafter(point[i], -math.inf))
+    for i, j in space.orderings:  # theta_i >= theta_j: a held member bounds the other (fmax and fmin skip NaN)
+        lower[i], upper[j] = np.fmax(lower[i], point[j]), np.fmin(upper[j], point[i])
     empty = np.where(free, lower >= upper, ~((lower <= point) & (point <= upper)))
     if empty.any():
         raise OutOfBoundsError(f"held values {held} leave parameter {np.argmax(empty)} no admissible value")
@@ -638,7 +638,7 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
     """f(t) = exp(-rate1 t) + exp(-rate2 t).
 
     Swapping the two rates leaves the output unchanged, so the model is only
-    locally identifiable unless the space is restricted to rate1 > rate2.
+    locally identifiable unless the space is restricted to rate1 >= rate2.
     """
     if not isinstance(ordered, bool):
         raise ValueError("ordered must be true or false")
@@ -655,7 +655,7 @@ def biexponential_model(bounds: tuple[float, float] = (0.01, 10.0), ordered: boo
         f=lambda times, thetas: np.exp(-thetas[:, :1] * times) + np.exp(-thetas[:, 1:] * times),
         jacobian=lambda times, theta: -times[:, None] * np.exp(-theta * times[:, None]),  # C-contiguous
         identifiability=GLOBALLY_IDENTIFIABLE if ordered else LOCALLY_NOT_GLOBALLY,
-        canonical=None if ordered else lambda theta: np.sort(theta)[::-1],  # rate1 >= rate2, as ordered allows
+        canonical=lambda theta: np.sort(theta)[::-1],  # rate1 >= rate2, the ordered space
     )
 
 

@@ -242,7 +242,7 @@ def profile_parameter(
         count += 1
         try:
             restricted = restrict(model, {index: x}) if free.any() else None
-        except OutOfBoundsError:  # an ordering that x breaks
+        except OutOfBoundsError:  # x leaves a member of an ordering one value, no interval
             return None
 
         def run(start) -> EstimateResult | None:
@@ -252,7 +252,7 @@ def profile_parameter(
                     sigma2 = 2.0 * objective / dataset.observations.size
                     return EstimateResult(point, objective, sigma2, True, 0, SMALL_GRADIENT, point)
                 res = fit(restricted, dataset, np.clip(start[free], restricted.space.lower, restricted.space.upper))
-            except (EvaluationError, OutOfBoundsError):  # OutOfBoundsError: an ordering that the start breaks
+            except EvaluationError:
                 return None
             return replace(res, theta=np.concatenate((res.theta[:index], [x], res.theta[index:])),
                            start=np.concatenate((res.start[:index], [x], res.start[index:])))

@@ -21,7 +21,7 @@ LOG_UNIFORM = "log-uniform"
 
 MIN_SAMPLES = 1 << 10
 MAX_RESAMPLE_ROUNDS = 100
-BOOTSTRAP_BLOCK = 32  # rounds of resample counts held at once: 1 MB at n = 4096
+BOOTSTRAP_BLOCK = 16  # rounds of resample counts held at once: 512 KB at n = 4096
 
 
 @dataclass(frozen=True, eq=False)

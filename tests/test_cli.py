@@ -429,7 +429,7 @@ class TestRun:
         })
         assert main(["recover", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("analysis failed: ") and "rate1 > rate2 never held" in err
+        assert err.startswith("analysis failed: ") and "rate1 >= rate2 never held" in err
 
     @staticmethod
     def ordered_profile_ends_on_the_level(tmp_path, capsys, multistart):
@@ -456,7 +456,7 @@ class TestRun:
             assert block["classification"] == "identifiable" and all(block["converged"])
             level = max(block["profile_loglik"]) - drop_threshold(block["level"])
             for end in (interval["lower"], interval["upper"]):
-                # rate1 > rate2 >= 0.01 with rate1 held, or 10 >= rate1 > rate2 with rate2 held
+                # rate1 >= rate2 >= 0.01 with rate1 held, or 10 >= rate1 >= rate2 with rate2 held
                 others = (0.01, end) if i == "0" else (end, 10.0)
                 def rss(rate, end=end):
                     return float(np.sum((y - np.exp(-end * times) - np.exp(-rate * times)) ** 2))

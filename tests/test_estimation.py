@@ -207,19 +207,13 @@ class TestFitTermination:
         res = estimation.fit(counted, data, [3.0, 0.5])
         assert res.iterations == len(calls) > 1
 
-    # the second start sits on a bound; the solver nudges both coefficients to 1e-10,
-    # which already breaks the ordering, so the start is the only admissible point
-    @pytest.mark.parametrize("start", [[2.0, 0.0], [1e-11, 0.0]])
-    def test_optimum_past_an_ordering_returns_best_admissible_point(self, start):
+    def test_orderings_without_a_canonical_map_are_rejected(self):
+        # fit runs over the box and maps its end point into the orderings, so it needs the map
         X, model, design = make_linear()
-        space = ParameterSpace(np.zeros(2), np.full(2, 10.0), orderings=((0, 1),))
-        ordered = replace(model, space=space)
+        ordered = replace(model, space=ParameterSpace(np.zeros(2), np.full(2, 10.0), orderings=((0, 1),)))
         data = Dataset(design, (X @ [1.0, 3.0])[:, None])
-        res = estimation.fit(ordered, data, start)
-        assert not res.converged and res.reason == "boundary"
-        assert space.contains(res.theta)
-        assert res.objective == pytest.approx(objective_at(model, data, res.theta), rel=1e-12)
-        assert res.objective <= objective_at(model, data, start)
+        with pytest.raises(ValueError, match=f"^model {model.name} has orderings but no canonical map onto them$"):
+            estimation.fit(ordered, data, [2.0, 0.0])
 
     def test_optimum_on_a_bound_is_reached_not_stalled_beside_it(self):
         # the best point has rate2 on its upper bound; a step cut short at that bound
@@ -548,6 +542,16 @@ class TestMultiStart:
         assert len(clusters) == 1
         np.testing.assert_allclose(clusters[0][0].theta, [2.0, 1.0], atol=1e-4)
 
+    def test_ordered_best_is_canonical_of_the_unordered_best_bit_for_bit(self):
+        # configs/biexponential_ordered.json's problem: both models fit the same starts over the same box
+        unordered, ordered = ik.get_model("biexponential"), ik.get_model("biexponential", ordered=True)
+        design = ik.Design(np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), 0.05)
+        data = ik.generate_data(ordered, design, [2.0, 1.0], seed=11)
+        best, mirrored = ik.multi_start_fit(ordered, data, 16, 7)[0], ik.multi_start_fit(unordered, data, 16, 7)[0]
+        assert best.theta.tobytes() == unordered.canonical(mirrored.theta).tobytes()
+        assert best.theta.tolist() == [1.6048217386338923, 1.1119392005574231]
+        assert best.objective == mirrored.objective == 0.0029839165996038246
+
     def test_start_whose_first_evaluation_fails_is_not_run(self):
         # the ramp is non-finite above theta = 2: such a start is never fitted, while a
         # start below it is fitted and ends max-iter at the first failure mid-run
@@ -563,11 +567,13 @@ class TestMultiStart:
                 assert r.reason == "max-iter" and r.iterations > 0 and r.objective < float("inf")
 
     def test_starts_feasible_and_deterministic(self):
+        # over the box, orderings aside: fit maps each end point into them
         model = ik.get_model("biexponential", ordered=True)
         a = latin_hypercube_starts(model, 16, seed=3)
         b = latin_hypercube_starts(model, 16, seed=3)
         assert np.array_equal(a, b)
-        assert all(model.space.contains(s) for s in a)
+        assert np.all((model.space.lower <= a) & (a <= model.space.upper))
+        assert not all(model.space.contains(s) for s in a)
 
     @pytest.mark.parametrize("k_starts", [-1, 0, 2.5, True, "4"])
     def test_starts_take_the_multi_start_rule(self, k_starts):

@@ -23,7 +23,7 @@ def reference_contains(space, theta) -> bool:
         return False
     if np.any(theta < space.lower) or np.any(theta > space.upper):
         return False
-    return all(theta[i] > theta[j] for i, j in space.orderings)
+    return all(theta[i] >= theta[j] for i, j in space.orderings)
 
 
 def array_contains(space, theta) -> bool:
@@ -33,7 +33,7 @@ def array_contains(space, theta) -> bool:
         return False
     if not ((theta >= space.lower) & (theta <= space.upper)).all():
         return False
-    return all(theta[i] > theta[j] for i, j in space.orderings)
+    return all(theta[i] >= theta[j] for i, j in space.orderings)
 
 
 def tolist_contains(space, theta) -> bool:
@@ -45,7 +45,7 @@ def tolist_contains(space, theta) -> bool:
     values = theta.tolist()
     if not all(lo <= v <= hi for lo, v, hi in zip(space.lower.tolist(), values, space.upper.tolist())):
         return False
-    return all(values[i] > values[j] for i, j in space.orderings)
+    return all(values[i] >= values[j] for i, j in space.orderings)
 
 
 @st.composite
@@ -143,7 +143,7 @@ class TestParameterSpace:
         ([0.8, float("nan")], False),
         ([float("inf"), 0.2], False),
         ([0.8, -float("inf")], False),
-        ([0.5, 0.5], False),                  # tie across the ordering
+        ([0.5, 0.5], True),                   # a tie meets the ordering
         ([[0.8, 0.2]], False),                # a row, not a vector
         ([0.8, 0.2, 0.1], False),
         ([[0.8], [0.2]], False),              # a column, not a vector
@@ -162,7 +162,7 @@ class TestParameterSpace:
     def test_draw_feasible_gives_up_naming_what_no_draw_met(self):
         space = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1), (1, 0)))
         rng = np.random.default_rng(0)
-        with pytest.raises(RuntimeError, match=r"theta1 > theta2 and theta2 > theta1 together never held"):
+        with pytest.raises(RuntimeError, match=r"theta1 >= theta2 and theta2 >= theta1 together never held"):
             space.draw_feasible(lambda: rng.uniform(space.lower, space.upper))
         calls = []
         outside = ParameterSpace(np.zeros(2), np.ones(2), orderings=((0, 1),))

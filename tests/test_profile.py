@@ -450,11 +450,12 @@ class TestRestrictedOncePerPoint:
     """A point's refits, warm and cold, fit the one restricted model built for it."""
 
     # (index, grid, sha256 prefix of the curve's grid, values, theta_opt and converged),
-    # pinned from the profile that built the restricted model again for each start
+    # pinned from the profile that built the restricted model again for each start (the
+    # ordered one since the restricted bound is the held value and cold starts are not redrawn)
     CASES = {
         "unordered": (0, None, "10135facf0b6d3be"),
-        # the last value leaves rate1 > 10 no room: restrict raises, and the point has no row
-        "ordered": (1, [0.8, 0.9, 1.1, 1.2, 10.0], "ecd418e0d7656230"),
+        # the last value leaves rate1 >= 10 one value and no interval: restrict raises, and the point has no row
+        "ordered": (1, [0.8, 0.9, 1.1, 1.2, 10.0], "d0856624cf19c331"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

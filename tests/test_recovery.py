@@ -147,10 +147,10 @@ class TestGlobalRecovery:
         assert fields(short) == fields(full)[:k]
 
     def test_prior_outside_the_ordering_raises(self):
-        model = ik.get_model("biexponential", ordered=True)  # rate1 > rate2
+        model = ik.get_model("biexponential", ordered=True)  # rate1 >= rate2
         design = ik.Design(np.linspace(0.25, 3.0, 6), 0.1)
         prior = Prior(("uniform",) * 2, np.array([0.01, 1.0]), np.array([0.1, 10.0]))
-        with pytest.raises(RuntimeError, match=r"10000 draws: rate1 > rate2 never held"):
+        with pytest.raises(RuntimeError, match=r"10000 draws: rate1 >= rate2 never held"):
             ik.global_recovery(model, design, 1, prior=prior, seed=0, n_starts=2)
 
     def test_single_trial_report_well_formed(self):
@@ -213,10 +213,12 @@ class TestCanonical:
         assert model.f(times, canonical[None]).tobytes() == model.f(times, theta[None]).tobytes()
 
     def test_only_a_relabelling_symmetry_registers_a_map(self):
-        # redundant-exponential's scaling orbit is continuous, an ordered space holds one member of each
-        # orbit, and a restricted model's free parameters need not be closed under the relabelling
-        assert ik.get_model("biexponential").canonical is not None
-        assert ik.get_model("biexponential", ordered=True).canonical is None
+        # redundant-exponential's scaling orbit is continuous, and a restricted model's free parameters need not
+        # be closed under the relabelling; the ordered space is the image of the unordered model's map
+        unordered, ordered = ik.get_model("biexponential"), ik.get_model("biexponential", ordered=True)
+        swapped = np.array([1.0, 2.0])
+        assert unordered.canonical(swapped).tolist() == ordered.canonical(swapped).tolist() == [2.0, 1.0]
+        assert ordered.space.contains(ordered.canonical(swapped)) and not ordered.space.contains(swapped)
         assert restrict(ik.get_model("biexponential"), {0: 1.0}).canonical is None
         for name in ("linear", "redundant-exponential", "reciprocal", "logistic"):
             assert ik.get_model(name).canonical is None

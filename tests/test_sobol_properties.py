@@ -88,7 +88,7 @@ def _reference_se(name, seed, rounds):
     return np.std(first, axis=0, ddof=1), np.std(total, axis=0, ddof=1)
 
 
-# Rounds span part of one block to past two.  Each round's indices differ
+# Rounds span one block to past two.  Each round's indices differ
 # from the reference by rounding (~1e-16 absolute), which is 1e-12 relative
 # only while the spread of the rounds dominates: from a few rounds the
 # standard error can be small enough to fall below that.
